@@ -366,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("T", "seeds"):
+            if getattr(args, name, 1) <= 0:
+                raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)

@@ -19,8 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
-from .model import Instance, transition
-from .planner import draw_offsets, round_intervals, run_planner
+from .model import Instance
+from .planner import (
+    _payoff_columns, draw_offsets, round_intervals, run_planner, states_from_actions,
+)
 from .rng import stream
 
 
@@ -163,7 +165,6 @@ class ExplorationResult:
     realized_total: float
     mean_total: float
     end_states: tuple[int, ...]
-    length: int
 
 
 def simulate_exploration(
@@ -173,34 +174,34 @@ def simulate_exploration(
     noise_rng: np.random.Generator,
 ) -> ExplorationResult:
     """Run the schedule on the true dynamics, recording every sample where it
-    lands (positive states above tau_max count as tau_max by saturation)."""
-    n = instance.n
-    width = instance.tau_max - tau_L
-    counts = np.zeros((n, width), dtype=np.int64)
-    sums = np.zeros((n, width))
-    states = [1] * n
-    realized_total = 0.0
-    mean_total = 0.0
-    for played in schedule:
-        for i in sorted(played):
-            tau = states[i]
-            p = instance.payoff(i, tau)
-            hit = 1.0 if noise_rng.random() < p else 0.0
-            realized_total += hit
-            mean_total += p
-            key = min(tau, instance.tau_max) if tau > 0 else tau
-            if key >= tau_L:
-                col = key - tau_L if key < 0 else -tau_L + key - 1
-                counts[i, col] += 1
-                sums[i, col] += hit
-        states = [transition(tau, i in played) for i, tau in enumerate(states)]
+    lands (positive states above tau_max count as tau_max by saturation).
+    Noise is drawn play by play: rounds in order, arms ascending in a round.
+    """
+    n, tau_max = instance.n, instance.tau_max
+    width = tau_max - tau_L
+    # one trailing idle column, so the last column holds the end states
+    played = np.zeros((n, len(schedule) + 1), dtype=bool)
+    rounds = [t for t, arms in enumerate(schedule) for _ in arms]
+    played[[i for arms in schedule for i in arms], rounds] = True
+    states = states_from_actions(played)
+
+    t_idx, arm_idx = np.nonzero(played.T)
+    tau = states[arm_idx, t_idx]
+    p = instance.payoff_matrix()[arm_idx, _payoff_columns(tau, instance.tau_min, tau_max)]
+    hits = np.where(noise_rng.random(tau.size) < p, 1.0, 0.0)
+    # cumsum adds in play order; np.sum's pairwise order would round differently
+    mean_total = float(np.cumsum(p)[-1:].sum())
+
+    keep = tau >= tau_L
+    cell = arm_idx[keep] * width + _payoff_columns(tau[keep], tau_L, tau_max)
+    counts = np.bincount(cell, minlength=n * width).reshape(n, width)
+    sums = np.bincount(cell, weights=hits[keep], minlength=n * width).reshape(n, width)
     return ExplorationResult(
         counts=counts,
         sums=sums,
-        realized_total=realized_total,
+        realized_total=float(hits.sum()),
         mean_total=mean_total,
-        end_states=tuple(states),
-        length=len(schedule),
+        end_states=tuple(states[:, -1].tolist()),
     )
 
 

@@ -97,6 +97,8 @@ class Instance:
         n = len(self.payoffs)
         if n == 0:
             raise ModelError("instance needs at least one arm")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ModelError(f"k must be an integer, got {self.k!r}")
         if not (1 <= self.k <= n):
             raise ModelError(f"need 1 <= k <= n, got k={self.k}, n={n}")
         t0 = self.payoffs[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .intervals import RecurrentInterval
 from .lp import LpSolution
-from .model import Instance
+from .model import Instance, ModelError
 from .rng import stream
 
 _MASS_TOL = 1e-9
@@ -173,21 +173,32 @@ def _payoff_columns(tau: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
     return np.where(clipped < 0, clipped - tau_min, -tau_min + clipped - 1)
 
 
-def states_from_actions(played: np.ndarray) -> np.ndarray:
-    """Actual states implied by a (n, T) play matrix, starting from all +1.
+def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
+    """Actual states implied by a (n, T) play matrix, starting from ``init``.
 
-    The state at round t is the signed length of the current action run: +r
-    after r consecutive idles, -r after r consecutive plays (round 0 counts
-    as an idle).
+    ``init`` holds one nonzero state per arm (all +1 when omitted). The state
+    at round t is the signed length of the current action run: +r after r
+    consecutive idles, -r after r consecutive plays. The run in progress at
+    round 0 is the one ``init`` describes, so an arm that has not switched
+    since then keeps growing from ``|init|``.
     """
     n, T = played.shape
-    b = np.concatenate([np.zeros((n, 1), dtype=bool), played[:, :-1]], axis=1)
-    idx = np.arange(T)
-    change = np.empty((n, T), dtype=bool)
-    change[:, 0] = True
+    # the run in progress at round 0 is of plays where lead is set, and began
+    # at round before = 1 - |init|
+    if init is None:
+        lead, before = False, 0
+    else:
+        init = np.asarray(init)
+        if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
+            raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
+        lead, before = (init < 0)[:, None], 1 - np.abs(init.astype(np.int64))[:, None]
+    b = np.empty((n, T), dtype=bool)
+    b[:, :1] = lead
+    b[:, 1:] = played[:, :-1]
+    change = np.zeros((n, T), dtype=bool)
     change[:, 1:] = b[:, 1:] != b[:, :-1]
-    last_change = np.maximum.accumulate(np.where(change, idx, 0), axis=1)
-    run = idx - last_change + 1
+    idx = np.arange(T)
+    run = idx - np.maximum.accumulate(np.where(change, idx, before), axis=1) + 1
     return np.where(b, -run, run)
 
 
@@ -211,7 +222,8 @@ def run_planner(
 
     ``selection`` is the payoff model consulted for ranking candidates
     (defaults to the instance itself). The environment always pays according
-    to ``instance`` at the actual states.
+    to ``instance`` at the actual states, which start from ``init_states``
+    (all +1 when omitted).
     """
     n, k = instance.n, instance.k
     selection = instance if selection is None else selection
@@ -239,10 +251,7 @@ def run_planner(
     np.put_along_axis(ranks, order, np.arange(n)[:, None], axis=0)
     played = cand & (ranks < k)
 
-    if init_states is None:
-        actual = states_from_actions(played)
-    else:
-        actual = _states_from_actions_init(played, np.asarray(init_states))
+    actual = states_from_actions(played, init_states)
 
     pm = instance.payoff_matrix()
     cols = _payoff_columns(actual, instance.tau_min, instance.tau_max)
@@ -267,22 +276,6 @@ def run_planner(
         actual_payoff=actual_payoff,
         realized=realized,
     )
-
-
-def _states_from_actions_init(played: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Like states_from_actions but from arbitrary nonzero initial states."""
-    n, T = played.shape
-    out = np.empty((n, T), dtype=np.int64)
-    tau = init.astype(np.int64).copy()
-    for t in range(T):
-        out[:, t] = tau
-        p = played[:, t]
-        tau = np.where(
-            p,
-            np.where(tau < 0, tau - 1, -1),
-            np.where(tau < 0, 1, tau + 1),
-        )
-    return out
 
 
 def simulate_planner(

@@ -114,3 +114,37 @@ def test_solve_lp_prints_value(tmp_path, capsys):
     assert run(["solve-lp", "--instance", str(inst), "--epsilon", "0.5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("LP*=0.666666666667")
+
+
+def _stderr_lines(capsys) -> list[str]:
+    return capsys.readouterr().err.splitlines()
+
+
+def test_fractional_k_rejected(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    run(["gen", "random", "--n", "3", "--k", "1", "--seed", "1", "--out", str(inst)])
+    d = json.loads(inst.read_text())
+    d["k"] = 1.5
+    inst.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["simulate", "--instance", str(inst), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: k must be an integer, got 1.5"]
+
+
+def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    assert run(["simulate", "--instance", str(inst), "--T", "0",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: --T must be positive, got 0"]
+
+
+def test_learn_rejects_nonpositive_seeds(tmp_path, capsys):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    assert run(["learn", "--instance", str(inst), "--T", "512", "--seeds", "0",
+                "--out", str(tmp_path / "r.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: --seeds must be positive, got 0"]

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_instance
+import reference
 
 from mlsd.analysis import make_step_instance
 from mlsd.learning import (
@@ -61,6 +64,33 @@ def test_schedule_feasibility_coverage_and_length():
         inst = random_instance(n, k, tau_max, min(tau_L, -1), stream(n * 31 + m, "instance"))
         res = simulate_exploration(inst, sched, tau_L, stream(1, "noise"))
         assert res.counts.min() >= m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simulate_exploration_matches_scalar_reference(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    tau_max = data.draw(st.integers(1, 4))
+    tau_min = data.draw(st.integers(-4, -1))
+    tau_L = data.draw(st.integers(-4, -1))
+    inst = random_instance(n, k, tau_max, tau_min, stream(data.draw(st.integers(0, 99)), "instance"))
+    if data.draw(st.booleans()):
+        sched = exploration_schedule(n, k, tau_max, tau_L, data.draw(st.integers(1, 3)))
+    else:
+        arms = st.frozensets(st.integers(0, n - 1), max_size=k)
+        sched = data.draw(st.lists(arms, max_size=40))
+    seed = data.draw(st.integers(0, 99))
+    fast_rng, ref_rng = stream(seed, "noise"), stream(seed, "noise")
+    fast = simulate_exploration(inst, sched, tau_L, fast_rng)
+    ref = reference.simulate_exploration(inst, sched, tau_L, ref_rng)
+    assert np.array_equal(fast.counts, ref.counts)
+    assert fast.counts.dtype == ref.counts.dtype
+    assert np.array_equal(fast.sums, ref.sums)
+    assert fast.end_states == ref.end_states
+    assert fast.realized_total.hex() == ref.realized_total.hex()
+    assert fast.mean_total.hex() == ref.mean_total.hex()
+    assert fast_rng.random() == ref_rng.random()
 
 
 def test_estimates_exact_for_deterministic_payoffs():

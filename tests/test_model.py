@@ -88,6 +88,9 @@ def test_instance_validation():
         Instance(k=0, payoffs=(table,))
     with pytest.raises(ModelError):
         Instance(k=3, payoffs=(table, table))
+    for k in (1.5, 1.0, True):
+        with pytest.raises(ModelError, match="integer"):
+            Instance(k=k, payoffs=(table, table))
     other = PayoffTable(tau_min=-2, tau_max=1, values=(0.0, 0.0, 1.0))
     with pytest.raises(ModelError):
         Instance(k=1, payoffs=(table, other))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_instance
+from reference import step_states
 
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import RecurrentInterval
@@ -190,19 +193,38 @@ def test_actual_dominates_virtual_after_burn_in():
         )
 
 
-def test_states_from_actions_matches_iterative():
-    rng = stream(12, "misc")
-    from mlsd.model import transition
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_states_from_actions_matches_iterative(data):
+    # any nonzero start, including negative ones and |init| above any tau_max
+    n = data.draw(st.integers(1, 4))
+    T = data.draw(st.integers(0, 30))
+    init = data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=n, max_size=n))
+    flat = data.draw(st.lists(st.booleans(), min_size=n * T, max_size=n * T))
+    played = np.array(flat, dtype=bool).reshape(n, T)
+    assert np.array_equal(states_from_actions(played, init), step_states(played, init))
+    assert np.array_equal(states_from_actions(played), step_states(played, [1] * n))
 
-    for _ in range(30):
-        n, T = 3, 25
-        played = rng.random((n, T)) < 0.4
-        got = states_from_actions(played)
-        states = [1] * n
-        for t in range(T):
-            for i in range(n):
-                assert got[i, t] == states[i]
-            states = [transition(s, bool(played[i, t])) for i, s in enumerate(states)]
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(0, 40), lift=st.integers(0, 6))
+def test_run_planner_tracks_states_from_init(seed, T, lift):
+    inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -2))
+    ivs = round_intervals(sol, stream(seed, "rounding"))
+    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    rng = stream(seed, "misc")
+    init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
+    trace = run_planner(inst, ivs, offs, T, init_states=init)
+    assert trace.actual_states.shape == (T, inst.n)
+    assert np.array_equal(trace.actual_states.T, step_states(trace.played.T, init))
+
+
+@pytest.mark.parametrize("init", [[0], [1, 1], [2, 0], [1.5]])
+def test_run_planner_rejects_invalid_init_states(init):
+    inst = make_step_instance()
+    with pytest.raises(ValueError, match="init states"):
+        run_planner(inst, [RecurrentInterval(u=1, l=-2)], [0], 5, init_states=init)
 
 
 def test_candidate_marginals_match_occupancies():
