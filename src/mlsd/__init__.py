@@ -45,14 +45,11 @@ from .model import (
 )
 from .oracle import dp_optimal, exhaustive_optimal
 from .planner import (
-    PlannerState,
     candidate_marginals,
     draw_offsets,
-    init_offsets,
     round_intervals,
     run_planner,
     simulate_planner,
-    step_planner,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -14,7 +12,7 @@ from .learning import EtcResult, etc_run
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, PayoffTable
 from .oracle import dp_optimal
-from .planner import simulate_planner
+from .planner import planner_runs
 
 
 def gamma_k(k: int) -> float:
@@ -53,18 +51,6 @@ def make_tight_instance(k: int, m: int) -> Instance:
     values = (0.0,) + (0.0,) * (m - 1) + (1.0,)
     table = PayoffTable(tau_min=-1, tau_max=m, values=values)
     return Instance(k=k, payoffs=(table,) * (m * k))
-
-
-def _max_workers() -> int:
-    return max(1, int(os.environ.get("MLSD_THREADS", "1")))
-
-
-def _map_indexed(fn: Callable[[int], object], count: int) -> list:
-    workers = _max_workers()
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass
@@ -116,15 +102,11 @@ def tightness_experiment(
     """
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
-
-    def one(i: int) -> float:
-        trace = simulate_planner(
-            instance, solution, T, seed + i, init_states=[m] * instance.n
-        )
-        covered = np.minimum(trace.candidates.sum(axis=1), k)
-        return float(covered.mean())
-
-    rates = np.array(_map_indexed(one, n_seeds))
+    seeds = range(seed, seed + n_seeds)
+    rates = np.concatenate([
+        np.minimum(runs.candidates.sum(axis=1), k).mean(axis=1)
+        for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n)
+    ])
     opt_rate = tightness_optimal_rate(k, m)
     ratios = rates / opt_rate
     se = float(ratios.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0
@@ -193,20 +175,16 @@ def approximation_experiment(
     mean against the bound and confirms the actual stream collects at least
     as much.
     """
+    if T < instance.tau_max:
+        raise ValueError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)
     solution = solve_lp(build_lp(instance, tau_L))
-    start = instance.tau_max - 1  # rows are rounds 1..T
-
-    def one(i: int) -> tuple[float, float]:
-        trace = simulate_planner(instance, solution, T, seed + i)
-        return (
-            float(trace.virtual_payoff[start:].mean()),
-            float(trace.actual_payoff[start:].mean()),
-        )
-
-    pairs = _map_indexed(one, n_seeds)
-    virt = np.array([p[0] for p in pairs])
-    act = np.array([p[1] for p in pairs])
+    start = instance.tau_max - 1  # columns are rounds 1..T
+    virt, act = [], []
+    for runs in planner_runs(instance, solution, T, range(seed, seed + n_seeds)):
+        virt.append(runs.virtual_payoff[:, start:].mean(axis=1))
+        act.append(runs.actual_payoff[:, start:].mean(axis=1))
+    virt, act = np.concatenate(virt), np.concatenate(act)
     return ExperimentReport(
         descriptor=descriptor,
         n_seeds=n_seeds,
@@ -258,15 +236,16 @@ def regret_trend(
     paired full-information planner run, whose gap is positive and is the
     sublinear quantity the trend is fitted on.
     """
+    if len(set(T_grid)) < 2:
+        raise ValueError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
     points = []
     for T in T_grid:
         opt, _ = dp_optimal(instance, T, budget=oracle_budget)
         benchmark = (1.0 - epsilon) * gamma_k(instance.k) * opt
-
-        def one(i: int, T=T, benchmark=benchmark) -> EtcResult:
-            return etc_run(instance, T, epsilon, seed + i, benchmark_total=benchmark)
-
-        results = _map_indexed(one, n_seeds)
+        results = [
+            etc_run(instance, T, epsilon, seed + i, benchmark_total=benchmark)
+            for i in range(n_seeds)
+        ]
         points.append(
             RegretTrendPoint(
                 T=T,

@@ -3,8 +3,7 @@ experiments into reproducible runs.
 
 Every command is fully determined by its flags and --seed: rerunning writes
 byte-identical files. CSV floats are formatted at 12 significant digits; arm
-sets are semicolon-joined 0-based indices. MLSD_THREADS caps parallel seed
-workers in the experiment commands.
+sets are semicolon-joined 0-based indices.
 """
 
 from __future__ import annotations
@@ -51,6 +50,12 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.out} (n={instance.n}, k={instance.k}, "
           f"tau_max={instance.tau_max}, tau_min={instance.tau_min})")
     return 0
+
+
+def _instance_arg(args) -> model.Instance:
+    if args.instance is None:
+        raise ValueError(f"{args.kind} needs --instance")
+    return model.load_instance(args.instance)
 
 
 def _tau_L(args) -> int:
@@ -164,7 +169,7 @@ def cmd_learn(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.kind == "approximation":
-        instance = model.load_instance(args.instance)
+        instance = _instance_arg(args)
         report = analysis.approximation_experiment(
             instance, args.epsilon, args.T, args.seeds, args.seed,
             descriptor=args.instance,
@@ -176,7 +181,7 @@ def cmd_experiment(args) -> int:
         )
         payload = result.to_dict()
     elif args.kind == "regret-trend":
-        instance = model.load_instance(args.instance)
+        instance = _instance_arg(args)
         grid = [int(x) for x in args.T_list.split(",")]
         trend = analysis.regret_trend(
             instance, grid, args.seeds, args.epsilon, args.seed,
@@ -199,7 +204,7 @@ def cmd_experiment(args) -> int:
             ],
         }
     elif args.kind == "robustness":
-        instance = model.load_instance(args.instance)
+        instance = _instance_arg(args)
         etas = [float(x) for x in args.eta_list.split(",")]
         report = learning.robustness_gap(
             instance, etas, args.T, args.seeds, args.epsilon, args.seed
@@ -256,7 +261,7 @@ def cmd_plot_data(args) -> int:
         for m in ms:
             rows.append(["gamma", str(m), _fmt(analysis.gamma_k(args.k))])
     elif args.kind == "regret-vs-T":
-        instance = model.load_instance(args.instance)
+        instance = _instance_arg(args)
         grid = [int(x) for x in args.T_list.split(",")]
         trend = analysis.regret_trend(
             instance, grid, args.seeds, args.epsilon, args.seed,
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
     except learning.ExplorationTooLongError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (model.ModelError, lp.LpError, ValueError) as exc:
+    except (model.ModelError, lp.LpError, planner.PlannerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -139,6 +139,13 @@ class TableModel:
     def n(self) -> int:
         return self.means.shape[0]
 
+    @property
+    def tau_min(self) -> int:
+        return self.tau_lo
+
+    def payoff_matrix(self) -> np.ndarray:
+        return self.means
+
     def _col(self, tau: int) -> int:
         tau = max(self.tau_lo, min(self.tau_max, tau))
         if tau < 0:

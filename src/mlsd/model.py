@@ -159,7 +159,15 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def require_keys(d: dict, what: str, *keys: str) -> None:
+    """Raise ModelError naming the first of ``keys`` missing from ``d``."""
+    for key in keys:
+        if key not in d:
+            raise ModelError(f"{what} is missing the key {key!r}")
+
+
 def instance_from_dict(d: dict) -> Instance:
+    require_keys(d, "instance", "k", "tau_min", "tau_max", "payoffs")
     tables = tuple(
         PayoffTable(tau_min=d["tau_min"], tau_max=d["tau_max"], values=tuple(vals))
         for vals in d["payoffs"]

@@ -13,60 +13,65 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .intervals import RecurrentInterval
 from .lp import LpSolution
-from .model import Instance, ModelError
+from .model import Instance, ModelError, require_keys
 from .rng import stream
 
 _MASS_TOL = 1e-9
+_CHUNK_CELLS = 8000  # (seed, arm, round) cells per array pass of planner_runs
 
 
 class RoundingError(RuntimeError):
     """Per-arm selection mass exceeds 1 beyond numerical tolerance."""
 
 
-def _arm_distribution(solution: LpSolution, arm: int):
-    """Interval list and selection probabilities (cycle length x occupancy)."""
+class PlannerError(RuntimeError):
+    """A planner run broke one of the paper's invariants."""
+
+
+def _arm_distribution(solution: LpSolution):
+    """Every arm's interval distribution: ``u``, ``l`` and cycle length ``L``
+    of the tau_max * depth intervals, and per arm the cumulative selection
+    probabilities (cycle length x occupancy) over them, shape (n, intervals)."""
     n, tau_max, depth = solution.x.shape
-    intervals = []
-    probs = []
-    for u in range(1, tau_max + 1):
-        for d in range(depth):
-            l = -(d + 1)
-            p = (u - l) * float(solution.x[arm, u - 1, d])
-            if p < -_MASS_TOL:
-                raise RoundingError(f"negative selection mass {p} for arm {arm}")
-            intervals.append(RecurrentInterval(u=u, l=l))
-            probs.append(max(p, 0.0))
-    total = sum(probs)
-    if total > 1.0 + _MASS_TOL:
-        raise RoundingError(f"arm {arm} selection mass {total} exceeds 1")
-    if total > 1.0:
-        probs = [p / total for p in probs]
-    return intervals, probs
+    u, d = np.divmod(np.arange(tau_max * depth), depth)
+    u, l = u + 1, -1 - d
+    p = (u - l) * solution.x.reshape(n, -1)
+    if (p < -_MASS_TOL).any():
+        arm, j = np.argwhere(p < -_MASS_TOL)[0]
+        raise RoundingError(f"negative selection mass {p[arm, j]} for arm {arm}")
+    p = np.maximum(p, 0.0)
+    cum = np.cumsum(p, axis=1)  # left to right, as the sampler walks the list
+    total = cum[:, -1:]
+    if (total > 1.0).any():
+        arm = int(np.argmax(total))
+        if total[arm, 0] > 1.0 + _MASS_TOL:
+            raise RoundingError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
+        big = total[:, 0] > 1.0
+        cum[big] = np.cumsum(p[big] / total[big], axis=1)
+    return u, l, u - l, cum
+
+
+def _pick(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Index of the interval each uniform draw ``r[..., arm]`` selects from
+    its arm's row of ``cum`` (== number of intervals when it selects none)."""
+    return (cum <= r[..., None]).sum(axis=-1)
 
 
 def round_intervals(
     solution: LpSolution, rng: np.random.Generator
 ) -> list[Optional[RecurrentInterval]]:
     """Sample one interval (or none) per arm, independently across arms."""
-    chosen: list[Optional[RecurrentInterval]] = []
-    for arm in range(solution.n):
-        intervals, probs = _arm_distribution(solution, arm)
-        r = rng.random()
-        acc = 0.0
-        pick = None
-        for interval, p in zip(intervals, probs):
-            acc += p
-            if r < acc:
-                pick = interval
-                break
-        chosen.append(pick)
-    return chosen
+    u, l, _, cum = _arm_distribution(solution)
+    return [
+        RecurrentInterval(u=int(u[j]), l=int(l[j])) if j < u.size else None
+        for j in _pick(cum, rng.random(solution.n)).tolist()
+    ]
 
 
 def draw_offsets(
@@ -76,68 +81,6 @@ def draw_offsets(
     return [
         int(rng.integers(iv.length)) if iv is not None else 0 for iv in intervals
     ]
-
-
-def virtual_state(
-    interval: RecurrentInterval, offset: int, t: int
-) -> int:
-    """Virtual state at round t >= 0 (t = 0 is the pre-play initialization)."""
-    cycle = interval.cycle_states()
-    return cycle[(offset + t) % interval.length]
-
-
-@dataclass(frozen=True)
-class PlannerState:
-    """Online-phase state: per-arm cycle, phase, and current virtual state.
-
-    ``virtual`` holds None for arms that received no interval; those arms
-    are never candidates and never played.
-    """
-
-    intervals: tuple[Optional[RecurrentInterval], ...]
-    offsets: tuple[int, ...]
-    t: int
-    virtual: tuple[Optional[int], ...]
-
-    @property
-    def active_arms(self) -> tuple[int, ...]:
-        return tuple(i for i, iv in enumerate(self.intervals) if iv is not None)
-
-
-def init_offsets(
-    intervals: Sequence[Optional[RecurrentInterval]], rng: np.random.Generator
-) -> PlannerState:
-    """Draw uniform offsets and place each virtual state r steps into its
-    cycle, so that after the first advance it is uniform over the cycle."""
-    offsets = draw_offsets(intervals, rng)
-    virtual = tuple(
-        virtual_state(iv, off, 0) if iv is not None else None
-        for iv, off in zip(intervals, offsets)
-    )
-    return PlannerState(
-        intervals=tuple(intervals), offsets=tuple(offsets), t=0, virtual=virtual
-    )
-
-
-def step_planner(state: PlannerState, model) -> tuple[frozenset[int], PlannerState]:
-    """Advance every virtual state one cycle step, then play the top-k
-    candidates ranked by the model's payoff at the virtual state (ties to
-    the lowest arm index)."""
-    nxt = tuple(
-        iv.step(nu) if iv is not None else None
-        for iv, nu in zip(state.intervals, state.virtual)
-    )
-    candidates = [
-        i
-        for i, (iv, nu) in enumerate(zip(state.intervals, nxt))
-        if iv is not None and iv.prescribes_play(nu)
-    ]
-    ranked = sorted(candidates, key=lambda i: (-model.payoff(i, nxt[i]), i))
-    played = frozenset(ranked[: model.k])
-    new_state = PlannerState(
-        intervals=state.intervals, offsets=state.offsets, t=state.t + 1, virtual=nxt
-    )
-    return played, new_state
 
 
 @dataclass
@@ -169,8 +112,8 @@ class PlannerTrace:
 
 
 def _payoff_columns(tau: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
-    clipped = np.clip(tau, tau_min, tau_max)
-    return np.where(clipped < 0, clipped - tau_min, -tau_min + clipped - 1)
+    clipped = np.minimum(np.maximum(tau, tau_min), tau_max)
+    return clipped - tau_min - (clipped > 0)  # positive states skip the missing 0
 
 
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
@@ -202,11 +145,75 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-def _selection_payoffs(model, n: int, arms, cycles) -> list[Optional[np.ndarray]]:
-    out: list[Optional[np.ndarray]] = [None] * n
-    for i in arms:
-        out[i] = np.array([model.payoff(i, tau) for tau in cycles[i]])
-    return out
+def _cycle(u, L, pos):
+    """State and play flag at phase ``pos`` of the cycles I(u, u - L), in
+    closed form: phases 0..u-1 hold states 1..u and phases u..L-1 states
+    -1..l; the cycle plays at u and at -1..l+1."""
+    return np.where(pos < u, pos + 1, u - pos - 1), (pos >= u - 1) & (pos < L - 1)
+
+
+@dataclass
+class PlannerRuns:
+    """S planner runs as (S, n, T) arrays, round t in column t-1; the
+    payoff series are (S, T). ``actual_p`` is the true mean payoff of every
+    arm at its actual state."""
+
+    virtual: np.ndarray
+    candidates: np.ndarray
+    played: np.ndarray
+    actual_states: np.ndarray
+    actual_p: np.ndarray
+    virtual_payoff: np.ndarray
+    actual_payoff: np.ndarray
+
+
+def _check_invariants(played, virtual, actual, k: int, tau_max: int, from_ones: bool):
+    """Raise PlannerError unless every round plays at most k arms and, for
+    runs that start at +1, the actual state dominates the virtual one from
+    round tau_max on (arms without interval hold virtual 0 and never play,
+    so their positive actual states pass)."""
+    most = int(played.sum(axis=1).max(initial=0))
+    if most > k:
+        raise PlannerError(f"{most} arms played in a round, budget is {k}")
+    margin = int((actual - virtual)[..., tau_max - 1:].min(initial=0)) if from_ones else 0
+    if margin < 0:
+        raise PlannerError(f"actual state {-margin} below virtual state after round {tau_max}")
+
+
+def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=None):
+    """The online phase of S runs at once, from (S, n) arrays of interval
+    parameters ``u``, cycle lengths ``L``, offsets and active flags."""
+    S, n = u.shape
+    pos = (offsets[..., None] + np.arange(1, T + 1)) % L[..., None]
+    state, play = _cycle(u[..., None], L[..., None], pos)
+    virtual = np.where(active[..., None], state, 0)
+    cand = active[..., None] & play
+
+    arm = np.arange(n)[:, None]
+    sel = instance if selection is None else selection
+    selp = sel.payoff_matrix()[arm, _payoff_columns(virtual, sel.tau_min, sel.tau_max)]
+    played = cand
+    if instance.k < n:  # else every candidate fits the budget
+        order = np.argsort(-np.where(cand, selp, -1.0), axis=1, kind="stable")
+        played = np.zeros_like(cand)  # top k, ties to the lowest arm
+        np.put_along_axis(played, order[:, :instance.k], True, axis=1)
+        played &= cand
+
+    init = None if init_states is None else np.tile(np.asarray(init_states), S)
+    actual = states_from_actions(played.reshape(S * n, T), init).reshape(S, n, T)
+    cols = _payoff_columns(actual, instance.tau_min, instance.tau_max)
+    actual_p = instance.payoff_matrix()[arm, cols]
+    from_ones = init is None or bool((init == 1).all())
+    _check_invariants(played, virtual, actual, instance.k, instance.tau_max, from_ones)
+    return PlannerRuns(
+        virtual=virtual,
+        candidates=cand,
+        played=played,
+        actual_states=actual,
+        actual_p=actual_p,
+        virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
+        actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
+    )
 
 
 def run_planner(
@@ -225,57 +232,62 @@ def run_planner(
     to ``instance`` at the actual states, which start from ``init_states``
     (all +1 when omitted).
     """
-    n, k = instance.n, instance.k
-    selection = instance if selection is None else selection
-    arms = [i for i in range(n) if intervals[i] is not None]
-    cycles = {i: np.array(intervals[i].cycle_states()) for i in arms}
-    play_flags = {
-        i: np.array([intervals[i].prescribes_play(tau) for tau in cycles[i]])
-        for i in arms
-    }
-    sel_payoff = _selection_payoffs(selection, n, arms, cycles)
-
-    t_range = 1 + np.arange(T)
-    virtual = np.zeros((n, T), dtype=np.int64)
-    cand = np.zeros((n, T), dtype=bool)
-    selp = np.zeros((n, T))
-    for i in arms:
-        pos = (offsets[i] + t_range) % intervals[i].length
-        virtual[i] = cycles[i][pos]
-        cand[i] = play_flags[i][pos]
-        selp[i] = sel_payoff[i][pos]
-
-    scores = np.where(cand, selp, -1.0)
-    order = np.argsort(-scores, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n)[:, None], axis=0)
-    played = cand & (ranks < k)
-
-    actual = states_from_actions(played, init_states)
-
-    pm = instance.payoff_matrix()
-    cols = _payoff_columns(actual, instance.tau_min, instance.tau_max)
-    actual_p = np.take_along_axis(pm, cols, axis=1)
-
-    virtual_payoff = np.where(played, selp, 0.0).sum(axis=0)
-    actual_payoff = np.where(played, actual_p, 0.0).sum(axis=0)
-
+    if len(intervals) != instance.n or len(offsets) != instance.n:
+        raise ModelError(f"plan has {len(intervals)} arms, instance has {instance.n}")
+    runs = _simulate(
+        instance,
+        np.array([[iv.u if iv is not None else 1 for iv in intervals]]),
+        np.array([[iv.length if iv is not None else 1 for iv in intervals]]),
+        np.array([offsets]),
+        np.array([[iv is not None for iv in intervals]]),
+        T,
+        selection,
+        init_states,
+    )
+    played = runs.played[0]
     realized = None
     if noise_rng is not None:
-        draws = noise_rng.random(size=(n, T))
-        realized = np.where(played & (draws < actual_p), 1.0, 0.0).sum(axis=0)
+        draws = noise_rng.random(size=played.shape)
+        realized = np.where(played & (draws < runs.actual_p[0]), 1.0, 0.0).sum(axis=0)
 
     return PlannerTrace(
         intervals=list(intervals),
         offsets=list(offsets),
-        virtual=virtual.T.copy(),
-        candidates=cand.T.copy(),
+        virtual=runs.virtual[0].T.copy(),
+        candidates=runs.candidates[0].T.copy(),
         played=played.T.copy(),
-        actual_states=actual.T.copy(),
-        virtual_payoff=virtual_payoff,
-        actual_payoff=actual_payoff,
+        actual_states=runs.actual_states[0].T.copy(),
+        virtual_payoff=runs.virtual_payoff[0],
+        actual_payoff=runs.actual_payoff[0],
         realized=realized,
     )
+
+
+def planner_runs(
+    instance: Instance,
+    solution: LpSolution,
+    T: int,
+    seeds: Sequence[int],
+    init_states: Optional[Sequence[int]] = None,
+) -> Iterator[PlannerRuns]:
+    """``simulate_planner`` for every seed, in chunks of about _CHUNK_CELLS
+    (seed, arm, round) cells. Each seed draws its intervals and offsets from
+    its own streams exactly as ``simulate_planner`` does, so run s of the
+    concatenated chunks equals ``simulate_planner(..., seeds[s], ...)``."""
+    n = solution.n
+    u, _, L, cum = _arm_distribution(solution)
+    per = max(1, _CHUNK_CELLS // max(1, n * T))
+    for lo in range(0, len(seeds), per):
+        chunk = seeds[lo:lo + per]
+        picks = _pick(cum, np.array([stream(s, "rounding").random(n) for s in chunk]))
+        active = picks < u.size
+        j = np.where(active, picks, 0)
+        offsets = np.zeros(picks.shape, dtype=np.int64)
+        for row, s in enumerate(chunk):
+            rng = stream(s, "offsets")
+            for i in np.flatnonzero(active[row]):
+                offsets[row, i] = rng.integers(L[j[row, i]])
+        yield _simulate(instance, u[j], L[j], offsets, active, T, init_states=init_states)
 
 
 def simulate_planner(
@@ -326,44 +338,23 @@ def candidate_marginals(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    u, l, L, cum = _arm_distribution(solution)
+    span, lo = int(L.max()) + 1, int(l.min())  # (interval, state) key: j * span + state - lo
     rng_round = stream(seed, "rounding")
     rng_off = stream(seed, "offsets")
     counts: dict[tuple[int, int, int, int], int] = {}
     for arm in range(solution.n):
-        intervals, probs = _arm_distribution(solution, arm)
-        cum = np.cumsum(probs)
-        draws = rng_round.random(num_samples)
-        picks = np.searchsorted(cum, draws, side="right")
+        picks = np.searchsorted(cum[arm], rng_round.random(num_samples), side="right")
         offs = rng_off.random(num_samples)
-        for j, interval in enumerate(intervals):
-            mask = picks == j
-            m = int(mask.sum())
-            if m == 0:
-                continue
-            L = interval.length
-            cycle = np.array(interval.cycle_states())
-            flags = np.array([interval.prescribes_play(s) for s in cycle])
-            r = np.floor(offs[mask] * L).astype(int)
-            nu = cycle[(r + t) % L]
-            play = flags[(r + t) % L]
-            for state in np.unique(nu[play]):
-                key = (arm, interval.u, interval.l, int(state))
-                counts[key] = counts.get(key, 0) + int(np.sum(nu[play] == state))
+        on = picks < u.size
+        j = picks[on]
+        r = np.floor(offs[on] * L[j]).astype(int)
+        nu, play = _cycle(u[j], L[j], (r + t) % L[j])
+        keys, freq = np.unique(j[play] * span + nu[play] - lo, return_counts=True)
+        for key, c in zip(keys.tolist(), freq.tolist()):
+            jj, state = divmod(key, span)
+            counts[(arm, int(u[jj]), int(l[jj]), state + lo)] = c
     return counts, num_samples
-
-
-def marginal_expectations(solution: LpSolution) -> dict:
-    """Exact triple probabilities implied by the occupancies: each play-state
-    of I(u, l) carries probability x[i, u, l]."""
-    out = {}
-    for i, u, l, v in solution.iter_entries():
-        if v <= 0.0:
-            continue
-        interval = RecurrentInterval(u=u, l=l)
-        for tau in interval.cycle_states():
-            if interval.prescribes_play(tau):
-                out[(i, u, l, tau)] = v
-    return out
 
 
 def plan_to_dict(
@@ -385,6 +376,9 @@ def plan_to_dict(
 
 
 def plan_from_dict(d: dict) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
+    require_keys(d, "plan", "arms")
+    for a in d["arms"]:
+        require_keys(a, "plan arm", "interval", "offset")
     intervals = [
         RecurrentInterval.from_dict(a["interval"]) if a["interval"] else None
         for a in d["arms"]

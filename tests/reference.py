@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
 import numpy as np
 
+from mlsd.intervals import RecurrentInterval
 from mlsd.learning import ExplorationResult
+from mlsd.lp import LpSolution
 from mlsd.model import Instance, transition
+from mlsd.planner import PlannerTrace, draw_offsets
+from mlsd.rng import stream
 
 
 def step_states(played: np.ndarray, init) -> np.ndarray:
@@ -54,3 +61,163 @@ def simulate_exploration(
         mean_total=mean_total,
         end_states=tuple(states),
     )
+
+
+def virtual_state(interval: RecurrentInterval, offset: int, t: int) -> int:
+    """Virtual state at round t >= 0 (t = 0 is the pre-play initialization)."""
+    cycle = interval.cycle_states()
+    return cycle[(offset + t) % interval.length]
+
+
+@dataclass(frozen=True)
+class PlannerState:
+    """Online-phase state: per-arm cycle, phase, and current virtual state.
+
+    ``virtual`` holds None for arms that received no interval; those arms
+    are never candidates and never played.
+    """
+
+    intervals: tuple[Optional[RecurrentInterval], ...]
+    offsets: tuple[int, ...]
+    t: int
+    virtual: tuple[Optional[int], ...]
+
+    @property
+    def active_arms(self) -> tuple[int, ...]:
+        return tuple(i for i, iv in enumerate(self.intervals) if iv is not None)
+
+
+def init_offsets(
+    intervals: Sequence[Optional[RecurrentInterval]], rng: np.random.Generator
+) -> PlannerState:
+    """Draw uniform offsets and place each virtual state r steps into its
+    cycle, so that after the first advance it is uniform over the cycle."""
+    offsets = draw_offsets(intervals, rng)
+    virtual = tuple(
+        virtual_state(iv, off, 0) if iv is not None else None
+        for iv, off in zip(intervals, offsets)
+    )
+    return PlannerState(
+        intervals=tuple(intervals), offsets=tuple(offsets), t=0, virtual=virtual
+    )
+
+
+def step_planner(state: PlannerState, model) -> tuple[frozenset[int], PlannerState]:
+    """Advance every virtual state one cycle step, then play the top-k
+    candidates ranked by the model's payoff at the virtual state (ties to
+    the lowest arm index)."""
+    nxt = tuple(
+        iv.step(nu) if iv is not None else None
+        for iv, nu in zip(state.intervals, state.virtual)
+    )
+    candidates = [
+        i
+        for i, (iv, nu) in enumerate(zip(state.intervals, nxt))
+        if iv is not None and iv.prescribes_play(nu)
+    ]
+    ranked = sorted(candidates, key=lambda i: (-model.payoff(i, nxt[i]), i))
+    played = frozenset(ranked[: model.k])
+    new_state = PlannerState(
+        intervals=state.intervals, offsets=state.offsets, t=state.t + 1, virtual=nxt
+    )
+    return played, new_state
+
+
+def marginal_expectations(solution: LpSolution) -> dict:
+    """Exact triple probabilities implied by the occupancies: each play-state
+    of I(u, l) carries probability x[i, u, l]."""
+    out = {}
+    for i, u, l, v in solution.iter_entries():
+        if v <= 0.0:
+            continue
+        interval = RecurrentInterval(u=u, l=l)
+        for tau in interval.cycle_states():
+            if interval.prescribes_play(tau):
+                out[(i, u, l, tau)] = v
+    return out
+
+
+def round_intervals(
+    solution: LpSolution, rng: np.random.Generator
+) -> list[Optional[RecurrentInterval]]:
+    """One uniform draw per arm, walking the arm's interval list until the
+    running selection mass (cycle length x occupancy) exceeds it."""
+    n, tau_max, depth = solution.x.shape
+    chosen: list[Optional[RecurrentInterval]] = []
+    for arm in range(n):
+        intervals, probs = [], []
+        for u in range(1, tau_max + 1):
+            for d in range(depth):
+                intervals.append(RecurrentInterval(u=u, l=-(d + 1)))
+                probs.append(max((u + d + 1) * float(solution.x[arm, u - 1, d]), 0.0))
+        total = sum(probs)
+        if total > 1.0:
+            probs = [p / total for p in probs]
+        r = rng.random()
+        acc = 0.0
+        pick = None
+        for interval, p in zip(intervals, probs):
+            acc += p
+            if r < acc:
+                pick = interval
+                break
+        chosen.append(pick)
+    return chosen
+
+
+def run_planner(
+    instance: Instance,
+    intervals: Sequence[Optional[RecurrentInterval]],
+    offsets: Sequence[int],
+    T: int,
+    selection=None,
+    init_states: Optional[Sequence[int]] = None,
+) -> PlannerTrace:
+    """Arm by arm: cycles from ``cycle_states``/``prescribes_play``, payoffs
+    from ``payoff``, states by stepping ``transition``."""
+    n, k = instance.n, instance.k
+    selection = instance if selection is None else selection
+    virtual = np.zeros((n, T), dtype=np.int64)
+    cand = np.zeros((n, T), dtype=bool)
+    selp = np.zeros((n, T))
+    for i, iv in enumerate(intervals):
+        if iv is None:
+            continue
+        cycle = iv.cycle_states()
+        for t in range(T):
+            virtual[i, t] = cycle[(offsets[i] + t + 1) % iv.length]
+            cand[i, t] = iv.prescribes_play(int(virtual[i, t]))
+            selp[i, t] = selection.payoff(i, int(virtual[i, t]))
+    scores = np.where(cand, selp, -1.0)
+    played = np.zeros((n, T), dtype=bool)
+    for t in range(T):
+        ranked = sorted(np.flatnonzero(cand[:, t]), key=lambda i: (-scores[i, t], i))
+        played[ranked[:k], t] = True
+    actual = step_states(played, [1] * n if init_states is None else init_states)
+    actual_p = np.array([[instance.payoff(i, int(s)) for s in actual[i]] for i in range(n)])
+    return PlannerTrace(
+        intervals=list(intervals),
+        offsets=list(offsets),
+        virtual=virtual.T.copy(),
+        candidates=cand.T.copy(),
+        played=played.T.copy(),
+        actual_states=actual.T.copy(),
+        virtual_payoff=np.where(played, selp, 0.0).sum(axis=0),
+        actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0),
+    )
+
+
+def simulate_seeds(
+    instance: Instance,
+    solution: LpSolution,
+    T: int,
+    seeds: Sequence[int],
+    init_states: Optional[Sequence[int]] = None,
+) -> list[PlannerTrace]:
+    """The planner one seed at a time: rounding, offsets, then T rounds."""
+    traces = []
+    for seed in seeds:
+        intervals = round_intervals(solution, stream(seed, "rounding"))
+        offsets = draw_offsets(intervals, stream(seed, "offsets"))
+        traces.append(run_planner(instance, intervals, offsets, T, init_states=init_states))
+    return traces

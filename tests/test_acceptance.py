@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance
+from reference import marginal_expectations
 
 from mlsd.analysis import (
     approximation_experiment,
@@ -26,12 +27,7 @@ from mlsd.learning import exploration_schedule, simulate_exploration
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import random_instance
 from mlsd.oracle import dp_optimal, exhaustive_optimal, schedule_payoff
-from mlsd.planner import (
-    candidate_marginals,
-    domination_margin,
-    marginal_expectations,
-    simulate_planner,
-)
+from mlsd.planner import candidate_marginals, domination_margin, simulate_planner
 from mlsd.rng import stream
 
 

@@ -8,9 +8,11 @@ from mlsd.analysis import (
     gamma_k,
     make_step_instance,
     make_tight_instance,
+    regret_trend,
     stirling_gamma,
     tightness_experiment,
 )
+from mlsd import planner
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import Instance, PayoffTable
 from mlsd.planner import round_intervals
@@ -105,9 +107,24 @@ def test_experiment_needs_thirty_seeds():
         approximation_experiment(make_step_instance(), 0.5, 100, 10, 0)
 
 
-def test_thread_fanout_is_deterministic(monkeypatch):
-    base = tightness_experiment(k=1, m=5, T=400, n_seeds=30, seed=3)
-    monkeypatch.setenv("MLSD_THREADS", "4")
-    threaded = tightness_experiment(k=1, m=5, T=400, n_seeds=30, seed=3)
-    assert threaded.ratio == base.ratio
-    assert threaded.se == base.se
+def test_chunked_runs_match_single_chunk(monkeypatch):
+    inst = make_step_instance()
+    runs = {}
+    for cells in (1, 10**9):  # one seed per chunk, then all seeds in one
+        monkeypatch.setattr(planner, "_CHUNK_CELLS", cells)
+        runs[cells] = (
+            tightness_experiment(k=1, m=5, T=400, n_seeds=30, seed=3).to_dict(),
+            approximation_experiment(inst, 0.5, 300, 31, 4).to_dict(),
+        )
+    assert runs[1] == runs[10**9]
+
+
+def test_approximation_experiment_rejects_horizon_below_tau_max():
+    inst = make_tight_instance(1, 4)
+    with pytest.raises(ValueError, match="no round from tau_max=4"):
+        approximation_experiment(inst, 0.5, 3, 30, 0)
+
+
+def test_regret_trend_needs_two_horizons():
+    with pytest.raises(ValueError, match="two distinct horizons"):
+        regret_trend(make_step_instance(), [512, 512], 2, 0.25, 0)

@@ -1,4 +1,7 @@
 import json
+import warnings
+
+import pytest
 
 from mlsd.cli import main
 
@@ -148,3 +151,57 @@ def test_learn_rejects_nonpositive_seeds(tmp_path, capsys):
     assert run(["learn", "--instance", str(inst), "--T", "512", "--seeds", "0",
                 "--out", str(tmp_path / "r.csv")]) == 1
     assert _stderr_lines(capsys) == ["error: --seeds must be positive, got 0"]
+
+
+def test_approximation_rejects_horizon_below_tau_max(tmp_path, capsys):
+    inst = tmp_path / "c1.json"
+    run(["gen", "appendix-c1", "--k", "1", "--m", "4", "--out", str(inst)])
+    out = tmp_path / "a.json"
+    capsys.readouterr()
+    assert run(["experiment", "approximation", "--instance", str(inst), "--T", "3",
+                "--seeds", "30", "--out", str(out)]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: T=3 leaves no round from tau_max=4 on to average"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["approximation", "regret-trend", "robustness"])
+def test_experiment_requires_instance(tmp_path, capsys, kind):
+    assert run(["experiment", kind, "--out", str(tmp_path / "e.json")]) == 1
+    assert _stderr_lines(capsys) == [f"error: {kind} needs --instance"]
+
+
+def test_regret_trend_rejects_single_horizon(tmp_path, capsys):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["experiment", "regret-trend", "--instance", str(inst),
+                    "--T-list", "512", "--seeds", "2",
+                    "--out", str(tmp_path / "e.json")]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: the slope needs at least two distinct horizons, got [512]"
+    ]
+
+
+def test_instance_without_payoffs_rejected(tmp_path, capsys):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    d = json.loads(inst.read_text())
+    del d["payoffs"]
+    inst.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["solve-lp", "--instance", str(inst)]) == 1
+    assert _stderr_lines(capsys) == ["error: instance is missing the key 'payoffs'"]
+
+
+def test_plan_without_arms_rejected(tmp_path, capsys):
+    inst, plan = tmp_path / "c2.json", tmp_path / "plan.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    plan.write_text(json.dumps({"tau_L": -2}))
+    capsys.readouterr()
+    assert run(["simulate", "--instance", str(inst), "--plan", str(plan), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: plan is missing the key 'arms'"]

@@ -135,3 +135,10 @@ def test_instance_json_round_trip(tmp_path):
     back = instance_from_dict(d)
     assert back == inst
     assert d["payoffs"][0] == list(inst.payoffs[0].values)
+
+
+def test_instance_from_dict_names_missing_key():
+    d = instance_to_dict(make_step_instance())
+    del d["payoffs"]
+    with pytest.raises(ModelError, match="missing the key 'payoffs'"):
+        instance_from_dict(d)

@@ -1,30 +1,39 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import draw_instance
-from reference import step_states
+from reference import (
+    init_offsets,
+    marginal_expectations,
+    step_planner,
+    step_states,
+    virtual_state,
+)
 
+from mlsd import planner
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import RecurrentInterval
+from mlsd.learning import TableModel
 from mlsd.lp import LpSolution, build_lp, solve_lp
-from mlsd.model import Instance, PayoffTable
+from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import (
+    PlannerError,
     RoundingError,
     candidate_marginals,
     domination_margin,
     draw_offsets,
-    init_offsets,
-    marginal_expectations,
+    plan_from_dict,
+    planner_runs,
     round_intervals,
     run_planner,
     simulate_planner,
     states_from_actions,
-    step_planner,
-    virtual_state,
 )
 from mlsd.rng import stream
 
@@ -55,6 +64,14 @@ def test_rounding_rejects_excess_mass():
     x[0, 0, 1] = 0.25  # masses 2*0.30 + 3*0.25 = 1.35 > 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
     with pytest.raises(RoundingError):
+        round_intervals(sol, stream(0, "rounding"))
+
+
+def test_rounding_rejects_negative_mass():
+    x = np.zeros((2, 1, 2))
+    x[1, 0, 1] = -1e-6  # beyond the 1e-9 tolerance, on arm 1
+    sol = LpSolution(x=x, objective=0.0, tau_L=-2)
+    with pytest.raises(RoundingError, match="negative selection mass .* for arm 1"):
         round_intervals(sol, stream(0, "rounding"))
 
 
@@ -312,3 +329,116 @@ def test_per_arm_triples_mutually_exclusive():
         per_arm[arm] = per_arm.get(arm, 0) + c
     for arm, c in per_arm.items():
         assert c <= N
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _assert_same_trace(got, want):
+    for name in ("virtual", "candidates", "played", "actual_states"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert _hex(got.virtual_payoff) == _hex(want.virtual_payoff)
+    assert _hex(got.actual_payoff) == _hex(want.actual_payoff)
+
+
+@pytest.mark.parametrize("u", range(1, 7))
+@pytest.mark.parametrize("l", range(-6, 0))
+def test_closed_form_cycle_matches_transition(u, l):
+    # step the paper's characteristic trajectory from +1: play at u and at
+    # -1..l+1, rest elsewhere; one period must close back at +1
+    states, flags = [1], []
+    for _ in range(u - l):
+        tau = states[-1]
+        flags.append(tau == u or l < tau < 0)
+        states.append(transition(tau, flags[-1]))
+    assert states[-1] == 1
+    state, play = planner._cycle(u, u - l, np.arange(u - l))
+    assert state.tolist() == states[:-1]
+    assert play.tolist() == flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    T=st.integers(1, 25),
+    S=st.integers(1, 9),
+    cells=st.integers(1, 120),
+    lift=st.one_of(st.none(), st.integers(0, 5)),
+    thin=st.booleans(),
+)
+def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
+    # chunks of max(1, cells // (n T)) seeds, so S is often not a multiple
+    inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -1 - seed % 3))
+    if thin:  # half the selection mass: many arms draw no interval
+        sol = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    init = None
+    if lift is not None:
+        rng = stream(seed, "misc")
+        init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
+    seeds = range(seed, seed + S)
+    with mock.patch.object(planner, "_CHUNK_CELLS", cells):
+        chunks = list(planner_runs(inst, sol, T, seeds, init_states=init))
+    want = reference.simulate_seeds(inst, sol, T, seeds, init_states=init)
+    rows = [(c, r) for c in chunks for r in range(c.played.shape[0])]
+    assert len(rows) == S
+    for (c, r), trace in zip(rows, want):
+        for name in ("virtual", "candidates", "played", "actual_states"):
+            assert np.array_equal(getattr(c, name)[r].T, getattr(trace, name)), name
+        assert _hex(c.virtual_payoff[r]) == _hex(trace.virtual_payoff)
+        assert _hex(c.actual_payoff[r]) == _hex(trace.actual_payoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(0, 25), perturb=st.booleans())
+def test_run_planner_matches_scalar_twin(seed, T, perturb):
+    inst = draw_instance(seed, n_range=(1, 9), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -2))
+    ivs = round_intervals(sol, stream(seed, "rounding"))
+    assert ivs == reference.round_intervals(sol, stream(seed, "rounding"))
+    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    selection = None
+    if perturb:  # non-monotone selection tables, as robustness_gap builds them
+        noise = stream(seed, "perturb").uniform(-0.3, 0.3, inst.payoff_matrix().shape)
+        selection = TableModel(k=inst.k, tau_lo=inst.tau_min, tau_max=inst.tau_max,
+                               means=np.clip(inst.payoff_matrix() + noise, 0.0, 1.0))
+    _assert_same_trace(
+        run_planner(inst, ivs, offs, T, selection=selection),
+        reference.run_planner(inst, ivs, offs, T, selection=selection),
+    )
+
+
+def test_kernel_rejects_round_over_budget():
+    played = np.zeros((2, 3, 4), dtype=bool)
+    played[1, :, 2] = True  # seed 1 plays all three arms in round 3
+    zeros = np.zeros(played.shape, dtype=np.int64)
+    planner._check_invariants(played, zeros, zeros, 3, 1, True)
+    with pytest.raises(PlannerError, match="3 arms played in a round, budget is 2"):
+        planner._check_invariants(played, zeros, zeros, 2, 1, True)
+
+
+def test_kernel_rejects_broken_domination():
+    # u = 3 lies beyond tau_max = 1: at round 1 the hand-built cycle is at
+    # state 3 while the arm has idled for one round only
+    inst = make_step_instance()
+    iv = [RecurrentInterval(u=3, l=-1)]
+    for init in (None, [1]):
+        with pytest.raises(PlannerError, match="below virtual state"):
+            run_planner(inst, iv, [1], 5, init_states=init)
+    # domination is only promised for runs that start at +1
+    assert run_planner(inst, iv, [1], 5, init_states=[4]).T == 5
+
+
+def test_run_planner_rejects_plan_of_other_size():
+    with pytest.raises(ModelError, match="plan has 2 arms"):
+        run_planner(make_step_instance(), [None, None], [0, 0], 5)
+
+
+@pytest.mark.parametrize("plan, key", [
+    ({"tau_L": -2}, "arms"),
+    ({"arms": [{"interval": {"u": 1, "l": -2}}]}, "offset"),
+])
+def test_plan_from_dict_names_missing_key(plan, key):
+    with pytest.raises(ModelError, match=f"missing the key '{key}'"):
+        plan_from_dict(plan)
