@@ -18,7 +18,6 @@ from .intervals import (
 )
 from .learning import (
     EtcConfig,
-    PayoffEstimates,
     estimate_payoffs,
     etc_config,
     etc_run,
@@ -40,7 +39,6 @@ from .model import (
     load_instance,
     random_instance,
     save_instance,
-    step_environment,
     transition,
 )
 from .oracle import dp_optimal, exhaustive_optimal

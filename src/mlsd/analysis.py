@@ -10,7 +10,7 @@ import numpy as np
 
 from .learning import EtcResult, etc_run
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
-from .model import Instance, PayoffTable
+from .model import Instance
 from .oracle import dp_optimal
 from .planner import planner_runs
 
@@ -35,8 +35,7 @@ def make_step_instance() -> Instance:
     The unique optimal policy cycles (play, play, rest) for an average
     payoff of 2/3, and the relaxation with cutoff -2 matches it exactly.
     """
-    table = PayoffTable(tau_min=-2, tau_max=1, values=(0.0, 1.0, 1.0))
-    return Instance(k=1, payoffs=(table,))
+    return Instance(k=1, tau_min=-2, tau_max=1, means=[[0.0, 1.0, 1.0]])
 
 
 def make_tight_instance(k: int, m: int) -> Instance:
@@ -48,9 +47,8 @@ def make_tight_instance(k: int, m: int) -> Instance:
     """
     if k < 1 or m < 1:
         raise ValueError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    values = (0.0,) + (0.0,) * (m - 1) + (1.0,)
-    table = PayoffTable(tau_min=-1, tau_max=m, values=values)
-    return Instance(k=k, payoffs=(table,) * (m * k))
+    row = [0.0] * m + [1.0]
+    return Instance(k=k, tau_min=-1, tau_max=m, means=[row] * (m * k))
 
 
 @dataclass
@@ -100,6 +98,8 @@ def tightness_experiment(
     states start at m (the steady regime of the batched optimum); candidate
     counts depend only on sampled cycles and offsets.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
     seeds = range(seed, seed + n_seeds)
@@ -136,8 +136,6 @@ class ExperimentReport:
     actual_dominates: bool = field(init=False)
 
     def __post_init__(self):
-        if self.n_seeds < 30:
-            raise ValueError(f"need >= 30 seeds for the interval, got {self.n_seeds}")
         self.bound = self.gamma * self.lp_value
         self.bound_satisfied = self.mean_virtual >= self.bound - 3.0 * self.se_virtual
         self.actual_dominates = self.mean_actual >= self.mean_virtual - 1e-12
@@ -175,6 +173,8 @@ def approximation_experiment(
     mean against the bound and confirms the actual stream collects at least
     as much.
     """
+    if n_seeds < 30:
+        raise ValueError(f"need >= 30 seeds for the interval, got {n_seeds}")
     if T < instance.tau_max:
         raise ValueError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)

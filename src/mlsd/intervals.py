@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Instance, check_state, transition
+import numpy as np
+
+from .model import PayoffTable, check_state, state_column, transition
 
 
 class IntervalError(ValueError):
@@ -69,14 +71,16 @@ class RecurrentInterval:
         return RecurrentInterval(u=d["u"], l=d["l"])
 
 
-def aggregated_payoff(instance: Instance, arm: int, interval: RecurrentInterval) -> float:
+def aggregated_payoff(table: PayoffTable, arm, interval: RecurrentInterval):
     """Total mean payoff an arm collects over one cycle of the interval:
     the payoff of the first play at u plus the payoffs of the consecutive
-    plays at -1 down to l+1."""
-    total = instance.payoff(arm, interval.u)
-    for tau in range(interval.l + 1, 0):
-        total += instance.payoff(arm, tau)
-    return total
+    plays at l+1 up to -1, added in that order. ``arm`` is an arm index
+    (giving a float) or any row index of ``table.means`` (giving one total
+    per selected arm)."""
+    taus = np.arange(interval.l, 0)
+    taus[0] = interval.u  # u, then l+1 .. -1
+    p = table.means[arm][..., state_column(taus, table.tau_min, table.tau_max)]
+    return np.cumsum(p, axis=-1)[..., -1]  # left to right; np.sum adds pairwise
 
 
 def normalize_schedule(plays: Sequence[bool], tau_L: int) -> list[bool]:
@@ -134,8 +138,3 @@ def decompose(plays: Sequence[bool]) -> tuple[list[RecurrentInterval], int]:
         intervals.append(RecurrentInterval(u=u, l=-c))
         i = j + 1
     return intervals, 0
-
-
-def interval_action_sequence(interval: RecurrentInterval) -> list[bool]:
-    """One period of the interval's actions, starting from state +1."""
-    return [interval.prescribes_play(tau) for tau in interval.cycle_states()]

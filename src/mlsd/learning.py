@@ -13,16 +13,14 @@ of restarts would wrap etc_run unchanged and is left as an extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
-from .model import Instance
-from .planner import (
-    _payoff_columns, draw_offsets, round_intervals, run_planner, states_from_actions,
-)
+from .model import Instance, PayoffTable, column_state, state_column
+from .planner import draw_offsets, round_intervals, run_planner, states_from_actions
 from .rng import stream
 
 
@@ -61,11 +59,6 @@ def etc_config(instance: Instance, T: int, epsilon: float) -> EtcConfig:
     delta = 1.0 / T
     m = math.ceil(math.log(2 * n * span / delta) / (2 * eta**2))
     return EtcConfig(epsilon=epsilon, T=T, tau_L=tau_L, eta=eta, delta=delta, m=m)
-
-
-def required_states(tau_max: int, tau_L: int) -> list[int]:
-    """States whose payoffs the relaxation consults: tau_L..-1 and 1..tau_max."""
-    return list(range(tau_L, 0)) + list(range(1, tau_max + 1))
 
 
 def exploration_schedule(
@@ -123,49 +116,6 @@ def schedule_length_bound(n: int, k: int, tau_max: int, tau_L: int, m: int) -> i
 
 
 @dataclass
-class TableModel:
-    """Payoff lookup over a clipped state range; no monotonicity required.
-
-    Quacks like an Instance for LP construction and planner selection, which
-    is how estimated or perturbed tables are kept separate from true ones.
-    """
-
-    k: int
-    tau_lo: int
-    tau_max: int
-    means: np.ndarray  # (n, tau_max - tau_lo) in table order
-
-    @property
-    def n(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def tau_min(self) -> int:
-        return self.tau_lo
-
-    def payoff_matrix(self) -> np.ndarray:
-        return self.means
-
-    def _col(self, tau: int) -> int:
-        tau = max(self.tau_lo, min(self.tau_max, tau))
-        if tau < 0:
-            return tau - self.tau_lo
-        return -self.tau_lo + tau - 1
-
-    def payoff(self, arm: int, tau: int) -> float:
-        return float(self.means[arm, self._col(tau)])
-
-
-@dataclass
-class PayoffEstimates(TableModel):
-    counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=int))
-
-    @property
-    def min_count(self) -> int:
-        return int(self.counts.min()) if self.counts.size else 0
-
-
-@dataclass
 class ExplorationResult:
     counts: np.ndarray       # (n, width) samples per required state
     sums: np.ndarray         # realized payoff totals per required state
@@ -194,13 +144,13 @@ def simulate_exploration(
 
     t_idx, arm_idx = np.nonzero(played.T)
     tau = states[arm_idx, t_idx]
-    p = instance.payoff_matrix()[arm_idx, _payoff_columns(tau, instance.tau_min, tau_max)]
+    p = instance.means[arm_idx, state_column(tau, instance.tau_min, tau_max)]
     hits = np.where(noise_rng.random(tau.size) < p, 1.0, 0.0)
     # cumsum adds in play order; np.sum's pairwise order would round differently
     mean_total = float(np.cumsum(p)[-1:].sum())
 
     keep = tau >= tau_L
-    cell = arm_idx[keep] * width + _payoff_columns(tau[keep], tau_L, tau_max)
+    cell = arm_idx[keep] * width + state_column(tau[keep], tau_L, tau_max)
     counts = np.bincount(cell, minlength=n * width).reshape(n, width)
     sums = np.bincount(cell, weights=hits[keep], minlength=n * width).reshape(n, width)
     return ExplorationResult(
@@ -214,20 +164,17 @@ def simulate_exploration(
 
 def estimate_payoffs(
     instance_k: int, tau_max: int, tau_L: int, counts: np.ndarray, sums: np.ndarray
-) -> PayoffEstimates:
-    """Empirical means per (arm, state). Every required pair must have at
-    least one sample; the schedule guarantees m of them."""
+) -> PayoffTable:
+    """Empirical means per (arm, state) over [tau_L, tau_max]. Every required
+    pair must have at least one sample; the schedule guarantees m of them."""
     if np.any(counts == 0):
         missing = np.argwhere(counts == 0)
         arm, col = missing[0]
-        tau = col + tau_L if col < -tau_L else col + tau_L + 1
         raise LearningError(
-            f"no samples for arm {arm} at state {tau} ({len(missing)} pairs missing)"
+            f"no samples for arm {arm} at state {column_state(col, tau_L)} "
+            f"({len(missing)} pairs missing)"
         )
-    means = sums / counts
-    return PayoffEstimates(
-        k=instance_k, tau_lo=tau_L, tau_max=tau_max, means=means, counts=counts
-    )
+    return PayoffTable(k=instance_k, tau_min=tau_L, tau_max=tau_max, means=sums / counts)
 
 
 @dataclass
@@ -302,7 +249,7 @@ def etc_run(
         regret_vs_planner=planner_total - realized_total,
         benchmark_total=benchmark_total,
         regret=regret,
-        min_sample_count=estimates.min_count,
+        min_sample_count=int(expl.counts.min()),
     )
 
 
@@ -334,7 +281,7 @@ def robustness_gap(
     Perturbations may break monotonicity; feasibility is unaffected.
     """
     tau_L = tau_L_from_epsilon(epsilon)
-    truth = instance.payoff_matrix()
+    truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))
 
     per_eta: list[np.ndarray] = [np.zeros(n_seeds) for _ in etas]
@@ -348,9 +295,9 @@ def robustness_gap(
         base = run_planner(instance, base_intervals, base_offsets, T)
         base_rate = float(base.actual_payoff.mean())
         for j, eta in enumerate(etas):
-            tables = TableModel(
+            tables = PayoffTable(
                 k=instance.k,
-                tau_lo=instance.tau_min,
+                tau_min=instance.tau_min,
                 tau_max=instance.tau_max,
                 means=np.clip(truth + eta * signs, 0.0, 1.0),
             )

@@ -16,6 +16,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .intervals import RecurrentInterval, aggregated_payoff
+from .model import PayoffTable
+
+_MAX_CELLS = 2**27  # A_ub entries plus objective additions build_lp may take on
 
 
 class LpError(RuntimeError):
@@ -89,34 +92,39 @@ class LpSolution:
                     yield i, u, -(d + 1), float(self.x[i, u - 1, d])
 
 
-def build_lp(model, tau_L: int) -> LpProblem:
-    """Assemble objective and constraint rows for ``model``.
+def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
+    """Assemble objective and constraint rows for ``table``.
 
-    ``model`` needs n, k, tau_max, and payoff(arm, tau); both true instances
-    and estimated tables qualify. Estimated tables may be non-monotone, which
-    is fine here.
+    True instances and estimated or perturbed tables all qualify; the
+    latter may be non-monotone, which is fine here. Raises LpError, before
+    allocating anything, when the dense program is larger than _MAX_CELLS.
     """
     if tau_L > -1:
         raise ValueError(f"tau_L must be <= -1, got {tau_L}")
-    n, k, tau_max = model.n, model.k, model.tau_max
+    n, tau_max = table.n, table.tau_max
     depth = -tau_L
     num_vars = n * tau_max * depth
-    c = np.zeros(num_vars)
+    # (1 + n) rows of A_ub plus ~depth additions per objective entry
+    if num_vars * (1 + n + depth) > _MAX_CELLS:
+        raise LpError(
+            f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
+            f"{num_vars} variables, too large for a dense program"
+        )
+    c = np.empty((n, tau_max, depth))
+    for u in range(1, tau_max + 1):
+        for d in range(depth):
+            interval = RecurrentInterval(u=u, l=-(d + 1))
+            c[:, u - 1, d] = aggregated_payoff(table, slice(None), interval)
+    plays = np.arange(1.0, depth + 1)  # -l per depth slot
+    lengths = np.arange(1.0, tau_max + 1)[:, None] + plays  # u - l
     a = np.zeros((1 + n, num_vars))
-    b = np.zeros(1 + n)
-    b[0] = float(k)
-    b[1:] = 1.0
-    idx = 0
-    for i in range(n):
-        for u in range(1, tau_max + 1):
-            for d in range(depth):
-                l = -(d + 1)
-                c[idx] = aggregated_payoff(model, i, RecurrentInterval(u=u, l=l))
-                a[0, idx] = -l
-                a[1 + i, idx] = u - l
-                idx += 1
+    a[0] = np.tile(plays, n * tau_max)
+    # arm i's packing row covers its own tau_max * depth variables only
+    a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = lengths.ravel()
+    b = np.ones(1 + n)
+    b[0] = table.k
     return LpProblem(
-        n=n, k=k, tau_max=tau_max, tau_L=tau_L, objective=c, a_ub=a, b_ub=b
+        n=n, k=table.k, tau_max=tau_max, tau_L=tau_L, objective=c.ravel(), a_ub=a, b_ub=b
     )
 
 

@@ -2,15 +2,15 @@
 
 An arm's state is a nonzero integer. A positive state tau means the arm has
 been idle for tau consecutive rounds; a negative state means it has been
-played for -tau consecutive rounds. Payoffs are monotone non-decreasing in
-the state and saturate outside [tau_min, tau_max].
+played for -tau consecutive rounds. Payoffs saturate outside
+[tau_min, tau_max]; an instance's payoffs are also monotone non-decreasing
+in the state, while estimated and perturbed tables need not be.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,115 +38,96 @@ def transition(tau: int, played: bool) -> int:
     return -1 if played else tau + 1
 
 
-@dataclass(frozen=True)
-class PayoffTable:
-    """Mean payoffs over the clipped state range [tau_min, -1] + [1, tau_max].
+def require_int(what: str, value) -> None:
+    """Raise ModelError unless ``value`` is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
 
-    ``values`` is dense: first the negative states in increasing order
-    (tau_min .. -1), then the positive states (1 .. tau_max). Evaluation
-    outside the range clamps to the nearest boundary (finite saturation).
+
+def state_column(tau, tau_min: int, tau_max: int):
+    """Column of state ``tau`` in a payoff table over [tau_min, -1] + [1, tau_max].
+
+    Columns hold the negative states in increasing order, then the positive
+    ones (0 is skipped). States outside the range clamp to the nearest
+    boundary (finite saturation). ``tau`` is an integer or an integer array.
+    """
+    clipped = np.minimum(np.maximum(tau, tau_min), tau_max)
+    return clipped - tau_min - (clipped > 0)
+
+
+def column_state(col, tau_min: int):
+    """The state held by column ``col``: the inverse of ``state_column``."""
+    return col + tau_min + (col >= -tau_min)
+
+
+@dataclass(frozen=True, eq=False)
+class PayoffTable:
+    """Per-round budget k and mean payoffs of n arms over the clipped state
+    range [tau_min, -1] + [1, tau_max].
+
+    ``means`` is a read-only (n, tau_max - tau_min) float array with one row
+    per arm and the columns laid out by ``state_column``. Evaluation outside
+    the range clamps to the nearest boundary. Estimated and perturbed tables
+    are plain PayoffTables; only an ``Instance`` must be monotone.
     """
 
+    k: int
     tau_min: int
     tau_max: int
-    values: tuple[float, ...]
+    means: np.ndarray
 
     def __post_init__(self):
+        require_int("tau_min", self.tau_min)
+        require_int("tau_max", self.tau_max)
         if not (self.tau_min < 0 < self.tau_max):
             raise ModelError(
                 f"need tau_min < 0 < tau_max, got [{self.tau_min}, {self.tau_max}]"
             )
-        if len(self.values) != self.tau_max - self.tau_min:
-            raise ModelError(
-                f"expected {self.tau_max - self.tau_min} values, got {len(self.values)}"
-            )
-        for v in self.values:
-            if not (0.0 <= v <= 1.0):
-                raise ModelError(f"payoff {v} outside [0, 1]")
-        for a, b in zip(self.values, self.values[1:]):
-            if a > b:
-                raise ModelError("payoff table is not monotone non-decreasing")
-
-    def index(self, tau: int) -> int:
-        """Dense index of a state inside the clipped range (0 is skipped)."""
-        tau = check_state(max(self.tau_min, min(self.tau_max, tau)))
-        if tau < 0:
-            return tau - self.tau_min
-        return (-self.tau_min) + tau - 1
-
-    def value(self, tau: int) -> float:
-        return self.values[self.index(tau)]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A bandit instance: per-round budget k and one payoff table per arm.
-
-    All arms share the saturation bounds. The single-arm examples used
-    throughout the experiments have k == n, so k == n is allowed even though
-    multi-arm instances normally have k < n.
-    """
-
-    k: int
-    payoffs: tuple[PayoffTable, ...]
-
-    def __post_init__(self):
-        n = len(self.payoffs)
-        if n == 0:
+        width = self.tau_max - self.tau_min
+        try:
+            means = np.array(self.means)
+        except ValueError:  # ragged rows
+            raise ModelError(f"expected {width} values in every payoff row") from None
+        if means.ndim >= 1 and len(means) == 0:
             raise ModelError("instance needs at least one arm")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ModelError(f"k must be an integer, got {self.k!r}")
-        if not (1 <= self.k <= n):
-            raise ModelError(f"need 1 <= k <= n, got k={self.k}, n={n}")
-        t0 = self.payoffs[0]
-        for t in self.payoffs[1:]:
-            if (t.tau_min, t.tau_max) != (t0.tau_min, t0.tau_max):
-                raise ModelError("arms must share saturation bounds")
+        if means.dtype.kind not in "iuf" or means.ndim != 2:
+            raise ModelError("payoffs must be rows of numbers")
+        if means.shape[1] != width:
+            raise ModelError(f"expected {width} values, got {means.shape[1]}")
+        means = means.astype(float, copy=False)
+        bad = ~((means >= 0.0) & (means <= 1.0))
+        if bad.any():
+            raise ModelError(f"payoff {means[bad][0]} outside [0, 1]")
+        require_int("k", self.k)
+        if not (1 <= self.k <= len(means)):
+            raise ModelError(f"need 1 <= k <= n, got k={self.k}, n={len(means)}")
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
 
     @property
     def n(self) -> int:
-        return len(self.payoffs)
-
-    @property
-    def tau_max(self) -> int:
-        return self.payoffs[0].tau_max
-
-    @property
-    def tau_min(self) -> int:
-        return self.payoffs[0].tau_min
+        return len(self.means)
 
     def payoff(self, arm: int, tau: int) -> float:
         """Mean payoff of playing ``arm`` at state ``tau`` (saturation-clamped)."""
         if not (0 <= arm < self.n):
             raise ModelError(f"arm index {arm} out of range [0, {self.n})")
-        return self.payoffs[arm].value(tau)
-
-    def payoff_matrix(self) -> np.ndarray:
-        """(n, tau_max - tau_min) array in table order."""
-        return np.stack([t.as_array() for t in self.payoffs])
+        check_state(tau)
+        return float(self.means[arm, state_column(tau, self.tau_min, self.tau_max)])
 
 
-def initial_states(n: int) -> tuple[int, ...]:
-    """All arms start at state +1."""
-    return (1,) * n
+class Instance(PayoffTable):
+    """A bandit instance: a payoff table whose rows are monotone
+    non-decreasing in the state.
 
+    The single-arm examples used throughout the experiments have k == n, so
+    k == n is allowed even though multi-arm instances normally have k < n.
+    """
 
-def step_environment(
-    instance: Instance, states: Sequence[int], played: Iterable[int]
-) -> tuple[int, ...]:
-    """Apply one round of transitions given the set of played arms."""
-    played = frozenset(played)
-    if len(played) > instance.k:
-        raise ModelError(f"{len(played)} arms played, budget is {instance.k}")
-    for i in played:
-        if not (0 <= i < instance.n):
-            raise ModelError(f"arm index {i} out of range")
-    return tuple(
-        transition(tau, i in played) for i, tau in enumerate(states)
-    )
+    def __post_init__(self):
+        super().__post_init__()
+        if (np.diff(self.means, axis=1) < 0).any():
+            raise ModelError("payoff table is not monotone non-decreasing")
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -155,7 +136,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "k": instance.k,
         "tau_max": instance.tau_max,
         "tau_min": instance.tau_min,
-        "payoffs": [list(t.values) for t in instance.payoffs],
+        "payoffs": instance.means.tolist(),
     }
 
 
@@ -168,13 +149,10 @@ def require_keys(d: dict, what: str, *keys: str) -> None:
 
 def instance_from_dict(d: dict) -> Instance:
     require_keys(d, "instance", "k", "tau_min", "tau_max", "payoffs")
-    tables = tuple(
-        PayoffTable(tau_min=d["tau_min"], tau_max=d["tau_max"], values=tuple(vals))
-        for vals in d["payoffs"]
-    )
-    if d.get("n") is not None and d["n"] != len(tables):
-        raise ModelError(f"n={d['n']} does not match {len(tables)} payoff rows")
-    return Instance(k=d["k"], payoffs=tables)
+    instance = Instance(k=d["k"], tau_min=d["tau_min"], tau_max=d["tau_max"], means=d["payoffs"])
+    if d.get("n") is not None and d["n"] != instance.n:
+        raise ModelError(f"n={d['n']} does not match {instance.n} payoff rows")
+    return instance
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -195,9 +173,6 @@ def random_instance(
     tau_min: int,
     rng: np.random.Generator,
 ) -> Instance:
-    """Random monotone instance: each table is a sorted vector of uniforms."""
-    tables = []
-    for _ in range(n):
-        vals = np.sort(rng.uniform(0.0, 1.0, size=tau_max - tau_min))
-        tables.append(PayoffTable(tau_min=tau_min, tau_max=tau_max, values=tuple(vals)))
-    return Instance(k=k, payoffs=tuple(tables))
+    """Random monotone instance: each row is a sorted vector of uniforms."""
+    rows = [np.sort(rng.uniform(0.0, 1.0, size=tau_max - tau_min)) for _ in range(n)]
+    return Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=rows)

@@ -11,11 +11,10 @@ exact, not approximate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, transition
+from .model import Instance, column_state, state_column, transition
 
 
 class OracleBudgetError(RuntimeError):
@@ -37,47 +36,30 @@ def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class _ClippedSpace:
-    """Per-arm clipped states and transition/payoff lookup tables."""
-
-    values: np.ndarray       # (M,) the state integers tau_min..-1, 1..tau_max
-    idle_next: np.ndarray    # (M,) index after a non-play (clipped)
-    play_next: np.ndarray    # (M,) index after a play (clipped)
-
-
-def _clipped_space(tau_min: int, tau_max: int) -> _ClippedSpace:
-    states = list(range(tau_min, 0)) + list(range(1, tau_max + 1))
-    index = {tau: i for i, tau in enumerate(states)}
-
-    def clip(tau: int) -> int:
-        return max(tau_min, min(tau_max, tau))
-
-    idle = np.array([index[clip(transition(tau, False))] for tau in states])
-    play = np.array([index[clip(transition(tau, True))] for tau in states])
-    return _ClippedSpace(
-        values=np.array(states), idle_next=idle, play_next=play
-    )
+def _clipped_next(states: np.ndarray, played: bool, tau_min: int, tau_max: int) -> np.ndarray:
+    """Table column of each state's successor, clipped to the table's range."""
+    nxt = np.array([transition(int(tau), played) for tau in states])
+    return state_column(nxt, tau_min, tau_max)
 
 
 def dp_optimal(
     instance: Instance, T: int, budget: float = 1e8
 ) -> tuple[float, list[frozenset[int]]]:
-    """OPT(T) and one optimal play schedule, by exact backward induction."""
+    """OPT(T) and one optimal play schedule, by exact backward induction
+    over the table columns of every arm's clipped state."""
     n, k = instance.n, instance.k
-    space = _clipped_space(instance.tau_min, instance.tau_max)
-    M = len(space.values)
+    tau_min, tau_max = instance.tau_min, instance.tau_max
+    M = tau_max - tau_min
     J = M**n
     actions = action_sets(n, k)
     cost = J * T * len(actions)
     if cost > budget:
         raise OracleBudgetError(cost, int(budget), "dp_optimal")
 
+    states = column_state(np.arange(M), tau_min)
+    idle_next = _clipped_next(states, False, tau_min, tau_max)
+    play_next = _clipped_next(states, True, tau_min, tau_max)
     digits = [(np.arange(J) // M**i) % M for i in range(n)]
-    payoff_per_arm = [
-        np.array([instance.payoff(i, int(tau)) for tau in space.values])
-        for i in range(n)
-    ]
 
     rewards = []
     nexts = []
@@ -86,10 +68,10 @@ def dp_optimal(
         nxt = np.zeros(J, dtype=np.int64)
         for i in range(n):
             if i in act:
-                r = r + payoff_per_arm[i][digits[i]]
-                nxt += space.play_next[digits[i]] * M**i
+                r = r + instance.means[i][digits[i]]
+                nxt += play_next[digits[i]] * M**i
             else:
-                nxt += space.idle_next[digits[i]] * M**i
+                nxt += idle_next[digits[i]] * M**i
         rewards.append(r)
         nexts.append(nxt)
 
@@ -100,14 +82,14 @@ def dp_optimal(
         policy[t] = stacked.argmax(axis=0)
         value = stacked.max(axis=0)
 
-    one_index = list(space.values).index(1)
-    s = sum(one_index * M**i for i in range(n))
+    one = state_column(1, tau_min, tau_max)
+    start = s = sum(one * M**i for i in range(n))
     schedule = []
     for t in range(T):
         a = int(policy[t, s])
         schedule.append(frozenset(actions[a]))
         s = int(nexts[a][s])
-    return float(value[sum(one_index * M**i for i in range(n))]), schedule
+    return float(value[start]), schedule
 
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
@@ -136,18 +118,3 @@ def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float
         return top
 
     return float(best((1,) * n, 0))
-
-
-def schedule_payoff(instance: Instance, schedule: list[frozenset[int]]) -> float:
-    """Total mean payoff of running a fixed play schedule from all-ones."""
-    states = (1,) * instance.n
-    total = 0.0
-    for played in schedule:
-        r = 0.0
-        for i in sorted(played):
-            r = r + instance.payoff(i, states[i])
-        total = total + r
-        states = tuple(
-            transition(tau, i in played) for i, tau in enumerate(states)
-        )
-    return total

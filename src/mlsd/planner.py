@@ -19,7 +19,7 @@ import numpy as np
 
 from .intervals import RecurrentInterval
 from .lp import LpSolution
-from .model import Instance, ModelError, require_keys
+from .model import Instance, ModelError, PayoffTable, require_int, require_keys, state_column
 from .rng import stream
 
 _MASS_TOL = 1e-9
@@ -111,11 +111,6 @@ class PlannerTrace:
         return self.virtual.shape[1]
 
 
-def _payoff_columns(tau: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
-    clipped = np.minimum(np.maximum(tau, tau_min), tau_max)
-    return clipped - tau_min - (clipped > 0)  # positive states skip the missing 0
-
-
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     """Actual states implied by a (n, T) play matrix, starting from ``init``.
 
@@ -191,7 +186,7 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
 
     arm = np.arange(n)[:, None]
     sel = instance if selection is None else selection
-    selp = sel.payoff_matrix()[arm, _payoff_columns(virtual, sel.tau_min, sel.tau_max)]
+    selp = sel.means[arm, state_column(virtual, sel.tau_min, sel.tau_max)]
     played = cand
     if instance.k < n:  # else every candidate fits the budget
         order = np.argsort(-np.where(cand, selp, -1.0), axis=1, kind="stable")
@@ -201,8 +196,7 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
 
     init = None if init_states is None else np.tile(np.asarray(init_states), S)
     actual = states_from_actions(played.reshape(S * n, T), init).reshape(S, n, T)
-    cols = _payoff_columns(actual, instance.tau_min, instance.tau_max)
-    actual_p = instance.payoff_matrix()[arm, cols]
+    actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
     from_ones = init is None or bool((init == 1).all())
     _check_invariants(played, virtual, actual, instance.k, instance.tau_max, from_ones)
     return PlannerRuns(
@@ -221,7 +215,7 @@ def run_planner(
     intervals: Sequence[Optional[RecurrentInterval]],
     offsets: Sequence[int],
     T: int,
-    selection=None,
+    selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
     noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerTrace:
@@ -295,7 +289,7 @@ def simulate_planner(
     solution: LpSolution,
     T: int,
     seed: int,
-    selection=None,
+    selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
     with_noise: bool = False,
 ) -> PlannerTrace:
@@ -376,14 +370,25 @@ def plan_to_dict(
 
 
 def plan_from_dict(d: dict) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
+    """Intervals and offsets of a plan; raises ModelError unless interval
+    bounds are integers and each offset lies in [0, cycle length)."""
     require_keys(d, "plan", "arms")
-    for a in d["arms"]:
+    intervals, offsets = [], []
+    for i, a in enumerate(d["arms"]):
         require_keys(a, "plan arm", "interval", "offset")
-    intervals = [
-        RecurrentInterval.from_dict(a["interval"]) if a["interval"] else None
-        for a in d["arms"]
-    ]
-    offsets = [a["offset"] for a in d["arms"]]
+        iv = None
+        if a["interval"]:
+            require_keys(a["interval"], "plan interval", "u", "l")
+            for bound in ("u", "l"):
+                require_int(f"arm {i}'s interval bound {bound}", a["interval"][bound])
+            iv = RecurrentInterval.from_dict(a["interval"])
+        require_int(f"arm {i}'s offset", a["offset"])
+        if iv is not None and not (0 <= a["offset"] < iv.length):
+            raise ModelError(
+                f"arm {i}'s offset {a['offset']} is outside [0, {iv.length}), its cycle length"
+            )
+        intervals.append(iv)
+        offsets.append(a["offset"])
     return intervals, offsets
 
 

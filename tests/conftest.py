@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mlsd import lp
 from mlsd.model import Instance, random_instance
 from mlsd.rng import stream
 
@@ -51,6 +52,17 @@ def vertex_optimal(objective, a_ub, b_ub, tol: float = 1e-9) -> float:
     if not np.isfinite(best):
         raise AssertionError("no feasible vertex found")
     return best
+
+
+@pytest.fixture
+def no_lp_alloc(monkeypatch):
+    """Make any array allocation inside ``lp`` fail, so that a test of the
+    LP size guard can never build the huge program it guards against."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_lp allocated past its size guard")
+
+    monkeypatch.setattr(lp.np, "empty", refuse)
+    monkeypatch.setattr(lp.np, "zeros", refuse)
 
 
 @pytest.fixture

@@ -3,16 +3,88 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from mlsd.intervals import RecurrentInterval
 from mlsd.learning import ExplorationResult
-from mlsd.lp import LpSolution
-from mlsd.model import Instance, transition
+from mlsd.lp import LpProblem, LpSolution
+from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import PlannerTrace, draw_offsets
 from mlsd.rng import stream
+
+
+def initial_states(n: int) -> tuple[int, ...]:
+    """All arms start at state +1."""
+    return (1,) * n
+
+
+def step_environment(
+    instance: Instance, states: Sequence[int], played: Iterable[int]
+) -> tuple[int, ...]:
+    """Apply one round of transitions given the set of played arms."""
+    played = frozenset(played)
+    if len(played) > instance.k:
+        raise ModelError(f"{len(played)} arms played, budget is {instance.k}")
+    for i in played:
+        if not (0 <= i < instance.n):
+            raise ModelError(f"arm index {i} out of range")
+    return tuple(
+        transition(tau, i in played) for i, tau in enumerate(states)
+    )
+
+
+def schedule_payoff(instance: Instance, schedule: list[frozenset[int]]) -> float:
+    """Total mean payoff of running a fixed play schedule from all-ones."""
+    states = (1,) * instance.n
+    total = 0.0
+    for played in schedule:
+        r = 0.0
+        for i in sorted(played):
+            r = r + instance.payoff(i, states[i])
+        total = total + r
+        states = tuple(
+            transition(tau, i in played) for i, tau in enumerate(states)
+        )
+    return total
+
+
+def interval_action_sequence(interval: RecurrentInterval) -> list[bool]:
+    """One period of the interval's actions, starting from state +1."""
+    return [interval.prescribes_play(tau) for tau in interval.cycle_states()]
+
+
+def aggregated_payoff(table: PayoffTable, arm: int, interval: RecurrentInterval) -> float:
+    """Payoff of the play at u, then of the plays at l+1 .. -1, one by one."""
+    total = table.payoff(arm, interval.u)
+    for tau in range(interval.l + 1, 0):
+        total += table.payoff(arm, tau)
+    return total
+
+
+def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
+    """The relaxation filled one variable at a time."""
+    n, k, tau_max = table.n, table.k, table.tau_max
+    depth = -tau_L
+    num_vars = n * tau_max * depth
+    c = np.zeros(num_vars)
+    a = np.zeros((1 + n, num_vars))
+    b = np.zeros(1 + n)
+    b[0] = float(k)
+    b[1:] = 1.0
+    idx = 0
+    for i in range(n):
+        for u in range(1, tau_max + 1):
+            for d in range(depth):
+                l = -(d + 1)
+                c[idx] = aggregated_payoff(table, i, RecurrentInterval(u=u, l=l))
+                a[0, idx] = -l
+                a[1 + i, idx] = u - l
+                idx += 1
+    return LpProblem(
+        n=n, k=k, tau_max=tau_max, tau_L=tau_L, objective=c, a_ub=a, b_ub=b
+    )
 
 
 def step_states(played: np.ndarray, init) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance
-from reference import marginal_expectations
+from reference import marginal_expectations, schedule_payoff
 
 from mlsd.analysis import (
     approximation_experiment,
@@ -26,7 +26,7 @@ from mlsd.intervals import decompose, normalize_schedule
 from mlsd.learning import exploration_schedule, simulate_exploration
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import random_instance
-from mlsd.oracle import dp_optimal, exhaustive_optimal, schedule_payoff
+from mlsd.oracle import dp_optimal, exhaustive_optimal
 from mlsd.planner import candidate_marginals, domination_margin, simulate_planner
 from mlsd.rng import stream
 
@@ -123,7 +123,7 @@ def test_criterion_5_per_round_guarantee():
         inst = draw_instance(40000 + i, n_range=(2, 4), tau_max_range=(1, 3),
                              tau_min_range=(-2, -1))
         if inst.k > 2:
-            inst = Instance(k=2, payoffs=inst.payoffs)
+            inst = Instance(k=2, tau_min=inst.tau_min, tau_max=inst.tau_max, means=inst.means)
         report = approximation_experiment(
             inst, epsilon=0.25, T=500, n_seeds=200, seed=7 * i, descriptor=f"r{i}"
         )

@@ -12,9 +12,9 @@ from mlsd.analysis import (
     stirling_gamma,
     tightness_experiment,
 )
-from mlsd import planner
+from mlsd import analysis, planner
 from mlsd.lp import build_lp, solve_lp
-from mlsd.model import Instance, PayoffTable
+from mlsd.model import Instance
 from mlsd.planner import round_intervals
 from mlsd.rng import stream
 
@@ -92,10 +92,7 @@ def test_approximation_experiment_step_instance():
 
 
 def test_approximation_experiment_zero_instance():
-    zero = Instance(
-        k=1,
-        payoffs=(PayoffTable(tau_min=-1, tau_max=1, values=(0.0, 0.0)),) * 2,
-    )
+    zero = Instance(k=1, tau_min=-1, tau_max=1, means=[[0.0, 0.0]] * 2)
     report = approximation_experiment(zero, 0.5, 200, 30, 0, descriptor="zero")
     assert report.lp_value == pytest.approx(0.0, abs=1e-9)
     assert report.mean_actual == pytest.approx(0.0, abs=1e-12)
@@ -105,6 +102,20 @@ def test_approximation_experiment_zero_instance():
 def test_experiment_needs_thirty_seeds():
     with pytest.raises(ValueError):
         approximation_experiment(make_step_instance(), 0.5, 100, 10, 0)
+
+
+def test_seed_count_checked_before_any_seed_runs(monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a seed was simulated")
+
+    monkeypatch.setattr(analysis, "planner_runs", no_runs)
+    with pytest.raises(ValueError, match="need >= 30 seeds"):
+        approximation_experiment(make_step_instance(), 0.5, 100, 29, 0)
+
+
+def test_tightness_rejects_zero_seeds():
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        tightness_experiment(k=1, m=5, T=100, n_seeds=0, seed=0)
 
 
 def test_chunked_runs_match_single_chunk(monkeypatch):

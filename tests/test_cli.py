@@ -205,3 +205,54 @@ def test_plan_without_arms_rejected(tmp_path, capsys):
     assert run(["simulate", "--instance", str(inst), "--plan", str(plan), "--T", "5",
                 "--out", str(tmp_path / "t.csv")]) == 1
     assert _stderr_lines(capsys) == ["error: plan is missing the key 'arms'"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"payoffs": [["0.0", 1.0, 1.0]]}, "payoffs must be rows of numbers"),
+    ({"payoffs": [[0.0, float("nan"), 1.0]]}, "payoff nan outside [0, 1]"),
+    ({"payoffs": [[0.0, 1.0, 1.5]]}, "payoff 1.5 outside [0, 1]"),
+    ({"tau_max": 2.5}, "tau_max must be an integer, got 2.5"),
+    ({"payoffs": [[0.0, 1.0, 1.0], [0.0, 1.0]], "n": 2}, "expected 3 values in every payoff row"),
+    ({"payoffs": [], "n": 0}, "instance needs at least one arm"),
+], ids=["string", "nan", "above-1", "fractional-tau_max", "ragged", "no-arms"])
+def test_bad_instance_table_rejected(tmp_path, capsys, change, message):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    d = json.loads(inst.read_text())
+    d.update(change)
+    inst.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["solve-lp", "--instance", str(inst)]) == 1
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("arm, message", [
+    ({"offset": 1.5}, "arm 0's offset must be an integer, got 1.5"),
+    ({"interval": {"u": 2.5, "l": -2}}, "arm 0's interval bound u must be an integer, got 2.5"),
+    ({"offset": -1}, "arm 0's offset -1 is outside [0, 3), its cycle length"),
+    ({"offset": 99}, "arm 0's offset 99 is outside [0, 3), its cycle length"),
+    ({"offset": True}, "arm 0's offset must be an integer, got True"),
+], ids=["fractional-offset", "fractional-u", "negative-offset", "offset-past-cycle",
+        "bool-offset"])
+def test_bad_plan_rejected(tmp_path, capsys, arm, message):
+    inst, plan = tmp_path / "c2.json", tmp_path / "plan.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    run(["plan", "--instance", str(inst), "--epsilon", "0.5", "--out", str(plan)])
+    d = json.loads(plan.read_text())
+    assert d["arms"][0]["interval"] == {"u": 1, "l": -2}  # cycle length 3
+    d["arms"][0].update(arm)
+    plan.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["simulate", "--instance", str(inst), "--plan", str(plan), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+
+
+def test_solve_lp_refuses_oversized_relaxation(tmp_path, capsys, no_lp_alloc):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    assert run(["solve-lp", "--instance", str(inst), "--epsilon", "1e-9"]) == 1
+    (line,) = _stderr_lines(capsys)
+    assert line.startswith("error: the relaxation with n=1, tau_max=1, tau_L=-")
+    assert line.endswith("variables, too large for a dense program")

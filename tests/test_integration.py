@@ -12,14 +12,13 @@ from reference import marginal_expectations
 from mlsd.analysis import make_step_instance
 from mlsd.cli import main
 from mlsd.learning import (
-    TableModel,
     estimate_payoffs,
     etc_config,
     exploration_schedule,
     simulate_exploration,
 )
 from mlsd.lp import build_lp, solve_lp
-from mlsd.model import random_instance
+from mlsd.model import PayoffTable, random_instance
 from mlsd.planner import candidate_marginals, draw_offsets, round_intervals, run_planner
 from mlsd.rng import stream
 
@@ -46,8 +45,8 @@ def test_triple_distribution_time_invariant():
 def test_selection_and_environment_payoffs_are_separate():
     # ranking consults the selection tables, collection consults the truth
     inst = make_step_instance()
-    wrong = TableModel(
-        k=1, tau_lo=inst.tau_min, tau_max=inst.tau_max,
+    wrong = PayoffTable(
+        k=1, tau_min=inst.tau_min, tau_max=inst.tau_max,
         means=np.array([[0.25, 0.25, 0.25]]),
     )
     sol = solve_lp(build_lp(inst, -2))

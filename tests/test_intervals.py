@@ -1,12 +1,13 @@
 import pytest
 
+from reference import interval_action_sequence
+
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import (
     IntervalError,
     RecurrentInterval,
     aggregated_payoff,
     decompose,
-    interval_action_sequence,
     normalize_schedule,
 )
 from mlsd.model import random_instance, transition

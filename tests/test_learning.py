@@ -103,9 +103,7 @@ def test_estimates_exact_for_deterministic_payoffs():
 
 
 def test_estimates_all_zero_payoffs():
-    zero = Instance(
-        k=1, payoffs=(PayoffTable(tau_min=-1, tau_max=1, values=(0.0, 0.0)),)
-    )
+    zero = Instance(k=1, tau_min=-1, tau_max=1, means=[[0.0, 0.0]])
     sched = exploration_schedule(1, 1, 1, -1, m=2)
     res = simulate_exploration(zero, sched, -1, stream(0, "noise"))
     est = estimate_payoffs(1, 1, -1, res.counts, res.sums)
@@ -205,12 +203,10 @@ def test_robustness_trend_and_envelope():
 
 def test_robustness_feasibility_under_perturbation():
     inst = random_instance(3, 1, 2, -2, stream(9, "instance"))
-    from mlsd.learning import TableModel
-
     signs = np.where(stream(1, "perturb").random((3, 4)) < 0.5, -1.0, 1.0)
-    tables = TableModel(
-        k=1, tau_lo=-2, tau_max=2,
-        means=np.clip(inst.payoff_matrix() + 0.3 * signs, 0.0, 1.0),
+    tables = PayoffTable(
+        k=1, tau_min=-2, tau_max=2,
+        means=np.clip(inst.means + 0.3 * signs, 0.0, 1.0),
     )
     sol = solve_lp(build_lp(tables, -2))
     ivs = round_intervals(sol, stream(0, "rounding"))

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import draw_instance, vertex_optimal
 
+from mlsd import lp
 from mlsd.analysis import make_step_instance, make_tight_instance
 from mlsd.lp import (
+    LpError,
     LpSolution,
     build_lp,
     check_feasible,
@@ -18,10 +23,7 @@ from mlsd.oracle import dp_optimal
 
 
 def test_problem_shape():
-    inst = Instance(
-        k=1,
-        payoffs=(PayoffTable(tau_min=-2, tau_max=2, values=(0.0, 0.1, 0.5, 0.9)),),
-    )
+    inst = Instance(k=1, tau_min=-2, tau_max=2, means=[[0.0, 0.1, 0.5, 0.9]])
     prob = build_lp(inst, -2)
     assert prob.num_vars == 4
     assert prob.a_ub.shape == (2, 4)
@@ -47,10 +49,7 @@ def test_step_instance_lp_value():
 
 
 def test_zero_payoffs_give_zero():
-    zero = Instance(
-        k=1,
-        payoffs=(PayoffTable(tau_min=-1, tau_max=2, values=(0.0, 0.0, 0.0)),) * 2,
-    )
+    zero = Instance(k=1, tau_min=-1, tau_max=2, means=[[0.0, 0.0, 0.0]] * 2)
     assert solve_lp(build_lp(zero, -2)).objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -108,26 +107,20 @@ def test_lp_value_at_most_k():
 def test_lp_monotone_in_payoffs():
     inst = draw_instance(31)
     base = solve_lp(build_lp(inst, -2)).objective
-    bumped_tables = list(inst.payoffs)
-    vals = list(bumped_tables[0].values)
+    means = inst.means.copy()
+    vals = means[0]
     vals[-1] = min(1.0, vals[-1] + (1.0 - vals[-1]) / 2 + 1e-6) if vals[-1] < 1 else 1.0
-    bumped_tables[0] = PayoffTable(
-        tau_min=inst.tau_min, tau_max=inst.tau_max, values=tuple(vals)
-    )
-    bumped = Instance(k=inst.k, payoffs=tuple(bumped_tables))
+    bumped = Instance(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max, means=means)
     assert solve_lp(build_lp(bumped, -2)).objective >= base - 1e-9
 
 
 def test_scaling_one_arm_scales_its_contribution():
-    table = PayoffTable(tau_min=-1, tau_max=2, values=(0.0, 0.4, 0.8))
-    zero = PayoffTable(tau_min=-1, tau_max=2, values=(0.0, 0.0, 0.0))
-    solo = Instance(k=1, payoffs=(table, zero))
+    table = [0.0, 0.4, 0.8]
+    zero = [0.0, 0.0, 0.0]
+    solo = Instance(k=1, tau_min=-1, tau_max=2, means=[table, zero])
     full = solve_lp(build_lp(solo, -1)).objective
-    half_vals = tuple(v / 2 for v in table.values)
-    halved = Instance(
-        k=1,
-        payoffs=(PayoffTable(tau_min=-1, tau_max=2, values=half_vals), zero),
-    )
+    half_vals = [v / 2 for v in table]
+    halved = Instance(k=1, tau_min=-1, tau_max=2, means=[half_vals, zero])
     assert solve_lp(build_lp(halved, -1)).objective == pytest.approx(full / 2, abs=1e-7)
 
 
@@ -158,3 +151,40 @@ def test_tau_L_from_epsilon():
     assert tau_L_from_epsilon(0.3) == -4
     with pytest.raises(ValueError):
         tau_L_from_epsilon(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    tau_max=st.integers(1, 5),
+    tau_min=st.integers(-5, -1),
+    tau_L=st.integers(-7, -1),
+    monotone=st.booleans(),
+)
+def test_build_lp_matches_scalar_twin(seed, n, tau_max, tau_min, tau_L, monotone):
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(size=(n, tau_max - tau_min))
+    k = int(rng.integers(1, n + 1))
+    if monotone:
+        table = Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=np.sort(means))
+    else:  # estimated and perturbed tables
+        table = PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
+    fast, slow = build_lp(table, tau_L), reference.build_lp(table, tau_L)
+    assert (fast.n, fast.k, fast.tau_max, fast.tau_L) == (slow.n, slow.k, slow.tau_max, slow.tau_L)
+    assert [x.hex() for x in fast.objective.tolist()] == [x.hex() for x in slow.objective.tolist()]
+    assert np.array_equal(fast.a_ub, slow.a_ub)
+    assert np.array_equal(fast.b_ub, slow.b_ub)
+
+
+def test_build_lp_size_guard_boundary(monkeypatch):
+    inst = make_step_instance()  # n = 1, tau_max = 1
+    monkeypatch.setattr(lp, "_MAX_CELLS", 2 * (1 + 1 + 2))
+    assert build_lp(inst, -2).num_vars == 2  # exactly at the limit
+    with pytest.raises(LpError, match="too large"):
+        build_lp(inst, -3)
+
+
+def test_build_lp_refuses_tiny_epsilon(no_lp_alloc):
+    with pytest.raises(LpError, match="variables, too large"):
+        build_lp(make_step_instance(), tau_L_from_epsilon(1e-9))

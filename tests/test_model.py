@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference import initial_states, step_environment
 
 from mlsd.model import (
     Instance,
     ModelError,
     PayoffTable,
-    initial_states,
+    column_state,
     instance_from_dict,
     instance_to_dict,
     random_instance,
-    step_environment,
+    state_column,
     transition,
 )
 from mlsd.analysis import make_step_instance, make_tight_instance
@@ -63,7 +67,8 @@ def test_arm_index_out_of_range():
 
 
 def test_step_environment_examples():
-    two = Instance(k=2, payoffs=make_tight_instance(1, 2).payoffs)
+    tight = make_tight_instance(1, 2)
+    two = Instance(k=2, tau_min=tight.tau_min, tau_max=tight.tau_max, means=tight.means)
     assert step_environment(two, (1, 1), {0}) == (-1, 2)
     assert step_environment(two, (-1, 4), set()) == (1, 5)
     assert step_environment(two, (-3, 2), {0, 1}) == (-4, -1)
@@ -77,23 +82,23 @@ def test_step_environment_rejects_oversized_plays():
 
 def test_table_rejects_non_monotone():
     with pytest.raises(ModelError):
-        PayoffTable(tau_min=-1, tau_max=1, values=(0.5, 0.2))
+        Instance(k=1, tau_min=-1, tau_max=1, means=[[0.5, 0.2]])
     with pytest.raises(ModelError):
-        PayoffTable(tau_min=-1, tau_max=1, values=(0.0, 1.5))
+        Instance(k=1, tau_min=-1, tau_max=1, means=[[0.0, 1.5]])
 
 
 def test_instance_validation():
-    table = PayoffTable(tau_min=-1, tau_max=1, values=(0.0, 1.0))
+    row = [0.0, 1.0]
     with pytest.raises(ModelError):
-        Instance(k=0, payoffs=(table,))
+        Instance(k=0, tau_min=-1, tau_max=1, means=[row])
     with pytest.raises(ModelError):
-        Instance(k=3, payoffs=(table, table))
+        Instance(k=3, tau_min=-1, tau_max=1, means=[row, row])
     for k in (1.5, 1.0, True):
         with pytest.raises(ModelError, match="integer"):
-            Instance(k=k, payoffs=(table, table))
-    other = PayoffTable(tau_min=-2, tau_max=1, values=(0.0, 0.0, 1.0))
+            Instance(k=k, tau_min=-1, tau_max=1, means=[row, row])
+    other = [0.0, 0.0, 1.0]
     with pytest.raises(ModelError):
-        Instance(k=1, payoffs=(table, other))
+        Instance(k=1, tau_min=-1, tau_max=1, means=[row, other])
 
 
 def test_payoff_monotone_over_clipped_domain():
@@ -133,8 +138,10 @@ def test_instance_json_round_trip(tmp_path):
     inst = random_instance(3, 2, 3, -2, stream(5, "instance"))
     d = instance_to_dict(inst)
     back = instance_from_dict(d)
-    assert back == inst
-    assert d["payoffs"][0] == list(inst.payoffs[0].values)
+    assert type(back) is Instance
+    assert (back.k, back.tau_min, back.tau_max) == (inst.k, inst.tau_min, inst.tau_max)
+    assert np.array_equal(back.means, inst.means)
+    assert d["payoffs"][0] == list(inst.means[0])
 
 
 def test_instance_from_dict_names_missing_key():
@@ -142,3 +149,50 @@ def test_instance_from_dict_names_missing_key():
     del d["payoffs"]
     with pytest.raises(ModelError, match="missing the key 'payoffs'"):
         instance_from_dict(d)
+
+
+def test_payoff_table_is_a_read_only_copy():
+    rows = np.array([[0.5, 0.2]])
+    table = PayoffTable(k=1, tau_min=-1, tau_max=1, means=rows)  # need not be monotone
+    rows[0, 0] = 0.0
+    assert table.means.tolist() == [[0.5, 0.2]]
+    with pytest.raises(ValueError):
+        table.means[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"payoffs": [["0.0", 1.0, 1.0]]}, "payoffs must be rows of numbers"),
+    ({"payoffs": [[0.0, float("nan"), 1.0]]}, "payoff nan outside [0, 1]"),
+    ({"payoffs": [[0.0, 1.0, 1.5]]}, "payoff 1.5 outside [0, 1]"),
+    ({"payoffs": [[-0.5, 1.0, 1.0]]}, "payoff -0.5 outside [0, 1]"),
+    ({"tau_max": 2.5}, "tau_max must be an integer, got 2.5"),
+    ({"tau_min": -2.0}, "tau_min must be an integer, got -2.0"),
+    ({"payoffs": [[0.0, 1.0, 1.0], [0.0, 1.0]], "n": 2}, "expected 3 values in every payoff row"),
+    ({"payoffs": [[0.0, 1.0]]}, "expected 3 values, got 2"),
+    ({"payoffs": [], "n": 0}, "instance needs at least one arm"),
+], ids=["string", "nan", "above-1", "below-0", "fractional-tau_max", "float-tau_min",
+        "ragged", "short-row", "no-arms"])
+def test_instance_from_dict_rejects_bad_tables(change, message):
+    d = instance_to_dict(make_step_instance())
+    d.update(change)
+    with pytest.raises(ModelError) as info:
+        instance_from_dict(d)
+    assert str(info.value) == message
+
+
+@given(
+    tau_min=st.integers(-6, -1),
+    tau_max=st.integers(1, 6),
+    taus=st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=20),
+)
+def test_state_column_scalar_array_inverse_and_clamp(tau_min, tau_max, taus):
+    cols = state_column(np.array(taus), tau_min, tau_max)
+    assert cols.tolist() == [int(state_column(t, tau_min, tau_max)) for t in taus]
+    width = tau_max - tau_min
+    states = column_state(np.arange(width), tau_min)
+    assert states.tolist() == [t for t in range(tau_min, tau_max + 1) if t != 0]
+    assert state_column(states, tau_min, tau_max).tolist() == list(range(width))
+    for tau, col in zip(taus, cols.tolist()):
+        clamped = min(max(tau, tau_min), tau_max)
+        assert col == state_column(clamped, tau_min, tau_max)
+        assert column_state(col, tau_min) == clamped

@@ -1,15 +1,11 @@
 import pytest
 
 from conftest import draw_instance
+from reference import schedule_payoff
 
 from mlsd.analysis import make_step_instance, make_tight_instance
-from mlsd.model import Instance, PayoffTable
-from mlsd.oracle import (
-    OracleBudgetError,
-    dp_optimal,
-    exhaustive_optimal,
-    schedule_payoff,
-)
+from mlsd.model import Instance
+from mlsd.oracle import OracleBudgetError, dp_optimal, exhaustive_optimal
 
 
 def test_step_instance_small_horizons():
@@ -25,8 +21,7 @@ def test_step_instance_small_horizons():
 
 
 def test_constant_arm_two_rounds():
-    table = PayoffTable(tau_min=-1, tau_max=1, values=(0.5, 0.5))
-    inst = Instance(k=1, payoffs=(table,))
+    inst = Instance(k=1, tau_min=-1, tau_max=1, means=[[0.5, 0.5]])
     value, _ = dp_optimal(inst, 2)
     assert value == pytest.approx(1.0)
     assert exhaustive_optimal(inst, 2) == pytest.approx(1.0)
@@ -67,15 +62,9 @@ def test_opt_monotone_in_horizon_and_bounded():
 def test_monotone_payoff_bump_never_decreases_opt():
     inst = draw_instance(55, n_range=(2, 2), tau_max_range=(2, 2))
     base, _ = dp_optimal(inst, 6)
-    vals = list(inst.payoffs[1].values)
-    vals[-1] = 1.0  # raise the top entry, monotonicity preserved
-    bumped = Instance(
-        k=inst.k,
-        payoffs=(
-            inst.payoffs[0],
-            PayoffTable(tau_min=inst.tau_min, tau_max=inst.tau_max, values=tuple(vals)),
-        ),
-    )
+    means = inst.means.copy()
+    means[1, -1] = 1.0  # raise the top entry, monotonicity preserved
+    bumped = Instance(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max, means=means)
     v, _ = dp_optimal(bumped, 6)
     assert v + 1e-12 >= base
 

@@ -19,7 +19,6 @@ from reference import (
 from mlsd import planner
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import RecurrentInterval
-from mlsd.learning import TableModel
 from mlsd.lp import LpSolution, build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import (
@@ -135,10 +134,7 @@ def test_step_planner_empty_candidates():
 
 
 def test_step_planner_top_k_selection_and_ties():
-    tables = tuple(
-        PayoffTable(tau_min=-1, tau_max=1, values=(0.0, v)) for v in (0.9, 0.1, 0.5)
-    )
-    inst = Instance(k=2, payoffs=tables)
+    inst = Instance(k=2, tau_min=-1, tau_max=1, means=[[0.0, v] for v in (0.9, 0.1, 0.5)])
     ivs = [RecurrentInterval(u=1, l=-1)] * 3
     state = init_offsets(ivs, stream(0, "offsets"))
     state = state.__class__(
@@ -148,10 +144,7 @@ def test_step_planner_top_k_selection_and_ties():
     played, _ = step_planner(state, inst)
     assert played == frozenset({0, 2})
 
-    tie_tables = tuple(
-        PayoffTable(tau_min=-1, tau_max=1, values=(0.0, 0.5)) for _ in range(3)
-    )
-    tie = Instance(k=2, payoffs=tie_tables)
+    tie = Instance(k=2, tau_min=-1, tau_max=1, means=[[0.0, 0.5]] * 3)
     played, _ = step_planner(state, tie)
     assert played == frozenset({0, 1})  # lowest indices win ties
 
@@ -400,9 +393,9 @@ def test_run_planner_matches_scalar_twin(seed, T, perturb):
     offs = draw_offsets(ivs, stream(seed, "offsets"))
     selection = None
     if perturb:  # non-monotone selection tables, as robustness_gap builds them
-        noise = stream(seed, "perturb").uniform(-0.3, 0.3, inst.payoff_matrix().shape)
-        selection = TableModel(k=inst.k, tau_lo=inst.tau_min, tau_max=inst.tau_max,
-                               means=np.clip(inst.payoff_matrix() + noise, 0.0, 1.0))
+        noise = stream(seed, "perturb").uniform(-0.3, 0.3, inst.means.shape)
+        selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
+                                means=np.clip(inst.means + noise, 0.0, 1.0))
     _assert_same_trace(
         run_planner(inst, ivs, offs, T, selection=selection),
         reference.run_planner(inst, ivs, offs, T, selection=selection),
