@@ -381,10 +381,8 @@ def main(argv=None) -> int:
     except oracle.OracleBudgetError as exc:
         print(f"error: oracle budget exceeded: {exc}", file=sys.stderr)
         return 1
-    except learning.ExplorationTooLongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (model.ModelError, lp.LpError, planner.PlannerError, ValueError) as exc:
+    except (model.ModelError, lp.LpError, planner.PlannerError, learning.LearningError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, PayoffTable, column_state, state_column
-from .planner import draw_offsets, round_intervals, run_planner, states_from_actions
+from .planner import simulate_planner, states_from_actions
 from .rng import stream
 
 
@@ -218,13 +218,11 @@ def etc_run(
     )
 
     solution = solve_lp(build_lp(estimates, cfg.tau_L))
-    intervals = round_intervals(solution, stream(seed, "rounding"))
-    offsets = draw_offsets(intervals, stream(seed, "offsets"))
-    commit = run_planner(
+    commit = simulate_planner(
         instance,
-        intervals,
-        offsets,
+        solution,
         T - len(schedule),
+        seed,
         selection=estimates,
         init_states=expl.end_states,
         noise_rng=noise,
@@ -233,9 +231,7 @@ def etc_run(
     mean_total = expl.mean_total + float(commit.actual_payoff.sum())
 
     full_info = solve_lp(build_lp(instance, cfg.tau_L))
-    fi_intervals = round_intervals(full_info, stream(seed, "rounding"))
-    fi_offsets = draw_offsets(fi_intervals, stream(seed, "offsets"))
-    fi_trace = run_planner(instance, fi_intervals, fi_offsets, T)
+    fi_trace = simulate_planner(instance, full_info, T, seed)
     planner_total = float(fi_trace.actual_payoff.sum())
 
     regret = None if benchmark_total is None else benchmark_total - realized_total
@@ -260,9 +256,6 @@ class RobustnessReport:
     standard_errors: list[float]
     fitted_slope: float        # deficit ~ fitted_slope * (eta * k)
     k: int
-
-    def predicted(self, eta: float) -> float:
-        return self.fitted_slope * eta * self.k
 
 
 def robustness_gap(
@@ -290,9 +283,7 @@ def robustness_gap(
         signs = np.where(
             stream(run_seed, "perturb").random(truth.shape) < 0.5, -1.0, 1.0
         )
-        base_intervals = round_intervals(true_solution, stream(run_seed, "rounding"))
-        base_offsets = draw_offsets(base_intervals, stream(run_seed, "offsets"))
-        base = run_planner(instance, base_intervals, base_offsets, T)
+        base = simulate_planner(instance, true_solution, T, run_seed)
         base_rate = float(base.actual_payoff.mean())
         for j, eta in enumerate(etas):
             tables = PayoffTable(
@@ -302,11 +293,7 @@ def robustness_gap(
                 means=np.clip(truth + eta * signs, 0.0, 1.0),
             )
             sol = solve_lp(build_lp(tables, tau_L))
-            intervals = round_intervals(sol, stream(run_seed, "rounding"))
-            offsets = draw_offsets(intervals, stream(run_seed, "offsets"))
-            trace = run_planner(
-                instance, intervals, offsets, T, selection=tables
-            )
+            trace = simulate_planner(instance, sol, T, run_seed, selection=tables)
             per_eta[j][s] = base_rate - float(trace.actual_payoff.mean())
 
     deficits = [float(v.mean()) for v in per_eta]

@@ -168,11 +168,11 @@ def check_feasible(solution: LpSolution, model, tol: float = 1e-8) -> Feasibilit
     return FeasibilityReport(feasible=worst <= tol, max_violation=worst)
 
 
-def solution_to_dict(solution: LpSolution, threshold: float = 0.0) -> dict:
+def solution_to_dict(solution: LpSolution) -> dict:
     entries = [
         {"i": i, "u": u, "l": l, "value": v}
         for i, u, l, v in solution.iter_entries()
-        if v > threshold
+        if v > 0.0
     ]
     return {
         "objective": solution.objective,
@@ -194,11 +194,6 @@ def save_solution(solution: LpSolution, path) -> None:
     with open(path, "w") as f:
         json.dump(solution_to_dict(solution), f, indent=2)
         f.write("\n")
-
-
-def load_solution(path) -> LpSolution:
-    with open(path) as f:
-        return solution_from_dict(json.load(f))
 
 
 def tau_L_from_epsilon(epsilon: float) -> int:

@@ -60,6 +60,14 @@ def column_state(col, tau_min: int):
     return col + tau_min + (col >= -tau_min)
 
 
+def _has_bool(rows) -> bool:
+    """Whether nested payoff rows hold a boolean, which np.array would
+    silently turn into 0.0 or 1.0 next to numbers."""
+    if isinstance(rows, np.ndarray):
+        return rows.dtype.kind == "b"
+    return any(isinstance(v, (bool, np.bool_)) for v in np.array(rows, dtype=object).flat)
+
+
 @dataclass(frozen=True, eq=False)
 class PayoffTable:
     """Per-round budget k and mean payoffs of n arms over the clipped state
@@ -90,7 +98,7 @@ class PayoffTable:
             raise ModelError(f"expected {width} values in every payoff row") from None
         if means.ndim >= 1 and len(means) == 0:
             raise ModelError("instance needs at least one arm")
-        if means.dtype.kind not in "iuf" or means.ndim != 2:
+        if means.dtype.kind not in "iuf" or means.ndim != 2 or _has_bool(self.means):
             raise ModelError("payoffs must be rows of numbers")
         if means.shape[1] != width:
             raise ModelError(f"expected {width} values, got {means.shape[1]}")

@@ -36,12 +36,6 @@ def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _clipped_next(states: np.ndarray, played: bool, tau_min: int, tau_max: int) -> np.ndarray:
-    """Table column of each state's successor, clipped to the table's range."""
-    nxt = np.array([transition(int(tau), played) for tau in states])
-    return state_column(nxt, tau_min, tau_max)
-
-
 def dp_optimal(
     instance: Instance, T: int, budget: float = 1e8
 ) -> tuple[float, list[frozenset[int]]]:
@@ -56,31 +50,29 @@ def dp_optimal(
     if cost > budget:
         raise OracleBudgetError(cost, int(budget), "dp_optimal")
 
+    # successor column of each column: a play moves a positive state to -1
+    # and a negative one a step down; an idle round does the mirror image
     states = column_state(np.arange(M), tau_min)
-    idle_next = _clipped_next(states, False, tau_min, tau_max)
-    play_next = _clipped_next(states, True, tau_min, tau_max)
-    digits = [(np.arange(J) // M**i) % M for i in range(n)]
+    play_next = state_column(np.where(states > 0, -1, states - 1), tau_min, tau_max)
+    idle_next = state_column(np.where(states > 0, states + 1, 1), tau_min, tau_max)
+    member = np.array([[i in act for i in range(n)] for act in actions])
 
-    rewards = []
-    nexts = []
-    for act in actions:
-        r = np.zeros(J)
-        nxt = np.zeros(J, dtype=np.int64)
-        for i in range(n):
-            if i in act:
-                r = r + instance.means[i][digits[i]]
-                nxt += play_next[digits[i]] * M**i
-            else:
-                nxt += idle_next[digits[i]] * M**i
-        rewards.append(r)
-        nexts.append(nxt)
+    # (actions, J) per-round rewards and successor indices, summed arm by arm
+    # in ascending order (adding 0.0 for an idle arm is exact)
+    rewards = np.zeros((len(actions), J))
+    nexts = np.zeros((len(actions), J), dtype=np.int64)
+    for i in range(n):
+        digit = (np.arange(J) // M**i) % M
+        plays = member[:, i : i + 1]
+        rewards += np.where(plays, instance.means[i][digit], 0.0)
+        nexts += np.where(plays, play_next[digit], idle_next[digit]) * M**i
 
     value = np.zeros(J)
     policy = np.zeros((T, J), dtype=np.int32)
     for t in range(T - 1, -1, -1):
-        stacked = np.stack([rewards[a] + value[nexts[a]] for a in range(len(actions))])
-        policy[t] = stacked.argmax(axis=0)
-        value = stacked.max(axis=0)
+        q = rewards + value[nexts]
+        policy[t] = q.argmax(axis=0)
+        value = q.max(axis=0)
 
     one = state_column(1, tau_min, tau_max)
     start = s = sum(one * M**i for i in range(n))
@@ -88,7 +80,7 @@ def dp_optimal(
     for t in range(T):
         a = int(policy[t, s])
         schedule.append(frozenset(actions[a]))
-        s = int(nexts[a][s])
+        s = int(nexts[a, s])
     return float(value[start]), schedule
 
 

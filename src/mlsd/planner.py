@@ -291,12 +291,12 @@ def simulate_planner(
     seed: int,
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
-    with_noise: bool = False,
+    noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerTrace:
-    """Full pipeline for one seed: rounding, offsets, then T online rounds."""
+    """Full pipeline for one seed: rounding, offsets, then T online rounds
+    (see ``run_planner`` for ``selection``, ``init_states`` and ``noise_rng``)."""
     intervals = round_intervals(solution, stream(seed, "rounding"))
     offsets = draw_offsets(intervals, stream(seed, "offsets"))
-    noise = stream(seed, "noise") if with_noise else None
     return run_planner(
         instance,
         intervals,
@@ -304,7 +304,7 @@ def simulate_planner(
         T,
         selection=selection,
         init_states=init_states,
-        noise_rng=noise,
+        noise_rng=noise_rng,
     )
 
 

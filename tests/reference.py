@@ -10,7 +10,8 @@ import numpy as np
 from mlsd.intervals import RecurrentInterval
 from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
-from mlsd.model import Instance, ModelError, PayoffTable, transition
+from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
+from mlsd.oracle import action_sets
 from mlsd.planner import PlannerTrace, draw_offsets
 from mlsd.rng import stream
 
@@ -293,3 +294,47 @@ def simulate_seeds(
         offsets = draw_offsets(intervals, stream(seed, "offsets"))
         traces.append(run_planner(instance, intervals, offsets, T, init_states=init_states))
     return traces
+
+
+def dp_optimal(instance: Instance, T: int) -> tuple[float, list[frozenset[int]]]:
+    """Backward induction with per-action lists of rewards and successors,
+    the successors found by stepping ``transition`` from every state."""
+    n, k = instance.n, instance.k
+    tau_min, tau_max = instance.tau_min, instance.tau_max
+    M = tau_max - tau_min
+    J = M**n
+    actions = action_sets(n, k)
+    states = column_state(np.arange(M), tau_min)
+    idle_next = state_column(np.array([transition(int(s), False) for s in states]), tau_min, tau_max)
+    play_next = state_column(np.array([transition(int(s), True) for s in states]), tau_min, tau_max)
+    digits = [(np.arange(J) // M**i) % M for i in range(n)]
+
+    rewards = []
+    nexts = []
+    for act in actions:
+        r = np.zeros(J)
+        nxt = np.zeros(J, dtype=np.int64)
+        for i in range(n):
+            if i in act:
+                r = r + instance.means[i][digits[i]]
+                nxt += play_next[digits[i]] * M**i
+            else:
+                nxt += idle_next[digits[i]] * M**i
+        rewards.append(r)
+        nexts.append(nxt)
+
+    value = np.zeros(J)
+    policy = np.zeros((T, J), dtype=np.int32)
+    for t in range(T - 1, -1, -1):
+        stacked = np.stack([rewards[a] + value[nexts[a]] for a in range(len(actions))])
+        policy[t] = stacked.argmax(axis=0)
+        value = stacked.max(axis=0)
+
+    one = state_column(1, tau_min, tau_max)
+    start = s = sum(one * M**i for i in range(n))
+    schedule = []
+    for t in range(T):
+        a = int(policy[t, s])
+        schedule.append(frozenset(actions[a]))
+        s = int(nexts[a][s])
+    return float(value[start]), schedule

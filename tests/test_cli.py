@@ -226,6 +226,15 @@ def test_bad_instance_table_rejected(tmp_path, capsys, change, message):
     assert _stderr_lines(capsys) == [f"error: {message}"]
 
 
+def test_simulate_rejects_bool_payoff(tmp_path, capsys):
+    inst = tmp_path / "bool.json"
+    inst.write_text('{"k": 1, "tau_min": -1, "tau_max": 1, "payoffs": [[0.0, true]]}')
+    assert run(["simulate", "--instance", str(inst), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: payoffs must be rows of numbers"]
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("arm, message", [
     ({"offset": 1.5}, "arm 0's offset must be an integer, got 1.5"),
     ({"interval": {"u": 2.5, "l": -2}}, "arm 0's interval bound u must be an integer, got 2.5"),

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference import interval_action_sequence
 
@@ -158,3 +160,12 @@ def test_decompose_concatenation_reproduces_sequence():
             rebuilt.extend(interval_action_sequence(iv))
         rebuilt.extend([W] * trailing)
         assert rebuilt == seq
+
+
+@given(plays=st.lists(st.booleans(), max_size=60), tau_L=st.integers(-4, -1))
+def test_normalized_schedule_decomposes_and_round_trips(plays, tau_L):
+    seq = normalize_schedule(plays, tau_L)
+    intervals, trailing = decompose(seq)
+    assert all(-iv.l <= -tau_L for iv in intervals)
+    rebuilt = [a for iv in intervals for a in interval_action_sequence(iv)]
+    assert rebuilt + [W] * trailing == seq

@@ -162,6 +162,7 @@ def test_payoff_table_is_a_read_only_copy():
 
 @pytest.mark.parametrize("change, message", [
     ({"payoffs": [["0.0", 1.0, 1.0]]}, "payoffs must be rows of numbers"),
+    ({"payoffs": [[0.0, True, 1.0]]}, "payoffs must be rows of numbers"),
     ({"payoffs": [[0.0, float("nan"), 1.0]]}, "payoff nan outside [0, 1]"),
     ({"payoffs": [[0.0, 1.0, 1.5]]}, "payoff 1.5 outside [0, 1]"),
     ({"payoffs": [[-0.5, 1.0, 1.0]]}, "payoff -0.5 outside [0, 1]"),
@@ -170,7 +171,7 @@ def test_payoff_table_is_a_read_only_copy():
     ({"payoffs": [[0.0, 1.0, 1.0], [0.0, 1.0]], "n": 2}, "expected 3 values in every payoff row"),
     ({"payoffs": [[0.0, 1.0]]}, "expected 3 values, got 2"),
     ({"payoffs": [], "n": 0}, "instance needs at least one arm"),
-], ids=["string", "nan", "above-1", "below-0", "fractional-tau_max", "float-tau_min",
+], ids=["string", "bool", "nan", "above-1", "below-0", "fractional-tau_max", "float-tau_min",
         "ragged", "short-row", "no-arms"])
 def test_instance_from_dict_rejects_bad_tables(change, message):
     d = instance_to_dict(make_step_instance())
@@ -178,6 +179,14 @@ def test_instance_from_dict_rejects_bad_tables(change, message):
     with pytest.raises(ModelError) as info:
         instance_from_dict(d)
     assert str(info.value) == message
+
+
+def test_table_rejects_bool_among_numbers():
+    # np.array would read the bool as 1.0 next to the numbers
+    for rows in ([[0.0, True]], [np.array([0.0, 1.0]), np.array([True, False])]):
+        with pytest.raises(ModelError, match="payoffs must be rows of numbers"):
+            PayoffTable(k=1, tau_min=-1, tau_max=1, means=rows)
+    assert PayoffTable(k=1, tau_min=-1, tau_max=1, means=[[0, 1]]).means.tolist() == [[0.0, 1.0]]
 
 
 @given(

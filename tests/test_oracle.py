@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import draw_instance
 from reference import schedule_payoff
 
@@ -84,3 +88,35 @@ def test_schedule_replay_matches_value():
         assert len(schedule) == 7
         assert all(len(a) <= inst.k for a in schedule)
         assert schedule_payoff(inst, schedule) == pytest.approx(value, abs=1e-12)
+
+
+def _same_as_twin(inst, T):
+    value, schedule = dp_optimal(inst, T)
+    twin_value, twin_schedule = reference.dp_optimal(inst, T)
+    assert value.hex() == twin_value.hex()
+    assert schedule == twin_schedule
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_k=st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    tau_max=st.integers(1, 3),
+    tau_min=st.integers(-3, -1),
+    T=st.integers(1, 40),
+    coarse=st.booleans(),
+)
+@example(seed=0, n_k=(3, 3), tau_max=3, tau_min=-2, T=1, coarse=False)  # 3-arm sums round
+def test_dp_matches_scalar_twin(seed, n_k, tau_max, tau_min, T, coarse):
+    n, k = n_k
+    means = np.sort(np.random.default_rng(seed).uniform(size=(n, tau_max - tau_min)))
+    if coarse:  # quarter steps make many actions tie
+        means = np.round(means * 4) / 4
+    _same_as_twin(Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=means), T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 3), T=st.integers(1, 40))
+def test_dp_matches_scalar_twin_on_reference_instances(m, T):
+    _same_as_twin(make_step_instance(), T)
+    _same_as_twin(make_tight_instance(1, m), T)
