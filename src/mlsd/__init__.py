@@ -7,7 +7,6 @@ from .analysis import (
     make_step_instance,
     make_tight_instance,
     regret_trend,
-    stirling_gamma,
     tightness_experiment,
 )
 from .intervals import (
@@ -39,11 +38,9 @@ from .model import (
     load_instance,
     random_instance,
     save_instance,
-    transition,
 )
 from .oracle import dp_optimal, exhaustive_optimal
 from .planner import (
-    candidate_marginals,
     draw_offsets,
     round_intervals,
     run_planner,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,13 +20,6 @@ def gamma_k(k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return 1.0 - math.exp(k * math.log(k) - k - math.lgamma(k + 1))
-
-
-def stirling_gamma(k: int) -> float:
-    """Large-k approximation 1 - 1/sqrt(2 pi k) of the guarantee constant."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return 1.0 - 1.0 / math.sqrt(2.0 * math.pi * k)
 
 
 def make_step_instance() -> Instance:
@@ -63,16 +56,7 @@ class TightnessResult:
     gamma: float               # reference constant for this k
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "T": self.T,
-            "n_seeds": self.n_seeds,
-            "coverage": self.coverage,
-            "ratio": self.ratio,
-            "se": self.se,
-            "gamma": self.gamma,
-        }
+        return asdict(self)
 
 
 def tightness_optimal_rate(k: int, m: int) -> float:
@@ -127,11 +111,11 @@ class ExperimentReport:
     epsilon: float
     lp_value: float
     gamma: float
+    bound: float = field(init=False)  # gamma * lp_value
     mean_virtual: float
     se_virtual: float
     mean_actual: float
     se_actual: float
-    bound: float = field(init=False)
     bound_satisfied: bool = field(init=False)
     actual_dominates: bool = field(init=False)
 
@@ -141,21 +125,7 @@ class ExperimentReport:
         self.actual_dominates = self.mean_actual >= self.mean_virtual - 1e-12
 
     def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "n_seeds": self.n_seeds,
-            "T": self.T,
-            "epsilon": self.epsilon,
-            "lp_value": self.lp_value,
-            "gamma": self.gamma,
-            "bound": self.bound,
-            "mean_virtual": self.mean_virtual,
-            "se_virtual": self.se_virtual,
-            "mean_actual": self.mean_actual,
-            "se_actual": self.se_actual,
-            "bound_satisfied": self.bound_satisfied,
-            "actual_dominates": self.actual_dominates,
-        }
+        return asdict(self)
 
 
 def approximation_experiment(

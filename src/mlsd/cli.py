@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -209,13 +210,7 @@ def cmd_experiment(args) -> int:
         report = learning.robustness_gap(
             instance, etas, args.T, args.seeds, args.epsilon, args.seed
         )
-        payload = {
-            "etas": report.etas,
-            "deficits": report.deficits,
-            "standard_errors": report.standard_errors,
-            "fitted_slope": report.fitted_slope,
-            "k": report.k,
-        }
+        payload = asdict(report)
     else:
         raise ValueError(f"unknown experiment kind {args.kind!r}")
     with open(args.out, "w") as f:

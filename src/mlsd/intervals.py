@@ -13,11 +13,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PayoffTable, check_state, state_column, transition
+from .model import PayoffTable, state_column
 
 
 class IntervalError(ValueError):
-    """Raised on invalid intervals, out-of-range states, or bad sequences."""
+    """Raised on invalid intervals or bad play sequences."""
+
+
+def interval_grid(tau_max: int, depth: int):
+    """The intervals I(u, l) with 1 <= u <= tau_max and -depth <= l <= -1 in
+    variable order, u major and l descending from -1: two int arrays ``u``
+    and ``l`` of length tau_max * depth. An interval plays -l rounds per
+    cycle of u - l rounds."""
+    u, d = np.divmod(np.arange(tau_max * depth), depth)
+    return u + 1, -1 - d
+
+
+def cycle_phase(u, L, pos):
+    """State and play flag at phase ``pos`` of the cycles I(u, u - L), in
+    closed form: phases 0..u-1 hold states 1..u and phases u..L-1 states
+    -1..l; the cycle plays at u and at -1..l+1."""
+    return np.where(pos < u, pos + 1, u - pos - 1), (pos >= u - 1) & (pos < L - 1)
 
 
 @dataclass(frozen=True)
@@ -36,32 +52,10 @@ class RecurrentInterval:
         """Number of rounds in one cycle."""
         return self.u - self.l
 
-    @property
-    def plays_per_cycle(self) -> int:
-        return -self.l
-
-    def _check_member(self, tau: int) -> int:
-        check_state(tau)
-        if not (self.l <= tau <= self.u):
-            raise IntervalError(f"state {tau} outside interval [{self.l}, {self.u}]")
-        return tau
-
-    def prescribes_play(self, tau: int) -> bool:
-        """Characteristic trajectory: play at states l+1..-1 and at u."""
-        self._check_member(tau)
-        return tau == self.u or (tau < 0 and tau > self.l)
-
-    def step(self, tau: int) -> int:
-        """Cycle transition: follow the prescribed action from ``tau``."""
-        self._check_member(tau)
-        return transition(tau, self.prescribes_play(tau))
-
     def cycle_states(self) -> tuple[int, ...]:
         """The cycle's states starting from +1, in visiting order."""
-        states = [1]
-        for _ in range(self.length - 1):
-            states.append(self.step(states[-1]))
-        return tuple(states)
+        states, _ = cycle_phase(self.u, self.length, np.arange(self.length))
+        return tuple(states.tolist())
 
     def to_dict(self) -> dict:
         return {"u": self.u, "l": self.l}
@@ -71,15 +65,18 @@ class RecurrentInterval:
         return RecurrentInterval(u=d["u"], l=d["l"])
 
 
-def aggregated_payoff(table: PayoffTable, arm, interval: RecurrentInterval):
-    """Total mean payoff an arm collects over one cycle of the interval:
-    the payoff of the first play at u plus the payoffs of the consecutive
-    plays at l+1 up to -1, added in that order. ``arm`` is an arm index
-    (giving a float) or any row index of ``table.means`` (giving one total
-    per selected arm)."""
-    taus = np.arange(interval.l, 0)
-    taus[0] = interval.u  # u, then l+1 .. -1
-    p = table.means[arm][..., state_column(taus, table.tau_min, table.tau_max)]
+def aggregated_payoff(table: PayoffTable, u, l) -> np.ndarray:
+    """Total mean payoff every arm collects over one cycle of each interval
+    I(u[j], l[j]), shape (n, len(u)): the payoff of the first play at u plus
+    the payoffs of the consecutive plays at l+1 up to -1, added in that
+    order. Shorter cycles are padded with -0.0, which leaves every sum
+    exact (x + -0.0 == x, also for x = -0.0)."""
+    u, l = np.asarray(u), np.asarray(l)
+    term = np.arange(-l.min(initial=-1))  # the cycle of I(u, l) plays -l times
+    taus = l[:, None] + term  # term m >= 1 is the play at state l + m
+    taus[:, 0] = u
+    used = term < -l[:, None]
+    p = np.where(used, table.means[:, state_column(taus, table.tau_min, table.tau_max)], -0.0)
     return np.cumsum(p, axis=-1)[..., -1]  # left to right; np.sum adds pairwise
 
 

@@ -15,27 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .intervals import RecurrentInterval, aggregated_payoff
+from .intervals import aggregated_payoff, interval_grid
 from .model import PayoffTable
 
-_MAX_CELLS = 2**27  # A_ub entries plus objective additions build_lp may take on
+_MAX_CELLS = 2**27  # A_ub entries plus objective terms build_lp may hold at once
 
 
 class LpError(RuntimeError):
-    pass
-
-
-class LpInfeasibleError(LpError):
-    """The solver reported infeasibility (never expected: x = 0 is feasible)."""
-
-
-class LpSolverError(LpError):
-    """The solver failed for a reason other than infeasibility."""
+    """The relaxation is too large to build, or HiGHS did not solve it."""
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense description of the relaxation for one instance and cutoff tau_L."""
+    """Dense description of the relaxation for one instance and cutoff tau_L,
+    its variables in ``interval_grid`` order within each arm."""
 
     n: int
     k: int
@@ -52,13 +45,6 @@ class LpProblem:
     @property
     def num_vars(self) -> int:
         return self.n * self.tau_max * self.depth
-
-    def var_index(self, arm: int, u: int, l: int) -> int:
-        if not (1 <= u <= self.tau_max):
-            raise IndexError(f"u={u} outside [1, {self.tau_max}]")
-        if not (self.tau_L <= l <= -1):
-            raise IndexError(f"l={l} outside [{self.tau_L}, -1]")
-        return (arm * self.tau_max + (u - 1)) * self.depth + (-l - 1)
 
 
 @dataclass(frozen=True)
@@ -80,17 +66,6 @@ class LpSolution:
     def tau_max(self) -> int:
         return self.x.shape[1]
 
-    def value(self, arm: int, u: int, l: int) -> float:
-        return float(self.x[arm, u - 1, -l - 1])
-
-    def iter_entries(self):
-        """Yields (arm, u, l, value) over all variables in index order."""
-        n, tau_max, depth = self.x.shape
-        for i in range(n):
-            for u in range(1, tau_max + 1):
-                for d in range(depth):
-                    yield i, u, -(d + 1), float(self.x[i, u - 1, d])
-
 
 def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     """Assemble objective and constraint rows for ``table``.
@@ -104,27 +79,22 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     n, tau_max = table.n, table.tau_max
     depth = -tau_L
     num_vars = n * tau_max * depth
-    # (1 + n) rows of A_ub plus ~depth additions per objective entry
+    # (1 + n) rows of A_ub plus up to depth terms per objective entry
     if num_vars * (1 + n + depth) > _MAX_CELLS:
         raise LpError(
             f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
             f"{num_vars} variables, too large for a dense program"
         )
-    c = np.empty((n, tau_max, depth))
-    for u in range(1, tau_max + 1):
-        for d in range(depth):
-            interval = RecurrentInterval(u=u, l=-(d + 1))
-            c[:, u - 1, d] = aggregated_payoff(table, slice(None), interval)
-    plays = np.arange(1.0, depth + 1)  # -l per depth slot
-    lengths = np.arange(1.0, tau_max + 1)[:, None] + plays  # u - l
+    u, l = interval_grid(tau_max, depth)
     a = np.zeros((1 + n, num_vars))
-    a[0] = np.tile(plays, n * tau_max)
+    a[0] = np.tile(-l, n)  # plays per cycle
     # arm i's packing row covers its own tau_max * depth variables only
-    a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = lengths.ravel()
+    a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = u - l  # cycle length
     b = np.ones(1 + n)
     b[0] = table.k
     return LpProblem(
-        n=n, k=table.k, tau_max=tau_max, tau_L=tau_L, objective=c.ravel(), a_ub=a, b_ub=b
+        n=n, k=table.k, tau_max=tau_max, tau_L=tau_L,
+        objective=aggregated_payoff(table, u, l).ravel(), a_ub=a, b_ub=b,
     )
 
 
@@ -137,10 +107,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         bounds=(0.0, None),
         method="highs",
     )
-    if res.status == 2:
-        raise LpInfeasibleError(res.message)
     if res.status != 0:
-        raise LpSolverError(f"status {res.status}: {res.message}")
+        raise LpError(f"HiGHS status {res.status}: {res.message}")
     x = np.asarray(res.x).reshape(problem.n, problem.tau_max, problem.depth)
     return LpSolution(x=x, objective=float(-res.fun), tau_L=problem.tau_L)
 
@@ -159,20 +127,23 @@ def check_feasible(solution: LpSolution, model, tol: float = 1e-8) -> Feasibilit
         raise ValueError(
             f"solution shape {x.shape} does not match model (n={model.n}, tau_max={model.tau_max})"
         )
-    plays = np.arange(1, depth + 1, dtype=float)            # -l per depth slot
-    lengths = np.arange(1, tau_max + 1, dtype=float)[:, None] + plays[None, :]
-    budget = float(np.sum(x * plays[None, None, :])) - model.k
-    per_arm = np.sum(x * lengths[None, :, :], axis=(1, 2)) - 1.0
+    u, l = interval_grid(tau_max, depth)
+    x = x.reshape(n, -1)
+    budget = float(np.sum(x * -l)) - model.k
+    per_arm = np.sum(x * (u - l), axis=1) - 1.0
     neg = -float(x.min()) if x.size else 0.0
     worst = max(budget, float(per_arm.max()) if per_arm.size else 0.0, neg, 0.0)
     return FeasibilityReport(feasible=worst <= tol, max_violation=worst)
 
 
 def solution_to_dict(solution: LpSolution) -> dict:
+    """The objective, the shape and every positive occupancy, in variable order."""
+    u, l = interval_grid(solution.tau_max, -solution.tau_L)
+    x = solution.x.reshape(solution.n, -1)
+    arms, cols = np.nonzero(x > 0.0)
     entries = [
-        {"i": i, "u": u, "l": l, "value": v}
-        for i, u, l, v in solution.iter_entries()
-        if v > 0.0
+        {"i": int(i), "u": int(u[j]), "l": int(l[j]), "value": float(x[i, j])}
+        for i, j in zip(arms, cols)
     ]
     return {
         "objective": solution.objective,
@@ -181,13 +152,6 @@ def solution_to_dict(solution: LpSolution) -> dict:
         "tau_max": solution.tau_max,
         "entries": entries,
     }
-
-
-def solution_from_dict(d: dict) -> LpSolution:
-    x = np.zeros((d["n"], d["tau_max"], -d["tau_L"]))
-    for e in d["entries"]:
-        x[e["i"], e["u"] - 1, -e["l"] - 1] = e["value"]
-    return LpSolution(x=x, objective=d["objective"], tau_L=d["tau_L"])
 
 
 def save_solution(solution: LpSolution, path) -> None:

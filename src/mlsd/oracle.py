@@ -11,19 +11,20 @@ exact, not approximate.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .model import Instance, column_state, state_column, transition
 
+_MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
+
 
 class OracleBudgetError(RuntimeError):
-    """The requested computation exceeds the configured evaluation budget."""
+    """The requested computation exceeds the evaluation budget or the memory cap."""
 
-    def __init__(self, cost: int, budget: int, what: str):
-        super().__init__(
-            f"{what} needs ~{cost:.3g} state-action evaluations, budget is {budget:.3g}"
-        )
+    def __init__(self, cost: int, budget: int, what: str, unit: str = "state-action evaluations"):
+        super().__init__(f"{what} needs ~{cost:.3g} {unit}, budget is {budget:.3g}")
         self.cost = cost
         self.budget = budget
 
@@ -40,15 +41,19 @@ def dp_optimal(
     instance: Instance, T: int, budget: float = 1e8
 ) -> tuple[float, list[frozenset[int]]]:
     """OPT(T) and one optimal play schedule, by exact backward induction
-    over the table columns of every arm's clipped state."""
+    over the table columns of every arm's clipped state. Raises
+    OracleBudgetError, before allocating anything, when the evaluations
+    exceed ``budget`` or the (action, state) tables exceed _MAX_CELLS."""
     n, k = instance.n, instance.k
     tau_min, tau_max = instance.tau_min, instance.tau_max
     M = tau_max - tau_min
     J = M**n
+    cells = J * sum(math.comb(n, size) for size in range(min(n, k) + 1))
+    if cells * T > budget:
+        raise OracleBudgetError(cells * T, int(budget), "dp_optimal")
+    if cells > _MAX_CELLS:
+        raise OracleBudgetError(cells, _MAX_CELLS, "dp_optimal", "(action, state) cells in memory")
     actions = action_sets(n, k)
-    cost = J * T * len(actions)
-    if cost > budget:
-        raise OracleBudgetError(cost, int(budget), "dp_optimal")
 
     # successor column of each column: a play moves a positive state to -1
     # and a negative one a step down; an idle round does the mirror image

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .intervals import RecurrentInterval
+from .intervals import RecurrentInterval, cycle_phase, interval_grid
 from .lp import LpSolution
 from .model import Instance, ModelError, PayoffTable, require_int, require_keys, state_column
 from .rng import stream
@@ -36,11 +36,10 @@ class PlannerError(RuntimeError):
 
 def _arm_distribution(solution: LpSolution):
     """Every arm's interval distribution: ``u``, ``l`` and cycle length ``L``
-    of the tau_max * depth intervals, and per arm the cumulative selection
-    probabilities (cycle length x occupancy) over them, shape (n, intervals)."""
+    of the ``interval_grid``, and per arm the cumulative selection
+    probabilities (cycle length x occupancy) over it, shape (n, intervals)."""
     n, tau_max, depth = solution.x.shape
-    u, d = np.divmod(np.arange(tau_max * depth), depth)
-    u, l = u + 1, -1 - d
+    u, l = interval_grid(tau_max, depth)
     p = (u - l) * solution.x.reshape(n, -1)
     if (p < -_MASS_TOL).any():
         arm, j = np.argwhere(p < -_MASS_TOL)[0]
@@ -140,13 +139,6 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-def _cycle(u, L, pos):
-    """State and play flag at phase ``pos`` of the cycles I(u, u - L), in
-    closed form: phases 0..u-1 hold states 1..u and phases u..L-1 states
-    -1..l; the cycle plays at u and at -1..l+1."""
-    return np.where(pos < u, pos + 1, u - pos - 1), (pos >= u - 1) & (pos < L - 1)
-
-
 @dataclass
 class PlannerRuns:
     """S planner runs as (S, n, T) arrays, round t in column t-1; the
@@ -180,7 +172,7 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
     parameters ``u``, cycle lengths ``L``, offsets and active flags."""
     S, n = u.shape
     pos = (offsets[..., None] + np.arange(1, T + 1)) % L[..., None]
-    state, play = _cycle(u[..., None], L[..., None], pos)
+    state, play = cycle_phase(u[..., None], L[..., None], pos)
     virtual = np.where(active[..., None], state, 0)
     cand = active[..., None] & play
 
@@ -319,36 +311,6 @@ def domination_margin(trace: PlannerTrace, tau_max: int) -> int:
         return 0
     diff = trace.actual_states[tau_max - 1:, arms] - trace.virtual[tau_max - 1:, arms]
     return int(diff.min())
-
-
-def candidate_marginals(
-    solution: LpSolution, t: int, num_samples: int, seed: int
-) -> tuple[dict, int]:
-    """Monte Carlo frequencies of candidate triples (arm, u, l, nu) at round t.
-
-    Each sample redraws the offline phase; a triple is recorded when the
-    arm's cycle prescribes a play at its virtual state. Frequencies estimate
-    the occupancy variables themselves.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    u, l, L, cum = _arm_distribution(solution)
-    span, lo = int(L.max()) + 1, int(l.min())  # (interval, state) key: j * span + state - lo
-    rng_round = stream(seed, "rounding")
-    rng_off = stream(seed, "offsets")
-    counts: dict[tuple[int, int, int, int], int] = {}
-    for arm in range(solution.n):
-        picks = np.searchsorted(cum[arm], rng_round.random(num_samples), side="right")
-        offs = rng_off.random(num_samples)
-        on = picks < u.size
-        j = picks[on]
-        r = np.floor(offs[on] * L[j]).astype(int)
-        nu, play = _cycle(u[j], L[j], (r + t) % L[j])
-        keys, freq = np.unique(j[play] * span + nu[play] - lo, return_counts=True)
-        for key, c in zip(keys.tolist(), freq.tolist()):
-            jj, state = divmod(key, span)
-            counts[(arm, int(u[jj]), int(l[jj]), state + lo)] = c
-    return counts, num_samples
 
 
 def plan_to_dict(

@@ -7,7 +7,6 @@ import itertools
 import numpy as np
 import pytest
 
-from mlsd import lp
 from mlsd.model import Instance, random_instance
 from mlsd.rng import stream
 
@@ -55,14 +54,15 @@ def vertex_optimal(objective, a_ub, b_ub, tol: float = 1e-9) -> float:
 
 
 @pytest.fixture
-def no_lp_alloc(monkeypatch):
-    """Make any array allocation inside ``lp`` fail, so that a test of the
-    LP size guard can never build the huge program it guards against."""
+def no_alloc(monkeypatch):
+    """Make numpy's ``empty`` and ``zeros`` fail, so that a test of a size
+    guard (``build_lp``, ``dp_optimal``) can never build the huge arrays it
+    guards against."""
     def refuse(*args, **kwargs):
-        raise AssertionError("build_lp allocated past its size guard")
+        raise AssertionError("allocated past a size guard")
 
-    monkeypatch.setattr(lp.np, "empty", refuse)
-    monkeypatch.setattr(lp.np, "zeros", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
 
 
 @pytest.fixture

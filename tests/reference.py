@@ -1,4 +1,5 @@
-"""Scalar reference twins of vectorized library code, used only by tests."""
+"""Scalar reference twins of vectorized library code, and the Monte Carlo
+candidate-triple sampler of criterion 4; used only by tests."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from mlsd.intervals import RecurrentInterval
+from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
 from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
 from mlsd.oracle import action_sets
-from mlsd.planner import PlannerTrace, draw_offsets
+from mlsd.planner import PlannerTrace, _arm_distribution, draw_offsets
 from mlsd.rng import stream
 
 
@@ -51,9 +52,25 @@ def schedule_payoff(instance: Instance, schedule: list[frozenset[int]]) -> float
     return total
 
 
+def prescribes_play(interval: RecurrentInterval, tau: int) -> bool:
+    """The characteristic trajectory plays at u and at l+1 .. -1."""
+    return tau == interval.u or interval.l < tau < 0
+
+
+def cycle_walk(interval: RecurrentInterval) -> list[tuple[int, bool]]:
+    """One period of (state, play) pairs from state +1, stepped with
+    ``transition``: the scalar twin of ``cycle_phase``."""
+    tau, out = 1, []
+    for _ in range(interval.length):
+        play = prescribes_play(interval, tau)
+        out.append((tau, play))
+        tau = transition(tau, play)
+    return out
+
+
 def interval_action_sequence(interval: RecurrentInterval) -> list[bool]:
     """One period of the interval's actions, starting from state +1."""
-    return [interval.prescribes_play(tau) for tau in interval.cycle_states()]
+    return [play for _, play in cycle_walk(interval)]
 
 
 def aggregated_payoff(table: PayoffTable, arm: int, interval: RecurrentInterval) -> float:
@@ -138,8 +155,7 @@ def simulate_exploration(
 
 def virtual_state(interval: RecurrentInterval, offset: int, t: int) -> int:
     """Virtual state at round t >= 0 (t = 0 is the pre-play initialization)."""
-    cycle = interval.cycle_states()
-    return cycle[(offset + t) % interval.length]
+    return cycle_walk(interval)[(offset + t) % interval.length][0]
 
 
 @dataclass(frozen=True)
@@ -180,13 +196,13 @@ def step_planner(state: PlannerState, model) -> tuple[frozenset[int], PlannerSta
     candidates ranked by the model's payoff at the virtual state (ties to
     the lowest arm index)."""
     nxt = tuple(
-        iv.step(nu) if iv is not None else None
+        transition(nu, prescribes_play(iv, nu)) if iv is not None else None
         for iv, nu in zip(state.intervals, state.virtual)
     )
     candidates = [
         i
         for i, (iv, nu) in enumerate(zip(state.intervals, nxt))
-        if iv is not None and iv.prescribes_play(nu)
+        if iv is not None and prescribes_play(iv, nu)
     ]
     ranked = sorted(candidates, key=lambda i: (-model.payoff(i, nxt[i]), i))
     played = frozenset(ranked[: model.k])
@@ -200,14 +216,43 @@ def marginal_expectations(solution: LpSolution) -> dict:
     """Exact triple probabilities implied by the occupancies: each play-state
     of I(u, l) carries probability x[i, u, l]."""
     out = {}
-    for i, u, l, v in solution.iter_entries():
-        if v <= 0.0:
-            continue
-        interval = RecurrentInterval(u=u, l=l)
-        for tau in interval.cycle_states():
-            if interval.prescribes_play(tau):
-                out[(i, u, l, tau)] = v
+    for i, j, d in np.argwhere(solution.x > 0.0).tolist():
+        iv = RecurrentInterval(u=j + 1, l=-(d + 1))
+        for tau, play in cycle_walk(iv):
+            if play:
+                out[(i, iv.u, iv.l, tau)] = float(solution.x[i, j, d])
     return out
+
+
+def candidate_marginals(
+    solution: LpSolution, t: int, num_samples: int, seed: int
+) -> tuple[dict, int]:
+    """Monte Carlo frequencies of candidate triples (arm, u, l, nu) at round t.
+
+    Each sample redraws the offline phase from the library's interval
+    distribution; a triple is recorded when the arm's cycle prescribes a
+    play at its virtual state. Frequencies estimate the occupancy variables
+    themselves (``marginal_expectations``).
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    u, l, L, cum = _arm_distribution(solution)
+    span, lo = int(L.max()) + 1, int(l.min())  # (interval, state) key: j * span + state - lo
+    rng_round = stream(seed, "rounding")
+    rng_off = stream(seed, "offsets")
+    counts: dict[tuple[int, int, int, int], int] = {}
+    for arm in range(solution.n):
+        picks = np.searchsorted(cum[arm], rng_round.random(num_samples), side="right")
+        offs = rng_off.random(num_samples)
+        on = picks < u.size
+        j = picks[on]
+        r = np.floor(offs[on] * L[j]).astype(int)
+        nu, play = cycle_phase(u[j], L[j], (r + t) % L[j])
+        keys, freq = np.unique(j[play] * span + nu[play] - lo, return_counts=True)
+        for key, c in zip(keys.tolist(), freq.tolist()):
+            jj, state = divmod(key, span)
+            counts[(arm, int(u[jj]), int(l[jj]), state + lo)] = c
+    return counts, num_samples
 
 
 def round_intervals(
@@ -246,8 +291,8 @@ def run_planner(
     selection=None,
     init_states: Optional[Sequence[int]] = None,
 ) -> PlannerTrace:
-    """Arm by arm: cycles from ``cycle_states``/``prescribes_play``, payoffs
-    from ``payoff``, states by stepping ``transition``."""
+    """Arm by arm: cycles from ``cycle_walk``, payoffs from ``payoff``,
+    states by stepping ``transition``."""
     n, k = instance.n, instance.k
     selection = instance if selection is None else selection
     virtual = np.zeros((n, T), dtype=np.int64)
@@ -256,10 +301,9 @@ def run_planner(
     for i, iv in enumerate(intervals):
         if iv is None:
             continue
-        cycle = iv.cycle_states()
+        cycle = cycle_walk(iv)
         for t in range(T):
-            virtual[i, t] = cycle[(offsets[i] + t + 1) % iv.length]
-            cand[i, t] = iv.prescribes_play(int(virtual[i, t]))
+            virtual[i, t], cand[i, t] = cycle[(offsets[i] + t + 1) % iv.length]
             selp[i, t] = selection.payoff(i, int(virtual[i, t]))
     scores = np.where(cand, selp, -1.0)
     played = np.zeros((n, T), dtype=bool)

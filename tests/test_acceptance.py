@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance
-from reference import marginal_expectations, schedule_payoff
+from reference import candidate_marginals, marginal_expectations, schedule_payoff
 
 from mlsd.analysis import (
     approximation_experiment,
@@ -27,7 +27,7 @@ from mlsd.learning import exploration_schedule, simulate_exploration
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import random_instance
 from mlsd.oracle import dp_optimal, exhaustive_optimal
-from mlsd.planner import candidate_marginals, domination_margin, simulate_planner
+from mlsd.planner import domination_margin, simulate_planner
 from mlsd.rng import stream
 
 

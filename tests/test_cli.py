@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from mlsd import oracle
 from mlsd.cli import main
 
 
@@ -90,6 +91,27 @@ def test_oracle_budget_error(tmp_path, capsys):
     assert run(["oracle", "--instance", str(inst), "--T", "100",
                 "--budget", "10"]) == 1
     assert "oracle budget exceeded" in capsys.readouterr().err
+
+
+def test_oracle_refuses_oversized_tables(tmp_path, capsys, no_alloc):
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps({"k": 1, "tau_min": -2, "tau_max": 8,
+                                "payoffs": [[0.5] * 10] * 7}))
+    assert run(["oracle", "--instance", str(inst), "--T", "1"]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: oracle budget exceeded: dp_optimal needs ~8e+07 (action, state) cells "
+        "in memory, budget is 1.68e+07"
+    ]
+
+
+def test_learn_falls_back_to_lp_bound_past_table_cap(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 5)  # the step instance needs 6
+    capsys.readouterr()
+    assert run(["learn", "--instance", str(inst), "--T", "512",
+                "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().out.startswith("benchmark=LP*_upper_bound ")
 
 
 def test_learn_horizon_too_small(tmp_path, capsys):
@@ -257,7 +279,7 @@ def test_bad_plan_rejected(tmp_path, capsys, arm, message):
     assert _stderr_lines(capsys) == [f"error: {message}"]
 
 
-def test_solve_lp_refuses_oversized_relaxation(tmp_path, capsys, no_lp_alloc):
+def test_solve_lp_refuses_oversized_relaxation(tmp_path, capsys, no_alloc):
     inst = tmp_path / "c2.json"
     run(["gen", "appendix-c2", "--out", str(inst)])
     capsys.readouterr()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance, vertex_optimal
-from reference import marginal_expectations
+from reference import candidate_marginals, marginal_expectations
 
 from mlsd.analysis import make_step_instance
 from mlsd.cli import main
@@ -19,7 +19,7 @@ from mlsd.learning import (
 )
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import PayoffTable, random_instance
-from mlsd.planner import candidate_marginals, draw_offsets, round_intervals, run_planner
+from mlsd.planner import draw_offsets, round_intervals, run_planner
 from mlsd.rng import stream
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from reference import interval_action_sequence
 
 from mlsd.analysis import make_step_instance
@@ -9,36 +11,34 @@ from mlsd.intervals import (
     IntervalError,
     RecurrentInterval,
     aggregated_payoff,
+    cycle_phase,
     decompose,
+    interval_grid,
     normalize_schedule,
 )
-from mlsd.model import random_instance, transition
+from mlsd.model import PayoffTable, random_instance, transition
 from mlsd.rng import stream
 
 
+def _phases(iv: RecurrentInterval):
+    """States and play flags over one period of ``iv``, from state +1."""
+    state, play = cycle_phase(iv.u, iv.length, np.arange(iv.length))
+    return state.tolist(), play.tolist()
+
+
 def test_trajectory_examples():
-    i32 = RecurrentInterval(u=3, l=-2)
-    assert i32.prescribes_play(3)
-    assert i32.prescribes_play(-1)
-    assert not i32.prescribes_play(-2)
-    assert not i32.prescribes_play(1)
-    assert not i32.prescribes_play(2)
-
-    i11 = RecurrentInterval(u=1, l=-1)
-    assert i11.prescribes_play(1)
-    assert not i11.prescribes_play(-1)
-
-    i51 = RecurrentInterval(u=5, l=-1)
-    plays = [tau for tau in [-1, 1, 2, 3, 4, 5] if i51.prescribes_play(tau)]
-    assert plays == [5]
+    assert _phases(RecurrentInterval(u=3, l=-2)) == (
+        [1, 2, 3, -1, -2], [False, False, True, True, False]
+    )
+    assert _phases(RecurrentInterval(u=1, l=-1)) == ([1, -1], [True, False])
+    state, play = _phases(RecurrentInterval(u=5, l=-1))
+    assert [tau for tau, p in zip(state, play) if p] == [5]
 
 
-def test_trajectory_rejects_outside_states():
-    i32 = RecurrentInterval(u=3, l=-2)
-    with pytest.raises(IntervalError):
-        i32.prescribes_play(4)
-    with pytest.raises(IntervalError):
-        i32.step(-3)
+def test_interval_grid_order():
+    u, l = interval_grid(2, 3)
+    assert u.tolist() == [1, 1, 1, 2, 2, 2]
+    assert l.tolist() == [-1, -2, -3, -1, -2, -3]
 
 
 def test_cycle_examples():
@@ -54,53 +54,59 @@ def test_cycle_visits_each_state_once_then_repeats():
             cyc = iv.cycle_states()
             assert len(cyc) == iv.length
             assert len(set(cyc)) == iv.length
-            assert iv.step(cyc[-1]) == cyc[0]
+            assert transition(cyc[-1], _phases(iv)[1][-1]) == cyc[0]
 
 
 def test_step_matches_model_transition():
     iv = RecurrentInterval(u=4, l=-3)
-    for tau in iv.cycle_states():
-        assert iv.step(tau) == transition(tau, iv.prescribes_play(tau))
+    state, play = _phases(iv)
+    for pos in range(iv.length):
+        assert transition(state[pos], play[pos]) == state[(pos + 1) % iv.length]
 
 
 def test_length_and_plays():
-    iv = RecurrentInterval(u=3, l=-2)
-    assert iv.length == 5
-    assert iv.plays_per_cycle == 2
-    assert RecurrentInterval(u=1, l=-1).length == 2
-    assert RecurrentInterval(u=1, l=-1).plays_per_cycle == 1
-    assert RecurrentInterval(u=4, l=-3).length == 7
+    for u, l, length in ((3, -2, 5), (1, -1, 2), (4, -3, 7)):
+        iv = RecurrentInterval(u=u, l=l)
+        assert iv.length == length
+        assert sum(_phases(iv)[1]) == -l
 
 
 def test_aggregated_payoff_examples():
     inst = make_step_instance()
     # l = -1 leaves only the first play
-    assert aggregated_payoff(inst, 0, RecurrentInterval(u=1, l=-1)) == 1.0
-    assert aggregated_payoff(inst, 0, RecurrentInterval(u=1, l=-2)) == 2.0
+    assert aggregated_payoff(inst, [1, 1], [-1, -2]).tolist() == [[1.0, 2.0]]
 
 
 def test_aggregated_payoff_bounded_by_plays():
     inst = random_instance(2, 1, 3, -3, stream(3, "instance"))
-    for u in range(1, 4):
-        for l in range(-3, 0):
-            iv = RecurrentInterval(u=u, l=l)
-            assert aggregated_payoff(inst, 0, iv) <= iv.plays_per_cycle + 1e-12
+    u, l = interval_grid(3, 3)
+    assert (aggregated_payoff(inst, u, l) <= -l + 1e-12).all()
 
 
 def test_aggregated_payoff_equals_one_period_simulation():
     # independent check: run one period from state 1 playing per the cycle
     for seed in range(10):
         inst = random_instance(2, 1, 4, -3, stream(seed, "instance"))
-        for u in (1, 2, 4):
-            for l in (-1, -3):
-                iv = RecurrentInterval(u=u, l=l)
-                tau, total = 1, 0.0
-                for _ in range(iv.length):
-                    play = iv.prescribes_play(tau)
-                    if play:
-                        total += inst.payoff(1, tau)
-                    tau = transition(tau, play)
-                assert total == pytest.approx(aggregated_payoff(inst, 1, iv))
+        u, l = interval_grid(4, 3)
+        totals = aggregated_payoff(inst, u, l)
+        for j in range(u.size):
+            iv = RecurrentInterval(u=int(u[j]), l=int(l[j]))
+            total = sum(inst.payoff(1, tau) for tau, play in reference.cycle_walk(iv) if play)
+            assert total == pytest.approx(totals[1, j])
+
+
+def test_aggregated_payoff_padding_keeps_negative_zero():
+    # short cycles are padded with -0.0, which adds nothing, not even a sign
+    table = PayoffTable(k=1, tau_min=-3, tau_max=2, means=[[-0.0] * 4 + [0.5]])
+    u, l = interval_grid(2, 3)
+    want = [
+        reference.aggregated_payoff(table, 0, RecurrentInterval(u=int(a), l=int(b)))
+        for a, b in zip(u, l)
+    ]
+    assert [v.hex() for v in aggregated_payoff(table, u, l)[0].tolist()] == [
+        v.hex() for v in want
+    ]
+    assert want[0].hex() == "-0x0.0p+0"
 
 
 P, W = True, False

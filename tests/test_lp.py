@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,12 @@ from conftest import draw_instance, vertex_optimal
 
 from mlsd import lp
 from mlsd.analysis import make_step_instance, make_tight_instance
+from mlsd.intervals import interval_grid
 from mlsd.lp import (
     LpError,
     LpSolution,
     build_lp,
     check_feasible,
-    solution_from_dict,
     solution_to_dict,
     solve_lp,
     tau_L_from_epsilon,
@@ -32,20 +34,20 @@ def test_problem_shape():
 def test_objective_and_constraint_coefficients():
     inst = draw_instance(1)
     prob = build_lp(inst, -2)
+    u, l = interval_grid(inst.tau_max, 2)
     for arm in range(inst.n):
-        for u in range(1, inst.tau_max + 1):
-            j = prob.var_index(arm, u, -1)
-            assert prob.objective[j] == pytest.approx(inst.payoff(arm, u))
-            for l in (-1, -2):
-                j = prob.var_index(arm, u, l)
-                assert prob.a_ub[1 + arm, j] == u - l
-                assert prob.a_ub[0, j] == -l
+        for g in range(u.size):
+            j = arm * u.size + g
+            if l[g] == -1:
+                assert prob.objective[j] == pytest.approx(inst.payoff(arm, int(u[g])))
+            assert prob.a_ub[1 + arm, j] == u[g] - l[g]
+            assert prob.a_ub[0, j] == -l[g]
 
 
 def test_step_instance_lp_value():
     sol = solve_lp(build_lp(make_step_instance(), -2))
     assert sol.objective == pytest.approx(2.0 / 3.0, abs=1e-6)
-    assert sol.value(0, 1, -2) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert sol.x[0, 0, 1] == pytest.approx(1.0 / 3.0, abs=1e-6)  # I(1, -2)
 
 
 def test_zero_payoffs_give_zero():
@@ -63,7 +65,7 @@ def test_threshold_instance_against_vertex_enumeration():
     assert sol.objective == pytest.approx(exact, abs=1e-6)
     assert sol.objective == pytest.approx(3.0 / 4.0, abs=1e-6)
     for arm in range(inst.n):
-        assert sol.value(arm, 3, -1) == pytest.approx(0.25, abs=1e-6)
+        assert sol.x[arm, 2, 0] == pytest.approx(0.25, abs=1e-6)  # I(3, -1)
 
 
 def test_solver_matches_vertex_enumeration_on_random_instances():
@@ -138,11 +140,18 @@ def test_relaxation_upper_bound_on_optimum():
 
 
 def test_solution_json_round_trip():
-    sol = solve_lp(build_lp(make_step_instance(), -2))
-    back = solution_from_dict(solution_to_dict(sol))
-    assert back.objective == sol.objective
-    assert back.tau_L == sol.tau_L
-    assert np.allclose(back.x, sol.x)
+    sol = solve_lp(build_lp(draw_instance(5), -3))
+    d = solution_to_dict(sol)
+    assert (d["objective"], d["tau_L"], d["n"], d["tau_max"]) == (
+        sol.objective, sol.tau_L, sol.n, sol.tau_max
+    )
+    keys = [(e["i"], e["u"], -e["l"]) for e in d["entries"]]
+    assert keys == sorted(keys)  # variable order
+    back = np.zeros_like(sol.x)
+    for e in d["entries"]:
+        assert e["value"] > 0.0
+        back[e["i"], e["u"] - 1, -e["l"] - 1] = e["value"]
+    assert np.array_equal(back, np.maximum(sol.x, 0.0))
 
 
 def test_tau_L_from_epsilon():
@@ -177,6 +186,20 @@ def test_build_lp_matches_scalar_twin(seed, n, tau_max, tau_min, tau_L, monotone
     assert np.array_equal(fast.b_ub, slow.b_ub)
 
 
+def test_build_lp_makes_one_aggregated_payoff_call():
+    with mock.patch.object(lp, "aggregated_payoff", wraps=lp.aggregated_payoff) as spy:
+        build_lp(draw_instance(2), -3)
+    assert spy.call_count == 1
+
+
+def test_solver_failure_names_highs_status():
+    # nothing bounds x: HiGHS reports the program unbounded
+    prob = lp.LpProblem(n=1, k=1, tau_max=1, tau_L=-1, objective=np.ones(1),
+                        a_ub=np.zeros((2, 1)), b_ub=np.ones(2))
+    with pytest.raises(LpError, match=r"^HiGHS status 3: .*unbounded"):
+        solve_lp(prob)
+
+
 def test_build_lp_size_guard_boundary(monkeypatch):
     inst = make_step_instance()  # n = 1, tau_max = 1
     monkeypatch.setattr(lp, "_MAX_CELLS", 2 * (1 + 1 + 2))
@@ -185,6 +208,6 @@ def test_build_lp_size_guard_boundary(monkeypatch):
         build_lp(inst, -3)
 
 
-def test_build_lp_refuses_tiny_epsilon(no_lp_alloc):
+def test_build_lp_refuses_tiny_epsilon(no_alloc):
     with pytest.raises(LpError, match="variables, too large"):
         build_lp(make_step_instance(), tau_L_from_epsilon(1e-9))

@@ -7,6 +7,7 @@ import reference
 from conftest import draw_instance
 from reference import schedule_payoff
 
+from mlsd import oracle
 from mlsd.analysis import make_step_instance, make_tight_instance
 from mlsd.model import Instance
 from mlsd.oracle import OracleBudgetError, dp_optimal, exhaustive_optimal
@@ -79,6 +80,23 @@ def test_budget_refusal():
         dp_optimal(inst, 1000, budget=1e3)
     with pytest.raises(OracleBudgetError):
         exhaustive_optimal(inst, 50)
+
+
+def test_dp_refuses_oversized_tables_whatever_the_horizon(no_alloc):
+    # 10^7 joint states x 8 actions: 8e7 evaluations at T = 1 fit the
+    # default budget, but the tables would take ~3 GiB
+    inst = Instance(k=1, tau_min=-2, tau_max=8, means=[[0.5] * 10] * 7)
+    with pytest.raises(OracleBudgetError, match=r"needs ~8e\+07 \(action, state\) cells"):
+        dp_optimal(inst, 1)
+
+
+def test_dp_table_cap_boundary(monkeypatch):
+    inst = make_step_instance()  # 3 states x 2 actions
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 6)
+    assert dp_optimal(inst, 3)[0] == 2.0  # exactly at the cap
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 5)
+    with pytest.raises(OracleBudgetError, match="cells in memory, budget is 5"):
+        dp_optimal(inst, 3)
 
 
 def test_schedule_replay_matches_value():

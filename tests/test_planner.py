@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import reference
 from conftest import draw_instance
 from reference import (
+    candidate_marginals,
+    cycle_walk,
     init_offsets,
     marginal_expectations,
     step_planner,
@@ -18,13 +20,12 @@ from reference import (
 
 from mlsd import planner
 from mlsd.analysis import make_step_instance
-from mlsd.intervals import RecurrentInterval
+from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.lp import LpSolution, build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import (
     PlannerError,
     RoundingError,
-    candidate_marginals,
     domination_margin,
     draw_offsets,
     plan_from_dict,
@@ -94,7 +95,7 @@ def test_rounding_frequencies_match_marginals():
     for arm in range(inst.n):
         for u in range(1, inst.tau_max + 1):
             for l in (-1, -2):
-                p = (u - l) * sol.value(arm, u, l)
+                p = (u - l) * sol.x[arm, u - 1, -l - 1]
                 freq = counts.get((arm, u, l), 0) / N
                 se = math.sqrt(max(p * (1 - p), 1e-12) / N)
                 assert abs(freq - p) <= max(3 * se, 2e-3)
@@ -340,15 +341,11 @@ def _assert_same_trace(got, want):
 def test_closed_form_cycle_matches_transition(u, l):
     # step the paper's characteristic trajectory from +1: play at u and at
     # -1..l+1, rest elsewhere; one period must close back at +1
-    states, flags = [1], []
-    for _ in range(u - l):
-        tau = states[-1]
-        flags.append(tau == u or l < tau < 0)
-        states.append(transition(tau, flags[-1]))
-    assert states[-1] == 1
-    state, play = planner._cycle(u, u - l, np.arange(u - l))
-    assert state.tolist() == states[:-1]
-    assert play.tolist() == flags
+    walk = cycle_walk(RecurrentInterval(u=u, l=l))
+    tau, play = walk[-1]
+    assert transition(tau, play) == 1
+    state, play = cycle_phase(u, u - l, np.arange(u - l))
+    assert list(zip(state.tolist(), play.tolist())) == walk
 
 
 @settings(max_examples=60, deadline=None)
