@@ -1,13 +1,17 @@
-"""Golden bytes of every CLI output file on small flags.
+"""Golden bytes of every CLI output file and of every command's stdout on
+small flags.
 
 Each command writes its files into one shared directory; every file's
-SHA-256 is pinned below. A refactor that keeps the outputs keeps these
-digests. To re-pin after an intended output change, run this module with
+SHA-256 is pinned below, and so is the text each command prints, keyed by
+its ``--out`` file. A refactor that keeps the outputs keeps these pins. To
+re-pin after an intended output change, run this module with
 ``MLSD_PRINT_GOLDEN=1 pytest -s tests/test_cli_golden.py`` and copy the
-printed table.
+printed tables.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 
 import pytest
@@ -64,23 +68,52 @@ GOLDEN = {
     "trace.csv": "5daeda5e1f507e34970a1e7d0341fd356f66782c5660f0ba3adf133dc9ba4ce3",
 }
 
+STDOUT = {
+    "inst.json": "wrote inst.json (n=3, k=1, tau_max=3, tau_min=-2)\n",
+    "c2.json": "wrote c2.json (n=1, k=1, tau_max=1, tau_min=-2)\n",
+    "solution.json": "LP*=0.748975229358 tau_L=-4\n",
+    "plan.json": "LP*=0.748975229358 tau_L=-2 active_arms=3/3\n",
+    "trace.csv": "T=20 mean_virtual=0.748975229358 mean_actual=0.742898823822\n",
+    "trace-plan.csv": "T=20 mean_virtual=0.622838164618 mean_actual=0.6240461141\n",
+    "schedule.csv": "OPT=5.99082093179\n",
+    "regret.csv": "benchmark=oracle mean_R=283 mean_Reg=-120.86107666\n",
+    "approximation.json": "wrote approximation.json and approximation.csv\n",
+    "tightness.json": "wrote tightness.json and tightness.csv\n",
+    "regret-trend.json": "wrote regret-trend.json and regret-trend.csv\n",
+    "robustness.json": "wrote robustness.json and robustness.csv\n",
+    "ratio-vs-m.csv": "wrote ratio-vs-m.csv\n",
+    "regret-vs-T.csv": "wrote regret-vs-T.csv\n",
+}
+
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """Run every command in order in one directory; the files by name."""
+def golden_run(tmp_path_factory):
+    """Run every command in order in one directory; the files by name and
+    each command's stdout by its ``--out`` file."""
     d = tmp_path_factory.mktemp("golden")
     cwd = os.getcwd()
     os.chdir(d)
+    printed = {}
     try:
         for argv in COMMANDS:
-            assert main(argv) == 0, argv
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            printed[argv[argv.index("--out") + 1]] = buf.getvalue()
     finally:
         os.chdir(cwd)
     files = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
     if os.environ.get("MLSD_PRINT_GOLDEN"):
         for name, data in files.items():
             print(f'    "{name}": "{hashlib.sha256(data).hexdigest()}",')
-    return files
+        for name, text in printed.items():
+            print(f'    "{name}": {text!r},')
+    return files, printed
+
+
+@pytest.fixture(scope="module")
+def outputs(golden_run):
+    return golden_run[0]
 
 
 def test_every_output_is_pinned(outputs):
@@ -91,3 +124,12 @@ def test_every_output_is_pinned(outputs):
 def test_output_bytes(outputs, name):
     data = outputs[name]
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name], data.decode()[:2000]
+
+
+def test_every_command_stdout_is_pinned(golden_run):
+    assert sorted(golden_run[1]) == sorted(STDOUT)
+
+
+@pytest.mark.parametrize("out", sorted(STDOUT))
+def test_command_stdout(golden_run, out):
+    assert golden_run[1][out] == STDOUT[out]
