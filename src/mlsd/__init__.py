@@ -41,7 +41,6 @@ from .model import (
 )
 from .oracle import dp_optimal, exhaustive_optimal
 from .planner import (
-    draw_offsets,
     round_intervals,
     run_planner,
     simulate_planner,

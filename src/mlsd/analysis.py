@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .learning import EtcResult, etc_run
+from .learning import etc_run
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance
 from .oracle import dp_optimal
@@ -176,19 +176,19 @@ class RegretTrendPoint:
     mean_R: float
     mean_regret: Optional[float]        # vs (1-eps) * gamma_k * OPT(T)
     mean_regret_vs_planner: float       # vs the full-information planner
-    results: list[EtcResult]
 
 
 @dataclass
 class RegretTrend:
     epsilon: float
     n_seeds: int
-    points: list[RegretTrendPoint]
     slope: float                # log-log slope of regret_vs_planner in T
+    rates_decreasing: bool = field(init=False)  # regret_vs_planner / T falls
+    points: list[RegretTrendPoint]
 
-    def rates_decreasing(self) -> bool:
+    def __post_init__(self):
         rates = [p.mean_regret_vs_planner / p.T for p in self.points]
-        return all(a > b for a, b in zip(rates, rates[1:]))
+        self.rates_decreasing = all(a > b for a, b in zip(rates, rates[1:]))
 
 
 def regret_trend(
@@ -225,10 +225,9 @@ def regret_trend(
                 mean_regret_vs_planner=float(
                     np.mean([r.regret_vs_planner for r in results])
                 ),
-                results=results,
             )
         )
     xs = np.log([p.T for p in points])
     ys = np.log([max(p.mean_regret_vs_planner, 1e-9) for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return RegretTrend(epsilon=epsilon, n_seeds=n_seeds, points=points, slope=slope)
+    return RegretTrend(epsilon=epsilon, n_seeds=n_seeds, slope=slope, points=points)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ def _set_str(arms) -> str:
     return ";".join(str(i) for i in sorted(arms))
 
 
-def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
@@ -79,8 +80,7 @@ def cmd_plan(args) -> int:
     instance = model.load_instance(args.instance)
     tau_L = _tau_L(args)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
-    intervals = planner.round_intervals(solution, stream(args.seed, "rounding"))
-    offsets = planner.draw_offsets(intervals, stream(args.seed, "offsets"))
+    intervals, offsets = planner.round_intervals(solution, args.seed)
     plan = planner.plan_to_dict(solution, intervals, offsets)
     planner.save_plan(plan, args.out)
     active = sum(1 for iv in intervals if iv is not None)
@@ -88,26 +88,21 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _trace_rows(trace: planner.PlannerTrace) -> tuple[list[str], list[list[str]]]:
-    n = trace.n
-    header = ["t"] + [f"nu_{i}" for i in range(n)] + [
+def _trace_rows(runs: planner.PlannerRuns) -> Iterator[list[str]]:
+    """The header, then one row per round of run 0; ``nu_i`` is blank for an
+    arm without an interval, whose virtual state is 0."""
+    yield ["t"] + [f"nu_{i}" for i in range(runs.n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
-    rows = []
-    for t in range(trace.T):
-        nu = [
-            str(trace.virtual[t, i]) if trace.intervals[i] is not None else ""
-            for i in range(n)
+    virtual, cand, played = runs.virtual[0], runs.candidates[0], runs.played[0]
+    vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
+    for t in range(runs.T):
+        yield [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
+            _set_str(np.flatnonzero(cand[:, t]).tolist()),
+            _set_str(np.flatnonzero(played[:, t]).tolist()),
+            _fmt(vp[t]),
+            _fmt(ap[t]),
         ]
-        rows.append(
-            [str(t + 1)] + nu + [
-                _set_str(np.flatnonzero(trace.candidates[t])),
-                _set_str(np.flatnonzero(trace.played[t])),
-                _fmt(trace.virtual_payoff[t]),
-                _fmt(trace.actual_payoff[t]),
-            ]
-        )
-    return header, rows
 
 
 def cmd_simulate(args) -> int:
@@ -121,8 +116,8 @@ def cmd_simulate(args) -> int:
         tau_L = _tau_L(args)
         solution = lp.solve_lp(lp.build_lp(instance, tau_L))
         trace = planner.simulate_planner(instance, solution, args.T, args.seed)
-    header, rows = _trace_rows(trace)
-    _write_csv(args.out, header, rows)
+    rows = _trace_rows(trace)
+    _write_csv(args.out, next(rows), rows)
     print(
         f"T={args.T} mean_virtual={_fmt(trace.virtual_payoff.mean())} "
         f"mean_actual={_fmt(trace.actual_payoff.mean())}"
@@ -188,22 +183,7 @@ def cmd_experiment(args) -> int:
             instance, grid, args.seeds, args.epsilon, args.seed,
             oracle_budget=args.budget,
         )
-        payload = {
-            "epsilon": trend.epsilon,
-            "n_seeds": trend.n_seeds,
-            "slope": trend.slope,
-            "rates_decreasing": trend.rates_decreasing(),
-            "points": [
-                {
-                    "T": p.T,
-                    "exploration_length": p.exploration_length,
-                    "mean_R": p.mean_R,
-                    "mean_regret": p.mean_regret,
-                    "mean_regret_vs_planner": p.mean_regret_vs_planner,
-                }
-                for p in trend.points
-            ],
-        }
+        payload = asdict(trend)
     elif args.kind == "robustness":
         instance = _instance_arg(args)
         etas = [float(x) for x in args.eta_list.split(",")]

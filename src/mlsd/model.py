@@ -149,7 +149,10 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def require_keys(d: dict, what: str, *keys: str) -> None:
-    """Raise ModelError naming the first of ``keys`` missing from ``d``."""
+    """Raise ModelError unless ``d`` is a dict, naming the first of ``keys``
+    missing from it."""
+    if not isinstance(d, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(d).__name__}")
     for key in keys:
         if key not in d:
             raise ModelError(f"{what} is missing the key {key!r}")

@@ -24,14 +24,12 @@ from .rng import stream
 
 _MASS_TOL = 1e-9
 _CHUNK_CELLS = 8000  # (seed, arm, round) cells per array pass of planner_runs
-
-
-class RoundingError(RuntimeError):
-    """Per-arm selection mass exceeds 1 beyond numerical tolerance."""
+_MAX_CELLS = 2**23  # (run, arm, round) cells of one simulation, ~74 B each
 
 
 class PlannerError(RuntimeError):
-    """A planner run broke one of the paper's invariants."""
+    """The planner cannot proceed: a selection mass out of range, a run past
+    the size cap, or a run that broke one of the paper's invariants."""
 
 
 def _arm_distribution(solution: LpSolution):
@@ -43,71 +41,48 @@ def _arm_distribution(solution: LpSolution):
     p = (u - l) * solution.x.reshape(n, -1)
     if (p < -_MASS_TOL).any():
         arm, j = np.argwhere(p < -_MASS_TOL)[0]
-        raise RoundingError(f"negative selection mass {p[arm, j]} for arm {arm}")
+        raise PlannerError(f"negative selection mass {p[arm, j]} for arm {arm}")
     p = np.maximum(p, 0.0)
     cum = np.cumsum(p, axis=1)  # left to right, as the sampler walks the list
     total = cum[:, -1:]
     if (total > 1.0).any():
         arm = int(np.argmax(total))
         if total[arm, 0] > 1.0 + _MASS_TOL:
-            raise RoundingError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
+            raise PlannerError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
         big = total[:, 0] > 1.0
         cum[big] = np.cumsum(p[big] / total[big], axis=1)
     return u, l, u - l, cum
 
 
-def _pick(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Index of the interval each uniform draw ``r[..., arm]`` selects from
-    its arm's row of ``cum`` (== number of intervals when it selects none)."""
-    return (cum <= r[..., None]).sum(axis=-1)
+def _draw(dist, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The offline phase for every seed, as (S, n) arrays: each arm's interval
+    index, picked by one ``"rounding"`` uniform per arm (== number of
+    intervals when it picks none), and a uniform phase offset in [0, cycle
+    length), drawn from the seed's ``"offsets"`` stream in arm order for the
+    arms that picked an interval (0 for the others)."""
+    u, _, L, cum = dist
+    r = np.array([stream(s, "rounding").random(cum.shape[0]) for s in seeds])
+    picks = (cum <= r[..., None]).sum(axis=-1)
+    offsets = np.zeros(picks.shape, dtype=np.int64)
+    for row, s in enumerate(seeds):
+        rng = stream(s, "offsets")
+        for i in np.flatnonzero(picks[row] < u.size):
+            offsets[row, i] = rng.integers(L[picks[row, i]])
+    return picks, offsets
 
 
 def round_intervals(
-    solution: LpSolution, rng: np.random.Generator
-) -> list[Optional[RecurrentInterval]]:
-    """Sample one interval (or none) per arm, independently across arms."""
-    u, l, _, cum = _arm_distribution(solution)
-    return [
+    solution: LpSolution, seed: int
+) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
+    """One seed's offline phase: an interval (or none) per arm, sampled
+    independently across arms, and each sampled arm's phase offset."""
+    dist = u, l, _, _ = _arm_distribution(solution)
+    picks, offsets = _draw(dist, [seed])
+    intervals = [
         RecurrentInterval(u=int(u[j]), l=int(l[j])) if j < u.size else None
-        for j in _pick(cum, rng.random(solution.n)).tolist()
+        for j in picks[0].tolist()
     ]
-
-
-def draw_offsets(
-    intervals: Sequence[Optional[RecurrentInterval]], rng: np.random.Generator
-) -> list[int]:
-    """Uniform phase offset in [0, cycle length) for each sampled arm."""
-    return [
-        int(rng.integers(iv.length)) if iv is not None else 0 for iv in intervals
-    ]
-
-
-@dataclass
-class PlannerTrace:
-    """Round-by-round record of one planner run (t = 1..T at row t-1).
-
-    ``virtual`` holds 0 for arms that received no interval (0 is not a valid
-    state, so it cannot collide). ``realized`` is present only when payoff
-    noise was simulated.
-    """
-
-    intervals: list[Optional[RecurrentInterval]]
-    offsets: list[int]
-    virtual: np.ndarray        # (T, n) int
-    candidates: np.ndarray     # (T, n) bool
-    played: np.ndarray         # (T, n) bool
-    actual_states: np.ndarray  # (T, n) int
-    virtual_payoff: np.ndarray     # (T,) selection payoff of played arms at nu
-    actual_payoff: np.ndarray      # (T,) true mean payoff at actual states
-    realized: Optional[np.ndarray] = None  # (T,) noisy collected payoff
-
-    @property
-    def T(self) -> int:
-        return self.virtual.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.virtual.shape[1]
+    return intervals, offsets[0].tolist()
 
 
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
@@ -142,8 +117,10 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
 @dataclass
 class PlannerRuns:
     """S planner runs as (S, n, T) arrays, round t in column t-1; the
-    payoff series are (S, T). ``actual_p`` is the true mean payoff of every
-    arm at its actual state."""
+    payoff series are (S, T). ``virtual`` holds 0 for arms that received no
+    interval (0 is not a valid state, so it cannot collide). ``actual_p`` is
+    the true mean payoff of every arm at its actual state; ``realized``, the
+    noisy collected payoff, is present only when noise was simulated."""
 
     virtual: np.ndarray
     candidates: np.ndarray
@@ -152,25 +129,38 @@ class PlannerRuns:
     actual_p: np.ndarray
     virtual_payoff: np.ndarray
     actual_payoff: np.ndarray
+    realized: Optional[np.ndarray] = None
+
+    @property
+    def n(self) -> int:
+        return self.virtual.shape[1]
+
+    @property
+    def T(self) -> int:
+        return self.virtual.shape[2]
 
 
-def _check_invariants(played, virtual, actual, k: int, tau_max: int, from_ones: bool):
-    """Raise PlannerError unless every round plays at most k arms and, for
-    runs that start at +1, the actual state dominates the virtual one from
-    round tau_max on (arms without interval hold virtual 0 and never play,
-    so their positive actual states pass)."""
-    most = int(played.sum(axis=1).max(initial=0))
-    if most > k:
-        raise PlannerError(f"{most} arms played in a round, budget is {k}")
-    margin = int((actual - virtual)[..., tau_max - 1:].min(initial=0)) if from_ones else 0
-    if margin < 0:
-        raise PlannerError(f"actual state {-margin} below virtual state after round {tau_max}")
+def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
+    """min(0, min of tau - nu over every run, arm and round t >= tau_max).
+
+    Negative means an actual state fell below its virtual state where the
+    guarantee applies. An arm without an interval holds nu = 0 below its
+    positive actual state, so it never counts.
+    """
+    return int((runs.actual_states - runs.virtual)[..., tau_max - 1:].min(initial=0))
 
 
 def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=None):
     """The online phase of S runs at once, from (S, n) arrays of interval
-    parameters ``u``, cycle lengths ``L``, offsets and active flags."""
+    parameters ``u``, cycle lengths ``L``, offsets and active flags. Raises
+    PlannerError past _MAX_CELLS cells, before allocating, and unless every
+    round plays at most k arms and, for runs that start at +1, the actual
+    state dominates the virtual one from round tau_max on."""
     S, n = u.shape
+    if S * n * T > _MAX_CELLS:
+        raise PlannerError(
+            f"{S} x {n} x {T} (run, arm, round) cells exceed the planner's cap of {_MAX_CELLS}"
+        )
     pos = (offsets[..., None] + np.arange(1, T + 1)) % L[..., None]
     state, play = cycle_phase(u[..., None], L[..., None], pos)
     virtual = np.where(active[..., None], state, 0)
@@ -185,13 +175,14 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
         played = np.zeros_like(cand)  # top k, ties to the lowest arm
         np.put_along_axis(played, order[:, :instance.k], True, axis=1)
         played &= cand
+    most = int(played.sum(axis=1).max(initial=0))
+    if most > instance.k:
+        raise PlannerError(f"{most} arms played in a round, budget is {instance.k}")
 
     init = None if init_states is None else np.tile(np.asarray(init_states), S)
     actual = states_from_actions(played.reshape(S * n, T), init).reshape(S, n, T)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
-    from_ones = init is None or bool((init == 1).all())
-    _check_invariants(played, virtual, actual, instance.k, instance.tau_max, from_ones)
-    return PlannerRuns(
+    runs = PlannerRuns(
         virtual=virtual,
         candidates=cand,
         played=played,
@@ -200,6 +191,13 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
     )
+    if init is None or (init == 1).all():
+        margin = domination_margin(runs, instance.tau_max)
+        if margin < 0:
+            raise PlannerError(
+                f"actual state {-margin} below virtual state after round {instance.tau_max}"
+            )
+    return runs
 
 
 def run_planner(
@@ -210,13 +208,15 @@ def run_planner(
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
     noise_rng: Optional[np.random.Generator] = None,
-) -> PlannerTrace:
-    """Run T rounds of the online phase against the true environment.
+) -> PlannerRuns:
+    """Run T rounds of the online phase against the true environment, as
+    one run (S = 1).
 
     ``selection`` is the payoff model consulted for ranking candidates
     (defaults to the instance itself). The environment always pays according
     to ``instance`` at the actual states, which start from ``init_states``
-    (all +1 when omitted).
+    (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
+    mean as probability, summed per round into ``realized``.
     """
     if len(intervals) != instance.n or len(offsets) != instance.n:
         raise ModelError(f"plan has {len(intervals)} arms, instance has {instance.n}")
@@ -230,23 +230,10 @@ def run_planner(
         selection,
         init_states,
     )
-    played = runs.played[0]
-    realized = None
     if noise_rng is not None:
-        draws = noise_rng.random(size=played.shape)
-        realized = np.where(played & (draws < runs.actual_p[0]), 1.0, 0.0).sum(axis=0)
-
-    return PlannerTrace(
-        intervals=list(intervals),
-        offsets=list(offsets),
-        virtual=runs.virtual[0].T.copy(),
-        candidates=runs.candidates[0].T.copy(),
-        played=played.T.copy(),
-        actual_states=runs.actual_states[0].T.copy(),
-        virtual_payoff=runs.virtual_payoff[0],
-        actual_payoff=runs.actual_payoff[0],
-        realized=realized,
-    )
+        draws = noise_rng.random(size=runs.played.shape)
+        runs.realized = np.where(runs.played & (draws < runs.actual_p), 1.0, 0.0).sum(axis=1)
+    return runs
 
 
 def planner_runs(
@@ -260,19 +247,12 @@ def planner_runs(
     (seed, arm, round) cells. Each seed draws its intervals and offsets from
     its own streams exactly as ``simulate_planner`` does, so run s of the
     concatenated chunks equals ``simulate_planner(..., seeds[s], ...)``."""
-    n = solution.n
-    u, _, L, cum = _arm_distribution(solution)
-    per = max(1, _CHUNK_CELLS // max(1, n * T))
+    dist = u, _, L, _ = _arm_distribution(solution)
+    per = max(1, _CHUNK_CELLS // max(1, solution.n * T))
     for lo in range(0, len(seeds), per):
-        chunk = seeds[lo:lo + per]
-        picks = _pick(cum, np.array([stream(s, "rounding").random(n) for s in chunk]))
+        picks, offsets = _draw(dist, seeds[lo:lo + per])
         active = picks < u.size
         j = np.where(active, picks, 0)
-        offsets = np.zeros(picks.shape, dtype=np.int64)
-        for row, s in enumerate(chunk):
-            rng = stream(s, "offsets")
-            for i in np.flatnonzero(active[row]):
-                offsets[row, i] = rng.integers(L[j[row, i]])
         yield _simulate(instance, u[j], L[j], offsets, active, T, init_states=init_states)
 
 
@@ -284,11 +264,10 @@ def simulate_planner(
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
     noise_rng: Optional[np.random.Generator] = None,
-) -> PlannerTrace:
-    """Full pipeline for one seed: rounding, offsets, then T online rounds
+) -> PlannerRuns:
+    """Full pipeline for one seed: rounding and offsets, then T online rounds
     (see ``run_planner`` for ``selection``, ``init_states`` and ``noise_rng``)."""
-    intervals = round_intervals(solution, stream(seed, "rounding"))
-    offsets = draw_offsets(intervals, stream(seed, "offsets"))
+    intervals, offsets = round_intervals(solution, seed)
     return run_planner(
         instance,
         intervals,
@@ -298,19 +277,6 @@ def simulate_planner(
         init_states=init_states,
         noise_rng=noise_rng,
     )
-
-
-def domination_margin(trace: PlannerTrace, tau_max: int) -> int:
-    """min over arms with intervals and rounds t >= tau_max of tau - nu.
-
-    Nonnegative means the actual state dominates the virtual state wherever
-    the guarantee applies.
-    """
-    arms = [i for i, iv in enumerate(trace.intervals) if iv is not None]
-    if not arms or trace.T < tau_max:
-        return 0
-    diff = trace.actual_states[tau_max - 1:, arms] - trace.virtual[tau_max - 1:, arms]
-    return int(diff.min())
 
 
 def plan_to_dict(
@@ -332,9 +298,12 @@ def plan_to_dict(
 
 
 def plan_from_dict(d: dict) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
-    """Intervals and offsets of a plan; raises ModelError unless interval
-    bounds are integers and each offset lies in [0, cycle length)."""
+    """Intervals and offsets of a plan; raises ModelError unless ``arms`` is
+    a list, interval bounds are integers and each offset lies in [0, cycle
+    length)."""
     require_keys(d, "plan", "arms")
+    if not isinstance(d["arms"], list):
+        raise ModelError(f"plan arms must be a list, got {type(d['arms']).__name__}")
     intervals, offsets = [], []
     for i, a in enumerate(d["arms"]):
         require_keys(a, "plan arm", "interval", "offset")

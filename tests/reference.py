@@ -13,7 +13,7 @@ from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
 from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
 from mlsd.oracle import action_sets
-from mlsd.planner import PlannerTrace, _arm_distribution, draw_offsets
+from mlsd.planner import PlannerRuns, _arm_distribution
 from mlsd.rng import stream
 
 
@@ -176,6 +176,14 @@ class PlannerState:
         return tuple(i for i, iv in enumerate(self.intervals) if iv is not None)
 
 
+def draw_offsets(
+    intervals: Sequence[Optional[RecurrentInterval]], rng: np.random.Generator
+) -> list[int]:
+    """Uniform phase offset in [0, cycle length) for each sampled arm, one
+    ``rng.integers`` call per sampled arm in arm order (0 for the others)."""
+    return [int(rng.integers(iv.length)) if iv is not None else 0 for iv in intervals]
+
+
 def init_offsets(
     intervals: Sequence[Optional[RecurrentInterval]], rng: np.random.Generator
 ) -> PlannerState:
@@ -290,9 +298,9 @@ def run_planner(
     T: int,
     selection=None,
     init_states: Optional[Sequence[int]] = None,
-) -> PlannerTrace:
+) -> PlannerRuns:
     """Arm by arm: cycles from ``cycle_walk``, payoffs from ``payoff``,
-    states by stepping ``transition``."""
+    states by stepping ``transition``; one run (a leading axis of 1)."""
     n, k = instance.n, instance.k
     selection = instance if selection is None else selection
     virtual = np.zeros((n, T), dtype=np.int64)
@@ -312,15 +320,14 @@ def run_planner(
         played[ranked[:k], t] = True
     actual = step_states(played, [1] * n if init_states is None else init_states)
     actual_p = np.array([[instance.payoff(i, int(s)) for s in actual[i]] for i in range(n)])
-    return PlannerTrace(
-        intervals=list(intervals),
-        offsets=list(offsets),
-        virtual=virtual.T.copy(),
-        candidates=cand.T.copy(),
-        played=played.T.copy(),
-        actual_states=actual.T.copy(),
-        virtual_payoff=np.where(played, selp, 0.0).sum(axis=0),
-        actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0),
+    return PlannerRuns(
+        virtual=virtual[None],
+        candidates=cand[None],
+        played=played[None],
+        actual_states=actual[None],
+        actual_p=actual_p[None],
+        virtual_payoff=np.where(played, selp, 0.0).sum(axis=0)[None],
+        actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0)[None],
     )
 
 
@@ -330,7 +337,7 @@ def simulate_seeds(
     T: int,
     seeds: Sequence[int],
     init_states: Optional[Sequence[int]] = None,
-) -> list[PlannerTrace]:
+) -> list[PlannerRuns]:
     """The planner one seed at a time: rounding, offsets, then T rounds."""
     traces = []
     for seed in seeds:

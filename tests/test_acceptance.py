@@ -176,7 +176,7 @@ def test_criterion_8_learning_regret_trend():
     literal_all_negative = all(p.mean_regret < 0 for p in trend.points)
     ok = (
         trend.slope <= 0.85
-        and trend.rates_decreasing()
+        and trend.rates_decreasing
         and all(p.mean_regret_vs_planner > 0 for p in trend.points)
         and literal_all_negative
     )

@@ -15,7 +15,6 @@ from mlsd import analysis, planner
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import Instance
 from mlsd.planner import round_intervals
-from mlsd.rng import stream
 
 
 def test_gamma_values():
@@ -61,7 +60,7 @@ def test_tight_instance_candidate_probability():
     N = 20000
     cand = 0
     for s in range(200):
-        ivs = round_intervals(sol, stream(s, "rounding"))
+        ivs, _ = round_intervals(sol, s)
         cand += sum(iv is not None for iv in ivs)
     # every arm receives its cycle with probability (m+1) * 1/(m+1) = 1
     assert cand == 200 * inst.n

@@ -64,6 +64,21 @@ def test_simulate_trace_columns_and_determinism(tmp_path):
     assert header == "t,nu_0,nu_1,nu_2,candidates,played,virtual_payoff,actual_payoff"
 
 
+def test_simulate_leaves_nu_blank_for_arm_without_interval(tmp_path):
+    inst, plan, out = tmp_path / "i.json", tmp_path / "plan.json", tmp_path / "t.csv"
+    run(["gen", "random", "--n", "2", "--k", "1", "--tau-max", "1", "--tau-min", "-2",
+         "--seed", "1", "--out", str(inst)])
+    plan.write_text(json.dumps({"arms": [
+        {"interval": None, "offset": 0},
+        {"interval": {"u": 1, "l": -2}, "offset": 0},
+    ]}))
+    assert run(["simulate", "--instance", str(inst), "--plan", str(plan), "--T", "3",
+                "--out", str(out)]) == 0
+    rows = [line.split(",")[:5] for line in out.read_text().splitlines()[1:]]
+    # I(1,-2) from offset 0 walks -1, -2, 1 and plays at -1 and 1
+    assert rows == [["1", "", "-1", "1", "1"], ["2", "", "-2", "", ""], ["3", "", "1", "1", "1"]]
+
+
 def test_learn_csv_columns_and_determinism(tmp_path):
     inst = tmp_path / "c2.json"
     out = tmp_path / "reg.csv"
@@ -287,3 +302,41 @@ def test_solve_lp_refuses_oversized_relaxation(tmp_path, capsys, no_alloc):
     (line,) = _stderr_lines(capsys)
     assert line.startswith("error: the relaxation with n=1, tau_max=1, tau_L=-")
     assert line.endswith("variables, too large for a dense program")
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({"arms": 5}, "plan arms must be a list, got int"),
+    ({"arms": [5]}, "plan arm must be a JSON object, got int"),
+    ({"arms": [{"interval": "ul", "offset": 0}]}, "plan interval must be a JSON object, got str"),
+], ids=["arms-int", "arm-int", "interval-str"])
+def test_malformed_plan_container_rejected(tmp_path, capsys, plan, message):
+    inst, path = tmp_path / "c2.json", tmp_path / "plan.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    path.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run(["simulate", "--instance", str(inst), "--plan", str(path), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_instance_that_is_not_an_object_rejected(tmp_path, capsys):
+    inst = tmp_path / "five.json"
+    inst.write_text("5")
+    assert run(["simulate", "--instance", str(inst), "--T", "5",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: instance must be a JSON object, got int"]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_refuses_oversized_run(tmp_path, capsys, no_alloc):
+    # one arm over 1e8 rounds would need about 7.4 GB of planner arrays
+    inst, plan = tmp_path / "c2.json", tmp_path / "plan.json"
+    inst.write_text('{"k": 1, "tau_min": -2, "tau_max": 1, "payoffs": [[0.0, 1.0, 1.0]]}')
+    plan.write_text('{"arms": [{"interval": {"u": 1, "l": -2}, "offset": 0}]}')
+    assert run(["simulate", "--instance", str(inst), "--plan", str(plan), "--T", "100000000",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: 1 x 1 x 100000000 (run, arm, round) cells exceed the planner's cap of 8388608"
+    ]
+    assert not (tmp_path / "t.csv").exists()

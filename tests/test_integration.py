@@ -19,7 +19,7 @@ from mlsd.learning import (
 )
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import PayoffTable, random_instance
-from mlsd.planner import draw_offsets, round_intervals, run_planner
+from mlsd.planner import round_intervals, run_planner
 from mlsd.rng import stream
 
 
@@ -50,11 +50,10 @@ def test_selection_and_environment_payoffs_are_separate():
         means=np.array([[0.25, 0.25, 0.25]]),
     )
     sol = solve_lp(build_lp(inst, -2))
-    ivs = round_intervals(sol, stream(3, "rounding"))
-    offs = draw_offsets(ivs, stream(3, "offsets"))
+    ivs, offs = round_intervals(sol, 3)
     trace = run_planner(inst, ivs, offs, 60, selection=wrong)
-    played_rounds = trace.played[:, 0]
-    assert trace.virtual_payoff[played_rounds].max() == pytest.approx(0.25)
+    played_rounds = trace.played[0, 0]
+    assert trace.virtual_payoff[0, played_rounds].max() == pytest.approx(0.25)
     # the environment still pays the true means, which reach 1
     assert trace.actual_payoff.max() == pytest.approx(1.0)
 
@@ -85,13 +84,12 @@ def test_etc_commit_continues_from_exploration_states():
     expl = simulate_exploration(inst, sched, cfg.tau_L, noise)
     est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
     sol = solve_lp(build_lp(est, cfg.tau_L))
-    ivs = round_intervals(sol, stream(seed, "rounding"))
-    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    ivs, offs = round_intervals(sol, seed)
     trace = run_planner(
         inst, ivs, offs, T - len(sched),
         selection=est, init_states=expl.end_states, noise_rng=noise,
     )
-    assert trace.actual_states[0, 0] == expl.end_states[0]
+    assert trace.actual_states[0, 0, 0] == expl.end_states[0]
 
 
 def test_trace_csv_golden(tmp_path):

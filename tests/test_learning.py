@@ -22,7 +22,7 @@ from mlsd.learning import (
 )
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import Instance, PayoffTable, random_instance
-from mlsd.planner import draw_offsets, round_intervals, run_planner
+from mlsd.planner import round_intervals, run_planner
 from mlsd.rng import stream
 
 
@@ -138,8 +138,7 @@ def test_etc_matches_full_information_when_payoffs_deterministic():
         res.planner_total - res.realized_total
     )
     sol = solve_lp(build_lp(inst, cfg.tau_L))
-    ivs = round_intervals(sol, stream(seed, "rounding"))
-    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    ivs, offs = round_intervals(sol, seed)
     fi = run_planner(inst, ivs, offs, T - res.exploration_length)
     commit_mean = res.mean_total - _exploration_mean(inst, cfg, seed)
     assert commit_mean == pytest.approx(float(fi.actual_payoff.sum()), abs=2.0)
@@ -209,7 +208,6 @@ def test_robustness_feasibility_under_perturbation():
         means=np.clip(inst.means + 0.3 * signs, 0.0, 1.0),
     )
     sol = solve_lp(build_lp(tables, -2))
-    ivs = round_intervals(sol, stream(0, "rounding"))
-    trace = run_planner(inst, ivs, draw_offsets(ivs, stream(0, "offsets")), 200,
-                        selection=tables)
+    ivs, offs = round_intervals(sol, 0)
+    trace = run_planner(inst, ivs, offs, 200, selection=tables)
     assert trace.played.sum(axis=1).max() <= inst.k

@@ -11,6 +11,7 @@ from conftest import draw_instance
 from reference import (
     candidate_marginals,
     cycle_walk,
+    draw_offsets,
     init_offsets,
     marginal_expectations,
     step_planner,
@@ -25,9 +26,7 @@ from mlsd.lp import LpSolution, build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import (
     PlannerError,
-    RoundingError,
     domination_margin,
-    draw_offsets,
     plan_from_dict,
     planner_runs,
     round_intervals,
@@ -45,14 +44,15 @@ def _step_solution() -> LpSolution:
 def test_rounding_step_instance_is_deterministic():
     sol = _step_solution()
     for seed in range(20):
-        ivs = round_intervals(sol, stream(seed, "rounding"))
+        ivs, _ = round_intervals(sol, seed)
         assert ivs == [RecurrentInterval(u=1, l=-2)]
 
 
 def test_rounding_zero_solution_never_plays():
     sol = LpSolution(x=np.zeros((2, 2, 2)), objective=0.0, tau_L=-2)
-    ivs = round_intervals(sol, stream(0, "rounding"))
+    ivs, offs = round_intervals(sol, 0)
     assert ivs == [None, None]
+    assert offs == [0, 0]
     inst = draw_instance(8, n_range=(2, 2), tau_max_range=(2, 2))
     trace = run_planner(inst, ivs, [0, 0], 50)
     assert trace.played.sum() == 0
@@ -63,23 +63,23 @@ def test_rounding_rejects_excess_mass():
     x[0, 0, 0] = 0.30
     x[0, 0, 1] = 0.25  # masses 2*0.30 + 3*0.25 = 1.35 > 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
-    with pytest.raises(RoundingError):
-        round_intervals(sol, stream(0, "rounding"))
+    with pytest.raises(PlannerError):
+        round_intervals(sol, 0)
 
 
 def test_rounding_rejects_negative_mass():
     x = np.zeros((2, 1, 2))
     x[1, 0, 1] = -1e-6  # beyond the 1e-9 tolerance, on arm 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
-    with pytest.raises(RoundingError, match="negative selection mass .* for arm 1"):
-        round_intervals(sol, stream(0, "rounding"))
+    with pytest.raises(PlannerError, match="negative selection mass .* for arm 1"):
+        round_intervals(sol, 0)
 
 
 def test_rounding_renormalizes_tiny_excess():
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 0.5 * (1 + 2e-10)  # mass 1 + 2e-10
     sol = LpSolution(x=x, objective=0.0, tau_L=-1)
-    ivs = round_intervals(sol, stream(0, "rounding"))
+    ivs, _ = round_intervals(sol, 0)
     assert ivs == [RecurrentInterval(u=1, l=-1)]
 
 
@@ -89,7 +89,7 @@ def test_rounding_frequencies_match_marginals():
     N = 20000
     counts = {}
     for s in range(N):
-        for arm, iv in enumerate(round_intervals(sol, stream(s, "rounding"))):
+        for arm, iv in enumerate(round_intervals(sol, s)[0]):
             if iv is not None:
                 counts[(arm, iv.u, iv.l)] = counts.get((arm, iv.u, iv.l), 0) + 1
     for arm in range(inst.n):
@@ -153,15 +153,15 @@ def test_step_planner_top_k_selection_and_ties():
 def test_step_planner_matches_run_planner():
     inst = draw_instance(33, n_range=(3, 3), tau_max_range=(2, 3))
     sol = solve_lp(build_lp(inst, -2))
-    ivs = round_intervals(sol, stream(7, "rounding"))
+    ivs, _ = round_intervals(sol, 7)
     state = init_offsets(ivs, stream(7, "offsets"))
     offsets = list(state.offsets)
     trace = run_planner(inst, ivs, offsets, 40)
     for t in range(40):
         played, state = step_planner(state, inst)
-        assert played == frozenset(np.flatnonzero(trace.played[t]))
+        assert played == frozenset(np.flatnonzero(trace.played[0, :, t]))
         for i in state.active_arms:
-            assert state.virtual[i] == trace.virtual[t, i]
+            assert state.virtual[i] == trace.virtual[0, i, t]
 
 
 def test_budget_respected_always():
@@ -183,12 +183,13 @@ def test_virtual_state_periodicity():
     inst = draw_instance(44, n_range=(2, 3))
     sol = solve_lp(build_lp(inst, -3))
     trace = simulate_planner(inst, sol, 60, seed=3)
-    for i, iv in enumerate(trace.intervals):
+    ivs, _ = round_intervals(sol, 3)
+    for i, iv in enumerate(ivs):
         if iv is None:
             continue
         L = iv.length
         for t in range(60 - L):
-            assert trace.virtual[t, i] == trace.virtual[t + L, i]
+            assert trace.virtual[0, i, t] == trace.virtual[0, i, t + L]
 
 
 def test_actual_dominates_virtual_after_burn_in():
@@ -200,7 +201,7 @@ def test_actual_dominates_virtual_after_burn_in():
         # payoff streams inherit the dominance via monotone tables
         start = inst.tau_max - 1
         assert np.all(
-            trace.actual_payoff[start:] >= trace.virtual_payoff[start:] - 1e-12
+            trace.actual_payoff[:, start:] >= trace.virtual_payoff[:, start:] - 1e-12
         )
 
 
@@ -222,13 +223,12 @@ def test_states_from_actions_matches_iterative(data):
 def test_run_planner_tracks_states_from_init(seed, T, lift):
     inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -2))
-    ivs = round_intervals(sol, stream(seed, "rounding"))
-    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    ivs, offs = round_intervals(sol, seed)
     rng = stream(seed, "misc")
     init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
     trace = run_planner(inst, ivs, offs, T, init_states=init)
-    assert trace.actual_states.shape == (T, inst.n)
-    assert np.array_equal(trace.actual_states.T, step_states(trace.played.T, init))
+    assert trace.actual_states.shape == (1, inst.n, T)
+    assert np.array_equal(trace.actual_states[0], step_states(trace.played[0], init))
 
 
 @pytest.mark.parametrize("init", [[0], [1, 1], [2, 0], [1.5]])
@@ -266,15 +266,7 @@ def test_fixed_round_payoff_meets_scaled_lp_value():
         sol = solve_lp(build_lp(inst, -2))
         t = inst.tau_max
         vals = np.array([
-            run_planner(
-                inst,
-                round_intervals(sol, stream(s, "rounding")),
-                draw_offsets(
-                    round_intervals(sol, stream(s, "rounding")),
-                    stream(s, "offsets"),
-                ),
-                t,
-            ).virtual_payoff[t - 1]
+            run_planner(inst, *round_intervals(sol, s), t).virtual_payoff[0, t - 1]
             for s in range(2000)
         ])
         bound = gamma_k(inst.k) * sol.objective
@@ -295,8 +287,7 @@ def test_triples_independent_across_arms():
     N = 40000
     joint = 0
     for s in range(N):
-        ivs = round_intervals(sol, stream(s, "rounding"))
-        offs = draw_offsets(ivs, stream(s, "offsets"))
+        ivs, offs = round_intervals(sol, s)
         hit0 = (
             ivs[0] is not None
             and (ivs[0].u, ivs[0].l) == (k0[1], k0[2])
@@ -326,7 +317,7 @@ def test_per_arm_triples_mutually_exclusive():
 
 
 def _hex(values) -> list[str]:
-    return [float(v).hex() for v in values]
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 def _assert_same_trace(got, want):
@@ -375,7 +366,7 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
     assert len(rows) == S
     for (c, r), trace in zip(rows, want):
         for name in ("virtual", "candidates", "played", "actual_states"):
-            assert np.array_equal(getattr(c, name)[r].T, getattr(trace, name)), name
+            assert np.array_equal(getattr(c, name)[r], getattr(trace, name)[0]), name
         assert _hex(c.virtual_payoff[r]) == _hex(trace.virtual_payoff)
         assert _hex(c.actual_payoff[r]) == _hex(trace.actual_payoff)
 
@@ -385,9 +376,9 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
 def test_run_planner_matches_scalar_twin(seed, T, perturb):
     inst = draw_instance(seed, n_range=(1, 9), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -2))
-    ivs = round_intervals(sol, stream(seed, "rounding"))
+    ivs, offs = round_intervals(sol, seed)
     assert ivs == reference.round_intervals(sol, stream(seed, "rounding"))
-    offs = draw_offsets(ivs, stream(seed, "offsets"))
+    assert offs == draw_offsets(ivs, stream(seed, "offsets"))
     selection = None
     if perturb:  # non-monotone selection tables, as robustness_gap builds them
         noise = stream(seed, "perturb").uniform(-0.3, 0.3, inst.means.shape)
@@ -399,13 +390,16 @@ def test_run_planner_matches_scalar_twin(seed, T, perturb):
     )
 
 
-def test_kernel_rejects_round_over_budget():
-    played = np.zeros((2, 3, 4), dtype=bool)
-    played[1, :, 2] = True  # seed 1 plays all three arms in round 3
-    zeros = np.zeros(played.shape, dtype=np.int64)
-    planner._check_invariants(played, zeros, zeros, 3, 1, True)
+def test_kernel_rejects_round_over_budget(monkeypatch):
+    # I(1,-1) at offset 0 makes all three arms candidates in every even round
+    means = [[0.0, 0.5]] * 3
+    ivs = [RecurrentInterval(u=1, l=-1)] * 3
+    within = Instance(k=3, tau_min=-1, tau_max=1, means=means)
+    assert run_planner(within, ivs, [0, 0, 0], 4).played[0, :, 1].all()
+    # a top-k scatter that marks every arm plays all three candidates
+    monkeypatch.setattr(np, "put_along_axis", lambda played, *args, **kwargs: played.fill(True))
     with pytest.raises(PlannerError, match="3 arms played in a round, budget is 2"):
-        planner._check_invariants(played, zeros, zeros, 2, 1, True)
+        run_planner(Instance(k=2, tau_min=-1, tau_max=1, means=means), ivs, [0, 0, 0], 4)
 
 
 def test_kernel_rejects_broken_domination():
@@ -432,3 +426,29 @@ def test_run_planner_rejects_plan_of_other_size():
 def test_plan_from_dict_names_missing_key(plan, key):
     with pytest.raises(ModelError, match=f"missing the key '{key}'"):
         plan_from_dict(plan)
+
+
+def test_domination_margin_spans_every_run_and_ignores_unsampled_arms():
+    inst = draw_instance(5, n_range=(3, 3))
+    sol = solve_lp(build_lp(inst, -2))
+    thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    (runs,) = planner_runs(inst, thin, 20, range(4))
+    idle = runs.virtual == 0  # arms without an interval
+    assert idle.any() and (runs.actual_states[idle] > 0).all()
+    assert domination_margin(runs, inst.tau_max) == 0
+    runs.actual_states[3, 2, 19] = runs.virtual[3, 2, 19] - 2  # last run, arm and round
+    assert domination_margin(runs, inst.tau_max) == -2
+    assert domination_margin(runs, 21) == 0  # no round from tau_max on
+
+
+def test_run_size_cap_boundary(monkeypatch):
+    inst, iv = make_step_instance(), [RecurrentInterval(u=1, l=-2)]
+    monkeypatch.setattr(planner, "_MAX_CELLS", 6)
+    assert run_planner(inst, iv, [0], 6).T == 6
+    with pytest.raises(PlannerError, match=r"1 x 1 x 7 \(run, arm, round\) cells exceed"):
+        run_planner(inst, iv, [0], 7)
+    (runs,) = planner_runs(inst, _step_solution(), 3, range(2))  # one chunk of 6 cells
+    assert runs.played.shape == (2, 1, 3)
+    monkeypatch.setattr(planner, "_MAX_CELLS", 5)
+    with pytest.raises(PlannerError, match="2 x 1 x 3 .* cap of 5"):
+        list(planner_runs(inst, _step_solution(), 3, range(2)))
