@@ -88,21 +88,24 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _trace_rows(runs: planner.PlannerRuns) -> Iterator[list[str]]:
-    """The header, then one row per round of run 0; ``nu_i`` is blank for an
+def _trace_rows(runs: planner.PlannerRuns) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and one row per round of run 0; ``nu_i`` is blank for an
     arm without an interval, whose virtual state is 0."""
-    yield ["t"] + [f"nu_{i}" for i in range(runs.n)] + [
+    header = ["t"] + [f"nu_{i}" for i in range(runs.n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
     virtual, cand, played = runs.virtual[0], runs.candidates[0], runs.played[0]
     vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
-    for t in range(runs.T):
-        yield [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
+    rows = (
+        [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
             _set_str(np.flatnonzero(cand[:, t]).tolist()),
             _set_str(np.flatnonzero(played[:, t]).tolist()),
             _fmt(vp[t]),
             _fmt(ap[t]),
         ]
+        for t in range(runs.T)
+    )
+    return header, rows
 
 
 def cmd_simulate(args) -> int:
@@ -116,8 +119,8 @@ def cmd_simulate(args) -> int:
         tau_L = _tau_L(args)
         solution = lp.solve_lp(lp.build_lp(instance, tau_L))
         trace = planner.simulate_planner(instance, solution, args.T, args.seed)
-    rows = _trace_rows(trace)
-    _write_csv(args.out, next(rows), rows)
+    header, rows = _trace_rows(trace)
+    _write_csv(args.out, header, rows)
     print(
         f"T={args.T} mean_virtual={_fmt(trace.virtual_payoff.mean())} "
         f"mean_actual={_fmt(trace.actual_payoff.mean())}"

@@ -144,8 +144,9 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     """min(0, min of tau - nu over every run, arm and round t >= tau_max).
 
     Negative means an actual state fell below its virtual state where the
-    guarantee applies. An arm without an interval holds nu = 0 below its
-    positive actual state, so it never counts.
+    guarantee applies. The margin only means something for runs that start
+    at +1: there an arm without an interval holds nu = 0 below its positive
+    actual state, so it never counts.
     """
     return int((runs.actual_states - runs.virtual)[..., tau_max - 1:].min(initial=0))
 

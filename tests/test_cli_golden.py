@@ -111,18 +111,13 @@ def golden_run(tmp_path_factory):
     return files, printed
 
 
-@pytest.fixture(scope="module")
-def outputs(golden_run):
-    return golden_run[0]
-
-
-def test_every_output_is_pinned(outputs):
-    assert sorted(outputs) == sorted(GOLDEN)
+def test_every_output_is_pinned(golden_run):
+    assert sorted(golden_run[0]) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes(outputs, name):
-    data = outputs[name]
+def test_output_bytes(golden_run, name):
+    data = golden_run[0][name]
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name], data.decode()[:2000]
 
 

@@ -402,6 +402,19 @@ def test_kernel_rejects_round_over_budget(monkeypatch):
         run_planner(Instance(k=2, tau_min=-1, tau_max=1, means=means), ivs, [0, 0, 0], 4)
 
 
+def test_kernel_checks_budget_of_every_run(monkeypatch):
+    # every arm draws I(1,-1): a candidate in every other round, so some round
+    # of each run has at least two of the three arms as candidates
+    inst = Instance(k=1, tau_min=-1, tau_max=1, means=[[0.0, 0.5]] * 3)
+    sol = LpSolution(x=np.full((3, 1, 1), 0.5), objective=1.5, tau_L=-1)
+    (runs,) = planner_runs(inst, sol, 4, range(2))
+    assert runs.played.shape[0] == 2 and (runs.candidates.sum(axis=1) >= 2).any(axis=1).all()
+    # a top-k scatter that marks every arm of the last run only
+    monkeypatch.setattr(np, "put_along_axis", lambda played, *args, **kwargs: played[-1].fill(True))
+    with pytest.raises(PlannerError, match="arms played in a round, budget is 1"):
+        list(planner_runs(inst, sol, 4, range(2)))
+
+
 def test_kernel_rejects_broken_domination():
     # u = 3 lies beyond tau_max = 1: at round 1 the hand-built cycle is at
     # state 3 while the arm has idled for one round only
