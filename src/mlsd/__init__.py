@@ -41,6 +41,7 @@ from .model import (
 )
 from .oracle import dp_optimal, exhaustive_optimal
 from .planner import (
+    Plan,
     round_intervals,
     run_planner,
     simulate_planner,

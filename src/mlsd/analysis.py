@@ -206,6 +206,8 @@ def regret_trend(
     paired full-information planner run, whose gap is positive and is the
     sublinear quantity the trend is fitted on.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if len(set(T_grid)) < 2:
         raise ValueError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
     points = []

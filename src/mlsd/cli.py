@@ -80,10 +80,9 @@ def cmd_plan(args) -> int:
     instance = model.load_instance(args.instance)
     tau_L = _tau_L(args)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
-    intervals, offsets = planner.round_intervals(solution, args.seed)
-    plan = planner.plan_to_dict(solution, intervals, offsets)
-    planner.save_plan(plan, args.out)
-    active = sum(1 for iv in intervals if iv is not None)
+    plan = planner.round_intervals(solution, [args.seed])
+    planner.save_plan(planner.plan_to_dict(solution, plan), args.out)
+    active = np.count_nonzero(plan.u)
     print(f"LP*={_fmt(solution.objective)} tau_L={tau_L} active_arms={active}/{instance.n}")
     return 0
 
@@ -113,8 +112,7 @@ def cmd_simulate(args) -> int:
     if args.plan:
         with open(args.plan) as f:
             plan = json.load(f)
-        intervals, offsets = planner.plan_from_dict(plan)
-        trace = planner.run_planner(instance, intervals, offsets, args.T)
+        trace = planner.run_planner(instance, planner.plan_from_dict(plan), args.T)
     else:
         tau_L = _tau_L(args)
         solution = lp.solve_lp(lp.build_lp(instance, tau_L))

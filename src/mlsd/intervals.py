@@ -57,13 +57,6 @@ class RecurrentInterval:
         states, _ = cycle_phase(self.u, self.length, np.arange(self.length))
         return tuple(states.tolist())
 
-    def to_dict(self) -> dict:
-        return {"u": self.u, "l": self.l}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RecurrentInterval":
-        return RecurrentInterval(u=d["u"], l=d["l"])
-
 
 def aggregated_payoff(table: PayoffTable, u, l) -> np.ndarray:
     """Total mean payoff every arm collects over one cycle of each interval

@@ -273,6 +273,8 @@ def robustness_gap(
     tables, and the deficit against the matched unperturbed run is averaged.
     Perturbations may break monotonicity; feasibility is unaffected.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     tau_L = tau_L_from_epsilon(epsilon)
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))

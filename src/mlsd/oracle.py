@@ -18,6 +18,7 @@ import numpy as np
 from .model import Instance, column_state, state_column, transition
 
 _MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
+_MAX_POLICY = 2**26  # (round, state) cells of dp_optimal's int32 policy table, 256 MiB
 
 
 class OracleBudgetError(RuntimeError):
@@ -43,7 +44,11 @@ def dp_optimal(
     """OPT(T) and one optimal play schedule, by exact backward induction
     over the table columns of every arm's clipped state. Raises
     OracleBudgetError, before allocating anything, when the evaluations
-    exceed ``budget`` or the (action, state) tables exceed _MAX_CELLS."""
+    exceed ``budget``, the (action, state) tables exceed _MAX_CELLS or the
+    (round, state) policy exceeds _MAX_POLICY, and ValueError unless
+    ``budget`` is positive."""
+    if not budget > 0:
+        raise ValueError(f"the oracle budget must be positive, got {budget}")
     n, k = instance.n, instance.k
     tau_min, tau_max = instance.tau_min, instance.tau_max
     M = tau_max - tau_min
@@ -53,6 +58,8 @@ def dp_optimal(
         raise OracleBudgetError(cells * T, int(budget), "dp_optimal")
     if cells > _MAX_CELLS:
         raise OracleBudgetError(cells, _MAX_CELLS, "dp_optimal", "(action, state) cells in memory")
+    if T * J > _MAX_POLICY:
+        raise OracleBudgetError(T * J, _MAX_POLICY, "dp_optimal", "(round, state) policy cells")
     actions = action_sets(n, k)
 
     # successor column of each column: a play moves a positive state to -1
@@ -90,7 +97,10 @@ def dp_optimal(
 
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
-    """OPT(T) by enumerating every action sequence on the raw dynamics."""
+    """OPT(T) by enumerating every action sequence on the raw dynamics;
+    raises ValueError unless ``budget`` is positive."""
+    if not budget > 0:
+        raise ValueError(f"the oracle budget must be positive, got {budget}")
     n, k = instance.n, instance.k
     actions = action_sets(n, k)
     cost = len(actions) ** T

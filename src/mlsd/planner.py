@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .intervals import RecurrentInterval, cycle_phase, interval_grid
+from .intervals import cycle_phase, interval_grid
 from .lp import LpSolution
 from .model import Instance, ModelError, PayoffTable, require_int, require_keys, state_column
 from .rng import stream
@@ -33,9 +33,9 @@ class PlannerError(RuntimeError):
 
 
 def _arm_distribution(solution: LpSolution):
-    """Every arm's interval distribution: ``u``, ``l`` and cycle length ``L``
-    of the ``interval_grid``, and per arm the cumulative selection
-    probabilities (cycle length x occupancy) over it, shape (n, intervals)."""
+    """Every arm's interval distribution: ``u`` and ``l`` of the
+    ``interval_grid``, and per arm the cumulative selection probabilities
+    (cycle length x occupancy) over it, shape (n, intervals)."""
     n, tau_max, depth = solution.x.shape
     u, l = interval_grid(tau_max, depth)
     p = (u - l) * solution.x.reshape(n, -1)
@@ -51,38 +51,36 @@ def _arm_distribution(solution: LpSolution):
             raise PlannerError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
         big = total[:, 0] > 1.0
         cum[big] = np.cumsum(p[big] / total[big], axis=1)
-    return u, l, u - l, cum
+    return u, l, cum
 
 
-def _draw(dist, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The offline phase for every seed, as (S, n) arrays: each arm's interval
-    index, picked by one ``"rounding"`` uniform per arm (== number of
-    intervals when it picks none), and a uniform phase offset in [0, cycle
-    length), drawn from the seed's ``"offsets"`` stream in arm order for the
-    arms that picked an interval (0 for the others)."""
-    u, _, L, cum = dist
+@dataclass(frozen=True)
+class Plan:
+    """The offline phase of S runs as (S, n) int64 arrays: each arm's
+    interval I(u, l) and phase offset in [0, u - l). ``u == 0`` (with ``l``
+    and offset 0) marks an arm that drew no interval, as ``virtual == 0``
+    does in ``PlannerRuns``."""
+
+    u: np.ndarray
+    l: np.ndarray
+    offsets: np.ndarray
+
+
+def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
+    """The offline phase for every seed, one row each: per arm, an interval
+    (or none) picked by one ``"rounding"`` uniform, independently across
+    arms, then a uniform phase offset drawn from the seed's ``"offsets"``
+    stream in arm order for the arms that picked an interval."""
+    u, l, cum = _arm_distribution(solution)
     r = np.array([stream(s, "rounding").random(cum.shape[0]) for s in seeds])
-    picks = (cum <= r[..., None]).sum(axis=-1)
+    picks = (cum <= r.reshape(-1, cum.shape[0], 1)).sum(axis=-1)  # u.size: picked none
+    u, l = np.append(u, 0)[picks], np.append(l, 0)[picks]
     offsets = np.zeros(picks.shape, dtype=np.int64)
     for row, s in enumerate(seeds):
         rng = stream(s, "offsets")
-        for i in np.flatnonzero(picks[row] < u.size):
-            offsets[row, i] = rng.integers(L[picks[row, i]])
-    return picks, offsets
-
-
-def round_intervals(
-    solution: LpSolution, seed: int
-) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
-    """One seed's offline phase: an interval (or none) per arm, sampled
-    independently across arms, and each sampled arm's phase offset."""
-    dist = u, l, _, _ = _arm_distribution(solution)
-    picks, offsets = _draw(dist, [seed])
-    intervals = [
-        RecurrentInterval(u=int(u[j]), l=int(l[j])) if j < u.size else None
-        for j in picks[0].tolist()
-    ]
-    return intervals, offsets[0].tolist()
+        for i in np.flatnonzero(u[row]):
+            offsets[row, i] = rng.integers(u[row, i] - l[row, i])
+    return Plan(u=u, l=l, offsets=offsets)
 
 
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
@@ -151,21 +149,48 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     return int((runs.actual_states - runs.virtual)[..., tau_max - 1:].min(initial=0))
 
 
-def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=None):
-    """The online phase of S runs at once, from (S, n) arrays of interval
-    parameters ``u``, cycle lengths ``L``, offsets and active flags. Raises
-    PlannerError past _MAX_CELLS cells, before allocating, and unless every
-    round plays at most k arms and, for runs that start at +1, the actual
-    state dominates the virtual one from round tau_max on."""
-    S, n = u.shape
+def run_planner(
+    instance: Instance,
+    plan: Plan,
+    T: int,
+    *,
+    selection: Optional[PayoffTable] = None,
+    init_states: Optional[Sequence[int]] = None,
+    noise_rng: Optional[np.random.Generator] = None,
+) -> PlannerRuns:
+    """The online phase of every run of ``plan``: T rounds against the true
+    environment.
+
+    ``selection`` is the payoff model consulted for ranking candidates
+    (defaults to the instance itself). The environment always pays according
+    to ``instance`` at the actual states, which start from ``init_states``
+    (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
+    mean as probability, summed per round into ``realized``.
+
+    Raises ModelError for a plan of another arm count or with an interval
+    bound u above tau_max, and PlannerError past _MAX_CELLS cells, before
+    allocating, and unless every round plays at most k arms and, for runs
+    that start at +1, the actual state dominates the virtual one from round
+    tau_max on.
+    """
+    S, n = plan.u.shape
+    if n != instance.n:
+        raise ModelError(f"plan has {n} arms, instance has {instance.n}")
+    if (plan.u > instance.tau_max).any():
+        run, arm = np.argwhere(plan.u > instance.tau_max)[0]
+        raise ModelError(
+            f"arm {arm}'s interval bound u={plan.u[run, arm]} exceeds tau_max={instance.tau_max}"
+        )
     if S * n * T > _MAX_CELLS:
         raise PlannerError(
             f"{S} x {n} x {T} (run, arm, round) cells exceed the planner's cap of {_MAX_CELLS}"
         )
-    pos = (offsets[..., None] + np.arange(1, T + 1)) % L[..., None]
-    state, play = cycle_phase(u[..., None], L[..., None], pos)
-    virtual = np.where(active[..., None], state, 0)
-    cand = active[..., None] & play
+    active = (plan.u > 0)[..., None]
+    L = np.maximum(plan.u - plan.l, 1)[..., None]  # 1 for arms without an interval
+    pos = (plan.offsets[..., None] + np.arange(1, T + 1)) % L
+    state, play = cycle_phase(plan.u[..., None], L, pos)
+    virtual = np.where(active, state, 0)
+    cand = active & play
 
     arm = np.arange(n)[:, None]
     sel = instance if selection is None else selection
@@ -198,42 +223,9 @@ def _simulate(instance, u, L, offsets, active, T, selection=None, init_states=No
             raise PlannerError(
                 f"actual state {-margin} below virtual state after round {instance.tau_max}"
             )
-    return runs
-
-
-def run_planner(
-    instance: Instance,
-    intervals: Sequence[Optional[RecurrentInterval]],
-    offsets: Sequence[int],
-    T: int,
-    selection: Optional[PayoffTable] = None,
-    init_states: Optional[Sequence[int]] = None,
-    noise_rng: Optional[np.random.Generator] = None,
-) -> PlannerRuns:
-    """Run T rounds of the online phase against the true environment, as
-    one run (S = 1).
-
-    ``selection`` is the payoff model consulted for ranking candidates
-    (defaults to the instance itself). The environment always pays according
-    to ``instance`` at the actual states, which start from ``init_states``
-    (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
-    mean as probability, summed per round into ``realized``.
-    """
-    if len(intervals) != instance.n or len(offsets) != instance.n:
-        raise ModelError(f"plan has {len(intervals)} arms, instance has {instance.n}")
-    runs = _simulate(
-        instance,
-        np.array([[iv.u if iv is not None else 1 for iv in intervals]]),
-        np.array([[iv.length if iv is not None else 1 for iv in intervals]]),
-        np.array([offsets]),
-        np.array([[iv is not None for iv in intervals]]),
-        T,
-        selection,
-        init_states,
-    )
     if noise_rng is not None:
-        draws = noise_rng.random(size=runs.played.shape)
-        runs.realized = np.where(runs.played & (draws < runs.actual_p), 1.0, 0.0).sum(axis=1)
+        draws = noise_rng.random(size=played.shape)
+        runs.realized = np.where(played & (draws < actual_p), 1.0, 0.0).sum(axis=1)
     return runs
 
 
@@ -244,17 +236,15 @@ def planner_runs(
     seeds: Sequence[int],
     init_states: Optional[Sequence[int]] = None,
 ) -> Iterator[PlannerRuns]:
-    """``simulate_planner`` for every seed, in chunks of about _CHUNK_CELLS
-    (seed, arm, round) cells. Each seed draws its intervals and offsets from
-    its own streams exactly as ``simulate_planner`` does, so run s of the
+    """``simulate_planner`` for every seed: one plan for all seeds, run in
+    chunks of about _CHUNK_CELLS (seed, arm, round) cells; run s of the
     concatenated chunks equals ``simulate_planner(..., seeds[s], ...)``."""
-    dist = u, _, L, _ = _arm_distribution(solution)
+    plan = round_intervals(solution, seeds)
     per = max(1, _CHUNK_CELLS // max(1, solution.n * T))
     for lo in range(0, len(seeds), per):
-        picks, offsets = _draw(dist, seeds[lo:lo + per])
-        active = picks < u.size
-        j = np.where(active, picks, 0)
-        yield _simulate(instance, u[j], L[j], offsets, active, T, init_states=init_states)
+        rows = slice(lo, lo + per)
+        chunk = Plan(u=plan.u[rows], l=plan.l[rows], offsets=plan.offsets[rows])
+        yield run_planner(instance, chunk, T, init_states=init_states)
 
 
 def simulate_planner(
@@ -262,17 +252,16 @@ def simulate_planner(
     solution: LpSolution,
     T: int,
     seed: int,
+    *,
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
     noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerRuns:
     """Full pipeline for one seed: rounding and offsets, then T online rounds
     (see ``run_planner`` for ``selection``, ``init_states`` and ``noise_rng``)."""
-    intervals, offsets = round_intervals(solution, seed)
     return run_planner(
         instance,
-        intervals,
-        offsets,
+        round_intervals(solution, [seed]),
         T,
         selection=selection,
         init_states=init_states,
@@ -280,48 +269,47 @@ def simulate_planner(
     )
 
 
-def plan_to_dict(
-    solution: LpSolution,
-    intervals: Sequence[Optional[RecurrentInterval]],
-    offsets: Sequence[int],
-) -> dict:
+def plan_to_dict(solution: LpSolution, plan: Plan) -> dict:
+    """Run 0 of ``plan`` with the relaxation it was rounded from."""
+    rows = zip(plan.u[0].tolist(), plan.l[0].tolist(), plan.offsets[0].tolist())
     return {
         "tau_L": solution.tau_L,
         "lp_objective": solution.objective,
         "arms": [
-            {
-                "interval": iv.to_dict() if iv is not None else None,
-                "offset": off,
-            }
-            for iv, off in zip(intervals, offsets)
+            {"interval": {"u": u, "l": l} if u else None, "offset": off}
+            for u, l, off in rows
         ],
     }
 
 
-def plan_from_dict(d: dict) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
-    """Intervals and offsets of a plan; raises ModelError unless ``arms`` is
-    a list, interval bounds are integers and each offset lies in [0, cycle
-    length)."""
+def plan_from_dict(d: dict) -> Plan:
+    """A plan file as a one-run Plan; raises ModelError unless ``arms`` is a
+    list, interval bounds are integers with u >= 1, l <= -1 and u - l <=
+    2**62, and each offset lies in [0, cycle length)."""
     require_keys(d, "plan", "arms")
     if not isinstance(d["arms"], list):
         raise ModelError(f"plan arms must be a list, got {type(d['arms']).__name__}")
-    intervals, offsets = [], []
+    rows = []
     for i, a in enumerate(d["arms"]):
         require_keys(a, "plan arm", "interval", "offset")
-        iv = None
+        u = l = 0
         if a["interval"]:
             require_keys(a["interval"], "plan interval", "u", "l")
             for bound in ("u", "l"):
                 require_int(f"arm {i}'s interval bound {bound}", a["interval"][bound])
-            iv = RecurrentInterval.from_dict(a["interval"])
+            u, l = a["interval"]["u"], a["interval"]["l"]
+            if u < 1 or l > -1:
+                raise ModelError(f"arm {i}'s interval I({u}, {l}) needs u >= 1 and l <= -1")
+            if u - l > 2**62:  # keeps offsets + rounds inside int64
+                raise ModelError(f"arm {i}'s interval I({u}, {l}) has a cycle past 2**62 rounds")
         require_int(f"arm {i}'s offset", a["offset"])
-        if iv is not None and not (0 <= a["offset"] < iv.length):
+        if u and not (0 <= a["offset"] < u - l):
             raise ModelError(
-                f"arm {i}'s offset {a['offset']} is outside [0, {iv.length}), its cycle length"
+                f"arm {i}'s offset {a['offset']} is outside [0, {u - l}), its cycle length"
             )
-        intervals.append(iv)
-        offsets.append(a["offset"])
-    return intervals, offsets
+        rows.append((u, l, a["offset"] if u else 0))
+    u, l, offsets = np.array(rows, dtype=np.int64).reshape(-1, 3).T[:, None]
+    return Plan(u=u, l=l, offsets=offsets)
 
 
 def save_plan(plan: dict, path) -> None:

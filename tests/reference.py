@@ -13,7 +13,7 @@ from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
 from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
 from mlsd.oracle import action_sets
-from mlsd.planner import PlannerRuns, _arm_distribution
+from mlsd.planner import Plan, PlannerRuns, _arm_distribution
 from mlsd.rng import stream
 
 
@@ -244,7 +244,8 @@ def candidate_marginals(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    u, l, L, cum = _arm_distribution(solution)
+    u, l, cum = _arm_distribution(solution)
+    L = u - l
     span, lo = int(L.max()) + 1, int(l.min())  # (interval, state) key: j * span + state - lo
     rng_round = stream(seed, "rounding")
     rng_off = stream(seed, "offsets")
@@ -345,6 +346,25 @@ def simulate_seeds(
         offsets = draw_offsets(intervals, stream(seed, "offsets"))
         traces.append(run_planner(instance, intervals, offsets, T, init_states=init_states))
     return traces
+
+
+def plan_lists(plan: Plan, row: int = 0) -> tuple[list[Optional[RecurrentInterval]], list[int]]:
+    """Run ``row`` of a plan as the twins' per-arm lists: an interval (None
+    where u == 0) and an offset per arm."""
+    intervals = [
+        RecurrentInterval(u=u, l=l) if u > 0 else None
+        for u, l in zip(plan.u[row].tolist(), plan.l[row].tolist())
+    ]
+    return intervals, plan.offsets[row].tolist()
+
+
+def plan_of(intervals: Sequence[Optional[RecurrentInterval]], offsets: Sequence[int]) -> Plan:
+    """The one-run Plan of per-arm lists, the inverse of ``plan_lists``."""
+    return Plan(
+        u=np.array([[iv.u if iv is not None else 0 for iv in intervals]], dtype=np.int64),
+        l=np.array([[iv.l if iv is not None else 0 for iv in intervals]], dtype=np.int64),
+        offsets=np.array([offsets], dtype=np.int64),
+    )
 
 
 def dp_optimal(instance: Instance, T: int) -> tuple[float, list[frozenset[int]]]:

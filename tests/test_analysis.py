@@ -58,10 +58,7 @@ def test_tight_instance_candidate_probability():
     for arm in range(inst.n):
         assert sol.x[arm, m - 1, 0] == pytest.approx(1 / (m + 1), abs=1e-6)  # I(m, -1)
     N = 20000
-    cand = 0
-    for s in range(200):
-        ivs, _ = round_intervals(sol, s)
-        cand += sum(iv is not None for iv in ivs)
+    cand = int((round_intervals(sol, range(200)).u > 0).sum())
     # every arm receives its cycle with probability (m+1) * 1/(m+1) = 1
     assert cand == 200 * inst.n
 
@@ -133,6 +130,11 @@ def test_approximation_experiment_rejects_horizon_below_tau_max():
     inst = make_tight_instance(1, 4)
     with pytest.raises(ValueError, match="no round from tau_max=4"):
         approximation_experiment(inst, 0.5, 3, 30, 0)
+
+
+def test_regret_trend_rejects_zero_seeds():
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        regret_trend(make_step_instance(), [512, 1024], 0, 0.25, 0)
 
 
 def test_regret_trend_needs_two_horizons():

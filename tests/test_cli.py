@@ -119,6 +119,19 @@ def test_oracle_refuses_oversized_tables(tmp_path, capsys, no_alloc):
     ]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--T", "3", "--budget", "nan"], "the oracle budget must be positive, got nan"),
+    (["--T", "1000000000", "--budget", "inf"], "oracle budget exceeded: dp_optimal needs "
+     "~3e+09 (round, state) policy cells, budget is 6.71e+07"),
+], ids=["nan-budget", "policy-past-cap"])
+def test_oracle_rejects_budget_and_horizon(tmp_path, capsys, no_alloc, flags, message):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    assert run(["oracle", "--instance", str(inst)] + flags) == 1
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+
+
 def test_learn_falls_back_to_lp_bound_past_table_cap(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "c2.json"
     run(["gen", "appendix-c2", "--out", str(inst)])
@@ -278,8 +291,16 @@ def test_simulate_rejects_bool_payoff(tmp_path, capsys):
     ({"offset": -1}, "arm 0's offset -1 is outside [0, 3), its cycle length"),
     ({"offset": 99}, "arm 0's offset 99 is outside [0, 3), its cycle length"),
     ({"offset": True}, "arm 0's offset must be an integer, got True"),
+    ({"interval": {"u": 9, "l": -1}, "offset": 0}, "arm 0's interval bound u=9 exceeds tau_max=1"),
+    ({"interval": {"u": 0, "l": -2}}, "arm 0's interval I(0, -2) needs u >= 1 and l <= -1"),
+    ({"interval": {"u": 1, "l": 0}}, "arm 0's interval I(1, 0) needs u >= 1 and l <= -1"),
+    ({"interval": {"u": 1, "l": -2**62}},
+     f"arm 0's interval I(1, {-2**62}) has a cycle past 2**62 rounds"),
+    ({"interval": {"u": 1, "l": -2**70}},
+     f"arm 0's interval I(1, {-2**70}) has a cycle past 2**62 rounds"),
 ], ids=["fractional-offset", "fractional-u", "negative-offset", "offset-past-cycle",
-        "bool-offset"])
+        "bool-offset", "u-above-tau_max", "u-zero", "l-zero", "cycle-past-2**62",
+        "l-past-int64"])
 def test_bad_plan_rejected(tmp_path, capsys, arm, message):
     inst, plan = tmp_path / "c2.json", tmp_path / "plan.json"
     run(["gen", "appendix-c2", "--out", str(inst)])

@@ -50,8 +50,7 @@ def test_selection_and_environment_payoffs_are_separate():
         means=np.array([[0.25, 0.25, 0.25]]),
     )
     sol = solve_lp(build_lp(inst, -2))
-    ivs, offs = round_intervals(sol, 3)
-    trace = run_planner(inst, ivs, offs, 60, selection=wrong)
+    trace = run_planner(inst, round_intervals(sol, [3]), 60, selection=wrong)
     played_rounds = trace.played[0, 0]
     assert trace.virtual_payoff[0, played_rounds].max() == pytest.approx(0.25)
     # the environment still pays the true means, which reach 1
@@ -84,9 +83,8 @@ def test_etc_commit_continues_from_exploration_states():
     expl = simulate_exploration(inst, sched, cfg.tau_L, noise)
     est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
     sol = solve_lp(build_lp(est, cfg.tau_L))
-    ivs, offs = round_intervals(sol, seed)
     trace = run_planner(
-        inst, ivs, offs, T - len(sched),
+        inst, round_intervals(sol, [seed]), T - len(sched),
         selection=est, init_states=expl.end_states, noise_rng=noise,
     )
     assert trace.actual_states[0, 0, 0] == expl.end_states[0]
@@ -112,17 +110,30 @@ def test_trace_csv_golden(tmp_path):
             assert cand == "" and played == "" and vp == "0"
 
 
-def test_simulate_with_plan_file(tmp_path):
+@pytest.mark.parametrize("n, k, gen_seed, seed, idle", [
+    (3, 2, 2, 6, False),
+    (3, 2, 2, 1, False),
+    (3, 3, 2, 6, False),  # k = n: every candidate plays
+    (3, 3, 1, 0, False),
+    (4, 1, 0, 0, True),  # some arm draws no interval
+    (4, 1, 0, 4, True),
+    (4, 1, 0, 1, False),
+], ids=["n3k2-seed6", "n3k2-seed1", "k=n-seed6", "k=n-seed0", "idle-arm-seed0",
+        "idle-arm-seed4", "n4k1-seed1"])
+def test_simulate_with_plan_file(tmp_path, n, k, gen_seed, seed, idle):
     inst_path = tmp_path / "i.json"
     plan_path = tmp_path / "plan.json"
     t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["gen", "random", "--n", "3", "--k", "2", "--seed", "2", "--out", str(inst_path)])
+    main(["gen", "random", "--n", str(n), "--k", str(k), "--seed", str(gen_seed),
+          "--out", str(inst_path)])
     main(["plan", "--instance", str(inst_path), "--epsilon", "0.5",
-          "--seed", "6", "--out", str(plan_path)])
+          "--seed", str(seed), "--out", str(plan_path)])
+    arms = json.loads(plan_path.read_text())["arms"]
+    assert any(a["interval"] is None for a in arms) == idle
     assert main(["simulate", "--instance", str(inst_path), "--plan", str(plan_path),
                  "--T", "30", "--out", str(t1)]) == 0
     assert main(["simulate", "--instance", str(inst_path), "--epsilon", "0.5",
-                 "--seed", "6", "--T", "30", "--out", str(t2)]) == 0
+                 "--seed", str(seed), "--T", "30", "--out", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
 
 

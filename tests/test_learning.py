@@ -138,8 +138,7 @@ def test_etc_matches_full_information_when_payoffs_deterministic():
         res.planner_total - res.realized_total
     )
     sol = solve_lp(build_lp(inst, cfg.tau_L))
-    ivs, offs = round_intervals(sol, seed)
-    fi = run_planner(inst, ivs, offs, T - res.exploration_length)
+    fi = run_planner(inst, round_intervals(sol, [seed]), T - res.exploration_length)
     commit_mean = res.mean_total - _exploration_mean(inst, cfg, seed)
     assert commit_mean == pytest.approx(float(fi.actual_payoff.sum()), abs=2.0)
 
@@ -208,6 +207,10 @@ def test_robustness_feasibility_under_perturbation():
         means=np.clip(inst.means + 0.3 * signs, 0.0, 1.0),
     )
     sol = solve_lp(build_lp(tables, -2))
-    ivs, offs = round_intervals(sol, 0)
-    trace = run_planner(inst, ivs, offs, 200, selection=tables)
+    trace = run_planner(inst, round_intervals(sol, [0]), 200, selection=tables)
     assert trace.played.sum(axis=1).max() <= inst.k
+
+
+def test_robustness_rejects_zero_seeds():
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        robustness_gap(make_step_instance(), [0.1], T=150, n_seeds=0, epsilon=0.5, seed=0)

@@ -99,6 +99,29 @@ def test_dp_table_cap_boundary(monkeypatch):
         dp_optimal(inst, 3)
 
 
+@pytest.mark.parametrize("budget", [float("inf"), 1e12])
+def test_dp_refuses_oversized_policy_whatever_the_budget(no_alloc, budget):
+    # 3 states x 1e9 rounds: a 12 GB policy table however large the budget
+    with pytest.raises(OracleBudgetError,
+                       match=r"needs ~3e\+09 \(round, state\) policy cells, budget is 6.71e\+07"):
+        dp_optimal(make_step_instance(), 10**9, budget=budget)
+
+
+def test_dp_policy_cap_boundary(monkeypatch):
+    inst = make_step_instance()  # 3 states
+    monkeypatch.setattr(oracle, "_MAX_POLICY", 9)
+    assert dp_optimal(inst, 3)[0] == 2.0  # exactly at the cap
+    with pytest.raises(OracleBudgetError, match="policy cells, budget is 9"):
+        dp_optimal(inst, 4)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+def test_oracles_refuse_budget_that_is_not_positive(no_alloc, budget):
+    for oracle_fn in (dp_optimal, exhaustive_optimal):
+        with pytest.raises(ValueError, match=f"oracle budget must be positive, got {budget}"):
+            oracle_fn(make_step_instance(), 3, budget=budget)
+
+
 def test_schedule_replay_matches_value():
     for seed in range(10):
         inst = draw_instance(400 + seed, n_range=(2, 2))

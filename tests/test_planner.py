@@ -14,6 +14,8 @@ from reference import (
     draw_offsets,
     init_offsets,
     marginal_expectations,
+    plan_lists,
+    plan_of,
     step_planner,
     step_states,
     virtual_state,
@@ -43,18 +45,20 @@ def _step_solution() -> LpSolution:
 
 def test_rounding_step_instance_is_deterministic():
     sol = _step_solution()
+    plan = round_intervals(sol, range(20))
     for seed in range(20):
-        ivs, _ = round_intervals(sol, seed)
+        ivs, _ = plan_lists(plan, seed)
         assert ivs == [RecurrentInterval(u=1, l=-2)]
 
 
 def test_rounding_zero_solution_never_plays():
     sol = LpSolution(x=np.zeros((2, 2, 2)), objective=0.0, tau_L=-2)
-    ivs, offs = round_intervals(sol, 0)
+    plan = round_intervals(sol, [0])
+    ivs, offs = plan_lists(plan)
     assert ivs == [None, None]
     assert offs == [0, 0]
     inst = draw_instance(8, n_range=(2, 2), tau_max_range=(2, 2))
-    trace = run_planner(inst, ivs, [0, 0], 50)
+    trace = run_planner(inst, plan, 50)
     assert trace.played.sum() == 0
 
 
@@ -64,7 +68,7 @@ def test_rounding_rejects_excess_mass():
     x[0, 0, 1] = 0.25  # masses 2*0.30 + 3*0.25 = 1.35 > 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
     with pytest.raises(PlannerError):
-        round_intervals(sol, 0)
+        round_intervals(sol, [0])
 
 
 def test_rounding_rejects_negative_mass():
@@ -72,14 +76,14 @@ def test_rounding_rejects_negative_mass():
     x[1, 0, 1] = -1e-6  # beyond the 1e-9 tolerance, on arm 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
     with pytest.raises(PlannerError, match="negative selection mass .* for arm 1"):
-        round_intervals(sol, 0)
+        round_intervals(sol, [0])
 
 
 def test_rounding_renormalizes_tiny_excess():
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 0.5 * (1 + 2e-10)  # mass 1 + 2e-10
     sol = LpSolution(x=x, objective=0.0, tau_L=-1)
-    ivs, _ = round_intervals(sol, 0)
+    ivs, _ = plan_lists(round_intervals(sol, [0]))
     assert ivs == [RecurrentInterval(u=1, l=-1)]
 
 
@@ -88,8 +92,9 @@ def test_rounding_frequencies_match_marginals():
     sol = solve_lp(build_lp(inst, -2))
     N = 20000
     counts = {}
+    plan = round_intervals(sol, range(N))
     for s in range(N):
-        for arm, iv in enumerate(round_intervals(sol, s)[0]):
+        for arm, iv in enumerate(plan_lists(plan, s)[0]):
             if iv is not None:
                 counts[(arm, iv.u, iv.l)] = counts.get((arm, iv.u, iv.l), 0) + 1
     for arm in range(inst.n):
@@ -153,10 +158,10 @@ def test_step_planner_top_k_selection_and_ties():
 def test_step_planner_matches_run_planner():
     inst = draw_instance(33, n_range=(3, 3), tau_max_range=(2, 3))
     sol = solve_lp(build_lp(inst, -2))
-    ivs, _ = round_intervals(sol, 7)
+    ivs, _ = plan_lists(round_intervals(sol, [7]))
     state = init_offsets(ivs, stream(7, "offsets"))
     offsets = list(state.offsets)
-    trace = run_planner(inst, ivs, offsets, 40)
+    trace = run_planner(inst, plan_of(ivs, offsets), 40)
     for t in range(40):
         played, state = step_planner(state, inst)
         assert played == frozenset(np.flatnonzero(trace.played[0, :, t]))
@@ -183,7 +188,7 @@ def test_virtual_state_periodicity():
     inst = draw_instance(44, n_range=(2, 3))
     sol = solve_lp(build_lp(inst, -3))
     trace = simulate_planner(inst, sol, 60, seed=3)
-    ivs, _ = round_intervals(sol, 3)
+    ivs, _ = plan_lists(round_intervals(sol, [3]))
     for i, iv in enumerate(ivs):
         if iv is None:
             continue
@@ -223,10 +228,10 @@ def test_states_from_actions_matches_iterative(data):
 def test_run_planner_tracks_states_from_init(seed, T, lift):
     inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -2))
-    ivs, offs = round_intervals(sol, seed)
+    plan = round_intervals(sol, [seed])
     rng = stream(seed, "misc")
     init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
-    trace = run_planner(inst, ivs, offs, T, init_states=init)
+    trace = run_planner(inst, plan, T, init_states=init)
     assert trace.actual_states.shape == (1, inst.n, T)
     assert np.array_equal(trace.actual_states[0], step_states(trace.played[0], init))
 
@@ -235,7 +240,7 @@ def test_run_planner_tracks_states_from_init(seed, T, lift):
 def test_run_planner_rejects_invalid_init_states(init):
     inst = make_step_instance()
     with pytest.raises(ValueError, match="init states"):
-        run_planner(inst, [RecurrentInterval(u=1, l=-2)], [0], 5, init_states=init)
+        run_planner(inst, plan_of([RecurrentInterval(u=1, l=-2)], [0]), 5, init_states=init)
 
 
 def test_candidate_marginals_match_occupancies():
@@ -265,10 +270,7 @@ def test_fixed_round_payoff_meets_scaled_lp_value():
         inst = draw_instance(910 + seed0, n_range=(3, 4), tau_max_range=(1, 2))
         sol = solve_lp(build_lp(inst, -2))
         t = inst.tau_max
-        vals = np.array([
-            run_planner(inst, *round_intervals(sol, s), t).virtual_payoff[0, t - 1]
-            for s in range(2000)
-        ])
+        vals = run_planner(inst, round_intervals(sol, range(2000)), t).virtual_payoff[:, t - 1]
         bound = gamma_k(inst.k) * sol.objective
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() >= bound - 3 * se
@@ -286,8 +288,9 @@ def test_triples_independent_across_arms():
     k0, k1 = keys0[0], keys1[0]
     N = 40000
     joint = 0
+    plan = round_intervals(sol, range(N))
     for s in range(N):
-        ivs, offs = round_intervals(sol, s)
+        ivs, offs = plan_lists(plan, s)
         hit0 = (
             ivs[0] is not None
             and (ivs[0].u, ivs[0].l) == (k0[1], k0[2])
@@ -376,7 +379,8 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
 def test_run_planner_matches_scalar_twin(seed, T, perturb):
     inst = draw_instance(seed, n_range=(1, 9), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -2))
-    ivs, offs = round_intervals(sol, seed)
+    plan = round_intervals(sol, [seed])
+    ivs, offs = plan_lists(plan)
     assert ivs == reference.round_intervals(sol, stream(seed, "rounding"))
     assert offs == draw_offsets(ivs, stream(seed, "offsets"))
     selection = None
@@ -385,7 +389,7 @@ def test_run_planner_matches_scalar_twin(seed, T, perturb):
         selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
                                 means=np.clip(inst.means + noise, 0.0, 1.0))
     _assert_same_trace(
-        run_planner(inst, ivs, offs, T, selection=selection),
+        run_planner(inst, plan, T, selection=selection),
         reference.run_planner(inst, ivs, offs, T, selection=selection),
     )
 
@@ -393,13 +397,13 @@ def test_run_planner_matches_scalar_twin(seed, T, perturb):
 def test_kernel_rejects_round_over_budget(monkeypatch):
     # I(1,-1) at offset 0 makes all three arms candidates in every even round
     means = [[0.0, 0.5]] * 3
-    ivs = [RecurrentInterval(u=1, l=-1)] * 3
+    plan = plan_of([RecurrentInterval(u=1, l=-1)] * 3, [0, 0, 0])
     within = Instance(k=3, tau_min=-1, tau_max=1, means=means)
-    assert run_planner(within, ivs, [0, 0, 0], 4).played[0, :, 1].all()
+    assert run_planner(within, plan, 4).played[0, :, 1].all()
     # a top-k scatter that marks every arm plays all three candidates
     monkeypatch.setattr(np, "put_along_axis", lambda played, *args, **kwargs: played.fill(True))
     with pytest.raises(PlannerError, match="3 arms played in a round, budget is 2"):
-        run_planner(Instance(k=2, tau_min=-1, tau_max=1, means=means), ivs, [0, 0, 0], 4)
+        run_planner(Instance(k=2, tau_min=-1, tau_max=1, means=means), plan, 4)
 
 
 def test_kernel_checks_budget_of_every_run(monkeypatch):
@@ -415,21 +419,32 @@ def test_kernel_checks_budget_of_every_run(monkeypatch):
         list(planner_runs(inst, sol, 4, range(2)))
 
 
-def test_kernel_rejects_broken_domination():
-    # u = 3 lies beyond tau_max = 1: at round 1 the hand-built cycle is at
-    # state 3 while the arm has idled for one round only
-    inst = make_step_instance()
-    iv = [RecurrentInterval(u=3, l=-1)]
+def test_kernel_rejects_broken_domination(monkeypatch):
+    # a valid plan keeps the actual state at or above the virtual one, so
+    # the state tracking is broken instead: every arm reads state -3
+    inst, plan = make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [1])
+    monkeypatch.setattr(planner, "states_from_actions",
+                        lambda played, init=None: np.full(played.shape, -3))
     for init in (None, [1]):
         with pytest.raises(PlannerError, match="below virtual state"):
-            run_planner(inst, iv, [1], 5, init_states=init)
+            run_planner(inst, plan, 5, init_states=init)
     # domination is only promised for runs that start at +1
-    assert run_planner(inst, iv, [1], 5, init_states=[4]).T == 5
+    assert run_planner(inst, plan, 5, init_states=[4]).T == 5
+
+
+def test_kernel_rejects_interval_beyond_tau_max():
+    # u = 3 lies beyond tau_max = 1: no actual state could dominate the cycle
+    with pytest.raises(ModelError, match="arm 0's interval bound u=3 exceeds tau_max=1"):
+        run_planner(make_step_instance(), plan_of([RecurrentInterval(u=3, l=-1)], [1]), 5)
+    # l below tau_min = -2 is fine: the relaxation's grid reaches past tau_min
+    # when epsilon < 1/|tau_min|, and payoffs saturate there
+    plan = plan_of([RecurrentInterval(u=1, l=-5)], [0])
+    assert run_planner(make_step_instance(), plan, 12).played[0, 0].sum() == 10
 
 
 def test_run_planner_rejects_plan_of_other_size():
     with pytest.raises(ModelError, match="plan has 2 arms"):
-        run_planner(make_step_instance(), [None, None], [0, 0], 5)
+        run_planner(make_step_instance(), plan_of([None, None], [0, 0]), 5)
 
 
 @pytest.mark.parametrize("plan, key", [
@@ -455,11 +470,11 @@ def test_domination_margin_spans_every_run_and_ignores_unsampled_arms():
 
 
 def test_run_size_cap_boundary(monkeypatch):
-    inst, iv = make_step_instance(), [RecurrentInterval(u=1, l=-2)]
+    inst, plan = make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0])
     monkeypatch.setattr(planner, "_MAX_CELLS", 6)
-    assert run_planner(inst, iv, [0], 6).T == 6
+    assert run_planner(inst, plan, 6).T == 6
     with pytest.raises(PlannerError, match=r"1 x 1 x 7 \(run, arm, round\) cells exceed"):
-        run_planner(inst, iv, [0], 7)
+        run_planner(inst, plan, 7)
     (runs,) = planner_runs(inst, _step_solution(), 3, range(2))  # one chunk of 6 cells
     assert runs.played.shape == (2, 1, 3)
     monkeypatch.setattr(planner, "_MAX_CELLS", 5)
