@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .learning import etc_run
-from .lp import build_lp, solve_lp, tau_L_from_epsilon
+from .lp import build_lp, check_lp_size, solve_lp, tau_L_from_epsilon
 from .model import Instance
 from .oracle import dp_optimal
 from .planner import planner_runs
@@ -84,6 +84,7 @@ def tightness_experiment(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
     seeds = range(seed, seed + n_seeds)

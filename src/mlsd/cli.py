@@ -24,8 +24,9 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _set_str(arms) -> str:
-    return ";".join(str(i) for i in sorted(arms))
+def _set_str(column: np.ndarray) -> str:
+    """The arms set in one round's bool column of an (n, T) play matrix."""
+    return ";".join(map(str, np.flatnonzero(column).tolist()))
 
 
 def _write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -97,8 +98,8 @@ def _trace_rows(runs: planner.PlannerRuns) -> tuple[list[str], Iterator[list[str
     vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
     rows = (
         [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
-            _set_str(np.flatnonzero(cand[:, t]).tolist()),
-            _set_str(np.flatnonzero(played[:, t]).tolist()),
+            _set_str(cand[:, t]),
+            _set_str(played[:, t]),
             _fmt(vp[t]),
             _fmt(ap[t]),
         ]
@@ -130,7 +131,7 @@ def cmd_oracle(args) -> int:
     instance = model.load_instance(args.instance)
     value, schedule = oracle.dp_optimal(instance, args.T, budget=args.budget)
     if args.out:
-        rows = [[str(t + 1), _set_str(a)] for t, a in enumerate(schedule)]
+        rows = [[str(t + 1), _set_str(column)] for t, column in enumerate(schedule.T)]
         _write_csv(args.out, ["t", "played"], rows)
     print(f"OPT={_fmt(value)}")
     return 0
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory or an unreadable path, say
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except oracle.OracleBudgetError as exc:
         print(f"error: oracle budget exceeded: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ of restarts would wrap etc_run unchanged and is left as an extension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,10 +62,9 @@ def etc_config(instance: Instance, T: int, epsilon: float) -> EtcConfig:
     return EtcConfig(epsilon=epsilon, T=T, tau_L=tau_L, eta=eta, delta=delta, m=m)
 
 
-def exploration_schedule(
-    n: int, k: int, tau_max: int, tau_L: int, m: int
-) -> list[frozenset[int]]:
-    """Deterministic schedule collecting >= m samples per required pair.
+def exploration_schedule(n: int, k: int, tau_max: int, tau_L: int, m: int) -> np.ndarray:
+    """Deterministic (n, rounds) bool play matrix collecting >= m samples
+    per required pair; arm i plays in round t + 1 where it is set.
 
     Arms are grouped into ceil(n/k) cohorts that always act in lockstep, so
     at most k arms play per round. Each cohort first walks the positive
@@ -80,34 +80,23 @@ def exploration_schedule(
         raise LearningError(f"m must be >= 1, got {m}")
     if tau_L > -1:
         raise LearningError(f"tau_L must be <= -1, got {tau_L}")
-    depth = -tau_L
-    cohorts = [list(range(c, min(c + k, n))) for c in range(0, n, k)]
-    plays: dict[int, frozenset[int]] = {}
-
+    plays: list[list[int]] = [[] for _ in range(0, n, k)]  # per cohort, its 1-based rounds
     t = 0
     if tau_max >= 2:
-        for ci, cohort in enumerate(cohorts):
-            group = frozenset(cohort)
-            t_play = max(t + 1, tau_max)
-            plays[t_play] = group
-            for _ in range(m - 1):
-                t_play += tau_max + 1
-                plays[t_play] = group
-            for j in range(tau_max - 1, 1, -1):
-                for _ in range(m):
-                    t_play += j + 1
-                    plays[t_play] = group
-            t_play += 2
-            plays[t_play] = group
-            t = t_play
-    for cohort in cohorts:
-        group = frozenset(cohort)
-        for _ in range(m):
-            t += 1  # rest round between dives
-            for _ in range(depth + 1):
-                t += 1
-                plays[t] = group
-    return [plays.get(r, frozenset()) for r in range(1, t + 1)]
+        # the gaps after the first play: m - 1 more at tau_max, m exact gaps
+        # per state from tau_max - 1 down to 2, and the gap-2 play at state 1
+        gaps = [tau_max + 1] * (m - 1) + [g for g in range(tau_max, 2, -1) for _ in range(m)]
+        for rounds in plays:
+            rounds.extend(itertools.accumulate([max(t + 1, tau_max)] + gaps + [2]))
+            t = rounds[-1]
+    for rounds in plays:
+        for _ in range(m):  # a rest round, then -tau_L + 1 plays
+            rounds.extend(range(t + 2, t + 3 - tau_L))
+            t += 2 - tau_L
+    schedule = np.zeros((len(plays), t), dtype=bool)
+    for c, rounds in enumerate(plays):
+        schedule[c, np.array(rounds) - 1] = True
+    return schedule[np.arange(n) // k]  # a cohort's arms play in lockstep
 
 
 def schedule_length_bound(n: int, k: int, tau_max: int, tau_L: int, m: int) -> int:
@@ -126,20 +115,20 @@ class ExplorationResult:
 
 def simulate_exploration(
     instance: Instance,
-    schedule: list[frozenset[int]],
+    schedule: np.ndarray,
     tau_L: int,
     noise_rng: np.random.Generator,
 ) -> ExplorationResult:
-    """Run the schedule on the true dynamics, recording every sample where it
-    lands (positive states above tau_max count as tau_max by saturation).
-    Noise is drawn play by play: rounds in order, arms ascending in a round.
-    """
+    """Run the (n, rounds) play matrix on the true dynamics, recording every
+    sample where it lands (positive states above tau_max count as tau_max by
+    saturation). Noise is drawn play by play: rounds in order, then arms."""
     n, tau_max = instance.n, instance.tau_max
+    if schedule.shape[0] != n:
+        raise LearningError(f"the schedule has {schedule.shape[0]} arms, the instance {n}")
     width = tau_max - tau_L
     # one trailing idle column, so the last column holds the end states
-    played = np.zeros((n, len(schedule) + 1), dtype=bool)
-    rounds = [t for t, arms in enumerate(schedule) for _ in arms]
-    played[[i for arms in schedule for i in arms], rounds] = True
+    played = np.zeros((n, schedule.shape[1] + 1), dtype=bool)
+    played[:, :-1] = schedule
     states = states_from_actions(played)
 
     t_idx, arm_idx = np.nonzero(played.T)
@@ -208,8 +197,9 @@ def etc_run(
     schedule = exploration_schedule(
         instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
     )
-    if len(schedule) >= T:
-        raise ExplorationTooLongError(T, len(schedule))
+    rounds = schedule.shape[1]
+    if rounds >= T:
+        raise ExplorationTooLongError(T, rounds)
 
     noise = stream(seed, "noise")
     expl = simulate_exploration(instance, schedule, cfg.tau_L, noise)
@@ -221,7 +211,7 @@ def etc_run(
     commit = simulate_planner(
         instance,
         solution,
-        T - len(schedule),
+        T - rounds,
         seed,
         selection=estimates,
         init_states=expl.end_states,
@@ -238,7 +228,7 @@ def etc_run(
     return EtcResult(
         T=T,
         config=cfg,
-        exploration_length=len(schedule),
+        exploration_length=rounds,
         realized_total=realized_total,
         mean_total=mean_total,
         planner_total=planner_total,

@@ -67,6 +67,20 @@ class LpSolution:
         return self.x.shape[1]
 
 
+def check_lp_size(n: int, tau_max: int, tau_L: int) -> None:
+    """Raise ValueError unless tau_L <= -1, and LpError when the dense
+    relaxation of n arms up to tau_max would hold more than _MAX_CELLS."""
+    if tau_L > -1:
+        raise ValueError(f"tau_L must be <= -1, got {tau_L}")
+    num_vars = n * tau_max * -tau_L
+    # (1 + n) rows of A_ub plus up to depth terms per objective entry
+    if num_vars * (1 + n - tau_L) > _MAX_CELLS:
+        raise LpError(
+            f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
+            f"{num_vars} variables, too large for a dense program"
+        )
+
+
 def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     """Assemble objective and constraint rows for ``table``.
 
@@ -74,19 +88,10 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     latter may be non-monotone, which is fine here. Raises LpError, before
     allocating anything, when the dense program is larger than _MAX_CELLS.
     """
-    if tau_L > -1:
-        raise ValueError(f"tau_L must be <= -1, got {tau_L}")
     n, tau_max = table.n, table.tau_max
-    depth = -tau_L
-    num_vars = n * tau_max * depth
-    # (1 + n) rows of A_ub plus up to depth terms per objective entry
-    if num_vars * (1 + n + depth) > _MAX_CELLS:
-        raise LpError(
-            f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
-            f"{num_vars} variables, too large for a dense program"
-        )
-    u, l = interval_grid(tau_max, depth)
-    a = np.zeros((1 + n, num_vars))
+    check_lp_size(n, tau_max, tau_L)
+    u, l = interval_grid(tau_max, -tau_L)
+    a = np.zeros((1 + n, n * u.size))
     a[0] = np.tile(-l, n)  # plays per cycle
     # arm i's packing row covers its own tau_max * depth variables only
     a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = u - l  # cycle length
@@ -164,4 +169,6 @@ def tau_L_from_epsilon(epsilon: float) -> int:
     """Relaxation cutoff -ceil(1/epsilon) for a target accuracy epsilon."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not np.isfinite(1.0 / epsilon):
+        raise ValueError(f"epsilon {epsilon} is too small: 1/epsilon overflows")
     return -int(np.ceil(1.0 / epsilon))

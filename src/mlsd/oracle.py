@@ -38,11 +38,10 @@ def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def dp_optimal(
-    instance: Instance, T: int, budget: float = 1e8
-) -> tuple[float, list[frozenset[int]]]:
-    """OPT(T) and one optimal play schedule, by exact backward induction
-    over the table columns of every arm's clipped state. Raises
+def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, np.ndarray]:
+    """OPT(T) and one optimal play schedule as an (n, T) bool matrix (arm i
+    plays in round t + 1 where it is set), by exact backward induction over
+    the table columns of every arm's clipped state. Raises
     OracleBudgetError, before allocating anything, when the evaluations
     exceed ``budget``, the (action, state) tables exceed _MAX_CELLS or the
     (round, state) policy exceeds _MAX_POLICY, and ValueError unless
@@ -88,12 +87,12 @@ def dp_optimal(
 
     one = state_column(1, tau_min, tau_max)
     start = s = sum(one * M**i for i in range(n))
-    schedule = []
+    path = []
     for t in range(T):
         a = int(policy[t, s])
-        schedule.append(frozenset(actions[a]))
+        path.append(a)
         s = int(nexts[a, s])
-    return float(value[start]), schedule
+    return float(value[start]), member[path].T
 
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:

@@ -116,15 +116,13 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
 class PlannerRuns:
     """S planner runs as (S, n, T) arrays, round t in column t-1; the
     payoff series are (S, T). ``virtual`` holds 0 for arms that received no
-    interval (0 is not a valid state, so it cannot collide). ``actual_p`` is
-    the true mean payoff of every arm at its actual state; ``realized``, the
-    noisy collected payoff, is present only when noise was simulated."""
+    interval (0 is not a valid state, so it cannot collide). ``realized``,
+    the noisy collected payoff, is present only when noise was simulated."""
 
     virtual: np.ndarray
     candidates: np.ndarray
     played: np.ndarray
     actual_states: np.ndarray
-    actual_p: np.ndarray
     virtual_payoff: np.ndarray
     actual_payoff: np.ndarray
     realized: Optional[np.ndarray] = None
@@ -213,7 +211,6 @@ def run_planner(
         candidates=cand,
         played=played,
         actual_states=actual,
-        actual_p=actual_p,
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
     )
@@ -293,7 +290,7 @@ def plan_from_dict(d: dict) -> Plan:
     for i, a in enumerate(d["arms"]):
         require_keys(a, "plan arm", "interval", "offset")
         u = l = 0
-        if a["interval"]:
+        if a["interval"] is not None:
             require_keys(a["interval"], "plan interval", "u", "l")
             for bound in ("u", "l"):
                 require_int(f"arm {i}'s interval bound {bound}", a["interval"][bound])

@@ -37,17 +37,18 @@ def step_environment(
     )
 
 
-def schedule_payoff(instance: Instance, schedule: list[frozenset[int]]) -> float:
-    """Total mean payoff of running a fixed play schedule from all-ones."""
+def schedule_payoff(instance: Instance, schedule: np.ndarray) -> float:
+    """Total mean payoff of running a fixed (n, T) play matrix from all-ones."""
     states = (1,) * instance.n
     total = 0.0
-    for played in schedule:
+    for column in schedule.T.tolist():
         r = 0.0
-        for i in sorted(played):
-            r = r + instance.payoff(i, states[i])
+        for i, play in enumerate(column):
+            if play:
+                r = r + instance.payoff(i, states[i])
         total = total + r
         states = tuple(
-            transition(tau, i in played) for i, tau in enumerate(states)
+            transition(tau, play) for tau, play in zip(states, column)
         )
     return total
 
@@ -118,12 +119,12 @@ def step_states(played: np.ndarray, init) -> np.ndarray:
 
 def simulate_exploration(
     instance: Instance,
-    schedule: list[frozenset[int]],
+    schedule: np.ndarray,
     tau_L: int,
     noise_rng: np.random.Generator,
 ) -> ExplorationResult:
-    """One noise draw per play, round by round and arms ascending, with the
-    totals accumulated in that order."""
+    """One noise draw per play of the (n, rounds) play matrix, round by
+    round and arms ascending, with the totals accumulated in that order."""
     n = instance.n
     width = instance.tau_max - tau_L
     counts = np.zeros((n, width), dtype=np.int64)
@@ -131,8 +132,8 @@ def simulate_exploration(
     states = [1] * n
     realized_total = 0.0
     mean_total = 0.0
-    for played in schedule:
-        for i in sorted(played):
+    for column in schedule.T.tolist():
+        for i in [j for j, play in enumerate(column) if play]:
             tau = states[i]
             p = instance.payoff(i, tau)
             hit = 1.0 if noise_rng.random() < p else 0.0
@@ -143,7 +144,7 @@ def simulate_exploration(
                 col = key - tau_L if key < 0 else -tau_L + key - 1
                 counts[i, col] += 1
                 sums[i, col] += hit
-        states = [transition(tau, i in played) for i, tau in enumerate(states)]
+        states = [transition(tau, play) for tau, play in zip(states, column)]
     return ExplorationResult(
         counts=counts,
         sums=sums,
@@ -326,7 +327,6 @@ def run_planner(
         candidates=cand[None],
         played=played[None],
         actual_states=actual[None],
-        actual_p=actual_p[None],
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=0)[None],
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0)[None],
     )
@@ -367,9 +367,10 @@ def plan_of(intervals: Sequence[Optional[RecurrentInterval]], offsets: Sequence[
     )
 
 
-def dp_optimal(instance: Instance, T: int) -> tuple[float, list[frozenset[int]]]:
+def dp_optimal(instance: Instance, T: int) -> tuple[float, np.ndarray]:
     """Backward induction with per-action lists of rewards and successors,
-    the successors found by stepping ``transition`` from every state."""
+    the successors found by stepping ``transition`` from every state; the
+    schedule is filled in one round at a time."""
     n, k = instance.n, instance.k
     tau_min, tau_max = instance.tau_min, instance.tau_max
     M = tau_max - tau_min
@@ -403,9 +404,10 @@ def dp_optimal(instance: Instance, T: int) -> tuple[float, list[frozenset[int]]]
 
     one = state_column(1, tau_min, tau_max)
     start = s = sum(one * M**i for i in range(n))
-    schedule = []
+    schedule = np.zeros((n, T), dtype=bool)
     for t in range(T):
         a = int(policy[t, s])
-        schedule.append(frozenset(actions[a]))
+        for i in actions[a]:
+            schedule[i, t] = True
         s = int(nexts[a][s])
     return float(value[start]), schedule

@@ -203,9 +203,9 @@ def test_criterion_9_exploration_schedule_audit():
         inst = random_instance(n, k, tau_max, min(tau_L, -1),
                                stream(n + 17 * m, "instance"))
         res = simulate_exploration(inst, sched, tau_L, stream(0, "noise"))
-        feasible = all(len(s) <= k for s in sched)
+        feasible = sched.sum(axis=0).max() <= k
         covered = res.counts.min() >= m
-        within = len(sched) <= n * m * (tau_max**2 - tau_L + 2) / k
+        within = sched.shape[1] <= n * m * (tau_max**2 - tau_L + 2) / k
         if not (feasible and covered and within):
             bad += 1
     for _ in range(20):
@@ -216,7 +216,7 @@ def test_criterion_9_exploration_schedule_audit():
         m = int(rng.integers(1, 5))
         sched = exploration_schedule(n, k, tau_max, tau_L, m)
         ceil_bound = math.ceil(n / k) * m * (tau_max**2 - tau_L + 2)
-        if not (all(len(s) <= k for s in sched) and len(sched) <= ceil_bound):
+        if not (sched.sum(axis=0).max() <= k and sched.shape[1] <= ceil_bound):
             bad += 1
     _report(9, bad == 0, started, f"20 + 20 configurations, failures={bad}")
 
@@ -231,13 +231,8 @@ def test_criterion_10_schedule_normalization_bound():
         tau_L = -1 - (i % 2)
         T = 8 + i % 5
         opt, schedule = dp_optimal(inst, T)
-        per_arm = [[i_ in a for a in schedule] for i_ in range(inst.n)]
-        normalized = [normalize_schedule(seq, tau_L) for seq in per_arm]
-        joint = [
-            frozenset(i_ for i_ in range(inst.n) if normalized[i_][t])
-            for t in range(T)
-        ]
-        value = schedule_payoff(inst, joint)
+        normalized = [normalize_schedule(seq, tau_L) for seq in schedule.tolist()]
+        value = schedule_payoff(inst, np.array(normalized))
         bound = (1.0 - 1.0 / (1.0 - tau_L)) * opt - inst.n
         if value + 1e-9 < bound:
             violations += 1

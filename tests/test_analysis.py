@@ -11,8 +11,8 @@ from mlsd.analysis import (
     regret_trend,
     tightness_experiment,
 )
-from mlsd import analysis, planner
-from mlsd.lp import build_lp, solve_lp
+from mlsd import analysis, lp, planner
+from mlsd.lp import LpError, build_lp, solve_lp
 from mlsd.model import Instance
 from mlsd.planner import round_intervals
 
@@ -112,6 +112,19 @@ def test_seed_count_checked_before_any_seed_runs(monkeypatch):
 def test_tightness_rejects_zero_seeds():
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         tightness_experiment(k=1, m=5, T=100, n_seeds=0, seed=0)
+
+
+def test_tightness_refuses_oversized_relaxation_before_building_instance(monkeypatch, no_alloc):
+    # m = 20000 would first build a 20000 x 20001 payoff table, about 6 GB
+    def no_instance(k, m):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(analysis, "make_tight_instance", no_instance)
+    with pytest.raises(LpError, match="n=20000, tau_max=20000, tau_L=-1 has 400000000 variables"):
+        tightness_experiment(k=1, m=20000, T=100, n_seeds=1, seed=0)
+    with pytest.raises(LpError, match="n=512, tau_max=512"):
+        tightness_experiment(k=1, m=512, T=100, n_seeds=1, seed=0)
+    lp.check_lp_size(511, 511, -1)  # m = 511 fits the cap, m = 512 is the first past it
 
 
 def test_chunked_runs_match_single_chunk(monkeypatch):

@@ -99,6 +99,32 @@ def test_missing_file_error(capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--T", "5", "--instance", "{dir}", "--out", "{tmp}/t.csv"],
+    ["gen", "appendix-c2", "--out", "{dir}"],
+], ids=["instance-dir", "out-dir"])
+def test_directory_as_path_error(tmp_path, capsys, command):
+    (tmp_path / "d").mkdir()
+    args = [a.format(dir=tmp_path / "d", tmp=tmp_path) for a in command]
+    assert run(args) == 1
+    (line,) = _stderr_lines(capsys)
+    assert line == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command, epsilon", [
+    (["solve-lp"], "5e-324"),
+    (["learn", "--T", "512", "--out", "{tmp}/r.csv"], "1e-320"),
+], ids=["solve-lp", "learn"])
+def test_epsilon_whose_inverse_overflows_rejected(tmp_path, capsys, command, epsilon):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    args = [a.format(tmp=tmp_path) for a in command]
+    assert run(args + ["--instance", str(inst), "--epsilon", epsilon]) == 1
+    assert _stderr_lines(capsys) == [f"error: epsilon {epsilon} is too small: 1/epsilon overflows"]
+
+
 def test_oracle_budget_error(tmp_path, capsys):
     inst = tmp_path / "i.json"
     run(["gen", "random", "--n", "4", "--tau-max", "3", "--out", str(inst)])
@@ -298,9 +324,15 @@ def test_simulate_rejects_bool_payoff(tmp_path, capsys):
      f"arm 0's interval I(1, {-2**62}) has a cycle past 2**62 rounds"),
     ({"interval": {"u": 1, "l": -2**70}},
      f"arm 0's interval I(1, {-2**70}) has a cycle past 2**62 rounds"),
+    ({"interval": 0}, "plan interval must be a JSON object, got int"),
+    ({"interval": False}, "plan interval must be a JSON object, got bool"),
+    ({"interval": ""}, "plan interval must be a JSON object, got str"),
+    ({"interval": []}, "plan interval must be a JSON object, got list"),
+    ({"interval": {}}, "plan interval is missing the key 'u'"),
 ], ids=["fractional-offset", "fractional-u", "negative-offset", "offset-past-cycle",
         "bool-offset", "u-above-tau_max", "u-zero", "l-zero", "cycle-past-2**62",
-        "l-past-int64"])
+        "l-past-int64", "interval-zero", "interval-false", "interval-empty-string",
+        "interval-empty-list", "interval-empty-object"])
 def test_bad_plan_rejected(tmp_path, capsys, arm, message):
     inst, plan = tmp_path / "c2.json", tmp_path / "plan.json"
     run(["gen", "appendix-c2", "--out", str(inst)])

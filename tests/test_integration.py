@@ -84,7 +84,7 @@ def test_etc_commit_continues_from_exploration_states():
     est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
     sol = solve_lp(build_lp(est, cfg.tau_L))
     trace = run_planner(
-        inst, round_intervals(sol, [seed]), T - len(sched),
+        inst, round_intervals(sol, [seed]), T - sched.shape[1],
         selection=est, init_states=expl.end_states, noise_rng=noise,
     )
     assert trace.actual_states[0, 0, 0] == expl.end_states[0]

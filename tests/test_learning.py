@@ -41,8 +41,8 @@ def test_etc_config_formulas():
 def test_small_schedule_example():
     # two arms, budget 1, saturation at 1, depth 1, one sample each
     sched = exploration_schedule(n=2, k=1, tau_max=1, tau_L=-1, m=1)
-    assert len(sched) <= 2 * (1 + 3)
-    assert all(len(s) <= 1 for s in sched)
+    assert sched.shape[1] <= 2 * (1 + 3)
+    assert sched.sum(axis=0).max() <= 1
     inst = random_instance(2, 1, 1, -1, stream(0, "instance"))
     res = simulate_exploration(inst, sched, -1, stream(0, "noise"))
     assert res.counts.min() >= 1
@@ -57,10 +57,11 @@ def test_schedule_feasibility_coverage_and_length():
         tau_L = -int(rng.integers(1, 4))
         m = int(rng.integers(1, 5))
         sched = exploration_schedule(n, k, tau_max, tau_L, m)
-        assert all(len(s) <= k for s in sched)
-        assert len(sched) <= schedule_length_bound(n, k, tau_max, tau_L, m)
+        assert sched.shape[0] == n
+        assert sched.sum(axis=0).max() <= k
+        assert sched.shape[1] <= schedule_length_bound(n, k, tau_max, tau_L, m)
         if n % k == 0:
-            assert len(sched) <= n * m * (tau_max**2 - tau_L + 2) / k
+            assert sched.shape[1] <= n * m * (tau_max**2 - tau_L + 2) / k
         inst = random_instance(n, k, tau_max, min(tau_L, -1), stream(n * 31 + m, "instance"))
         res = simulate_exploration(inst, sched, tau_L, stream(1, "noise"))
         assert res.counts.min() >= m
@@ -79,7 +80,10 @@ def test_simulate_exploration_matches_scalar_reference(data):
         sched = exploration_schedule(n, k, tau_max, tau_L, data.draw(st.integers(1, 3)))
     else:
         arms = st.frozensets(st.integers(0, n - 1), max_size=k)
-        sched = data.draw(st.lists(arms, max_size=40))
+        rounds = data.draw(st.lists(arms, max_size=40))
+        sched = np.zeros((n, len(rounds)), dtype=bool)
+        for t, played in enumerate(rounds):
+            sched[list(played), t] = True
     seed = data.draw(st.integers(0, 99))
     fast_rng, ref_rng = stream(seed, "noise"), stream(seed, "noise")
     fast = simulate_exploration(inst, sched, tau_L, fast_rng)
@@ -91,6 +95,13 @@ def test_simulate_exploration_matches_scalar_reference(data):
     assert fast.realized_total.hex() == ref.realized_total.hex()
     assert fast.mean_total.hex() == ref.mean_total.hex()
     assert fast_rng.random() == ref_rng.random()
+
+
+def test_simulate_exploration_rejects_schedule_of_other_arm_count():
+    inst = random_instance(2, 1, 1, -1, stream(0, "instance"))
+    one_arm = exploration_schedule(n=1, k=1, tau_max=1, tau_L=-1, m=1)
+    with pytest.raises(LearningError, match="the schedule has 1 arms, the instance 2"):
+        simulate_exploration(inst, one_arm, -1, stream(0, "noise"))
 
 
 def test_estimates_exact_for_deterministic_payoffs():

@@ -126,8 +126,8 @@ def test_schedule_replay_matches_value():
     for seed in range(10):
         inst = draw_instance(400 + seed, n_range=(2, 2))
         value, schedule = dp_optimal(inst, 7)
-        assert len(schedule) == 7
-        assert all(len(a) <= inst.k for a in schedule)
+        assert schedule.shape == (inst.n, 7) and schedule.dtype == bool
+        assert schedule.sum(axis=0).max() <= inst.k
         assert schedule_payoff(inst, schedule) == pytest.approx(value, abs=1e-12)
 
 
@@ -135,7 +135,8 @@ def _same_as_twin(inst, T):
     value, schedule = dp_optimal(inst, T)
     twin_value, twin_schedule = reference.dp_optimal(inst, T)
     assert value.hex() == twin_value.hex()
-    assert schedule == twin_schedule
+    assert schedule.dtype == twin_schedule.dtype
+    assert np.array_equal(schedule, twin_schedule)
 
 
 @settings(max_examples=80, deadline=None)
