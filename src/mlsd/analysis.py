@@ -14,6 +14,8 @@ from .model import Instance
 from .oracle import dp_optimal
 from .planner import planner_runs
 
+_MAX_TIGHT_CELLS = 2**20  # payoff cells make_tight_instance may build, M*k x (M+1)
+
 
 def gamma_k(k: int) -> float:
     """Guarantee constant 1 - k^k / (e^k k!), evaluated in log space."""
@@ -36,10 +38,17 @@ def make_tight_instance(k: int, m: int) -> Instance:
 
     Batched round-robin keeps k arms productive per round asymptotically,
     while the planner's candidate count is binomial, which is what makes the
-    guarantee constant tight as m grows.
+    guarantee constant tight as m grows. Raises ValueError, before building
+    anything, when the m*k x (m + 1) payoff table would hold more than
+    _MAX_TIGHT_CELLS cells.
     """
     if k < 1 or m < 1:
         raise ValueError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+    if m * k * (m + 1) > _MAX_TIGHT_CELLS:
+        raise ValueError(
+            f"the tight instance with k={k}, m={m} has a {m * k} x {m + 1} payoff table, "
+            f"more than {_MAX_TIGHT_CELLS} cells"
+        )
     row = [0.0] * m + [1.0]
     return Instance(k=k, tau_min=-1, tau_max=m, means=[row] * (m * k))
 

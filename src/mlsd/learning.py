@@ -73,13 +73,10 @@ def exploration_schedule(n: int, k: int, tau_max: int, tau_L: int, m: int) -> np
     state 1. Negative states come from "dive waves": m consecutive blocks of
     (rest, play, -tau_L more plays); from the second block of a run onward
     the block's lead play happens at state 1, which supplies the remaining
-    state-1 samples. Total length is at most
-    ceil(n/k) * m * (tau_max**2 - tau_L + 2).
+    state-1 samples. The length is ``exploration_length`` of the same
+    arguments, at most ceil(n/k) * m * (tau_max**2 - tau_L + 2).
     """
-    if m < 1:
-        raise LearningError(f"m must be >= 1, got {m}")
-    if tau_L > -1:
-        raise LearningError(f"tau_L must be <= -1, got {tau_L}")
+    length = exploration_length(n, k, tau_max, tau_L, m)
     plays: list[list[int]] = [[] for _ in range(0, n, k)]  # per cohort, its 1-based rounds
     t = 0
     if tau_max >= 2:
@@ -93,10 +90,29 @@ def exploration_schedule(n: int, k: int, tau_max: int, tau_L: int, m: int) -> np
         for _ in range(m):  # a rest round, then -tau_L + 1 plays
             rounds.extend(range(t + 2, t + 3 - tau_L))
             t += 2 - tau_L
-    schedule = np.zeros((len(plays), t), dtype=bool)
+    schedule = np.zeros((len(plays), length), dtype=bool)
     for c, rounds in enumerate(plays):
         schedule[c, np.array(rounds) - 1] = True
     return schedule[np.arange(n) // k]  # a cohort's arms play in lockstep
+
+
+def exploration_length(n: int, k: int, tau_max: int, tau_L: int, m: int) -> int:
+    """The exact number of rounds of ``exploration_schedule`` with these
+    arguments, in closed form, so that a caller can refuse a schedule
+    without building it."""
+    if m < 1:
+        raise LearningError(f"m must be >= 1, got {m}")
+    if tau_L > -1:
+        raise LearningError(f"tau_L must be <= -1, got {tau_L}")
+    cohorts = -(-n // k)
+    rounds = cohorts * m * (2 - tau_L)  # the dive waves
+    if tau_max >= 2:
+        # a cohort's walk after its first play: the gaps, then the gap-2 play
+        walk = (m - 1) * (tau_max + 1) + m * (tau_max * (tau_max + 1) // 2 - 3) + 2
+        # the first cohort starts at round tau_max, each later one a round
+        # after the one before it ends
+        rounds += tau_max + walk + (cohorts - 1) * (walk + 1)
+    return rounds
 
 
 def schedule_length_bound(n: int, k: int, tau_max: int, tau_L: int, m: int) -> int:
@@ -194,12 +210,11 @@ def etc_run(
     the caller has it; the recorded regret is benchmark - R(T).
     """
     cfg = etc_config(instance, T, epsilon)
-    schedule = exploration_schedule(
-        instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
-    )
-    rounds = schedule.shape[1]
-    if rounds >= T:
+    args = instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
+    rounds = exploration_length(*args)
+    if rounds >= T:  # before the schedule's (n, rounds) matrix exists
         raise ExplorationTooLongError(T, rounds)
+    schedule = exploration_schedule(*args)
 
     noise = stream(seed, "noise")
     expl = simulate_exploration(instance, schedule, cfg.tau_L, noise)

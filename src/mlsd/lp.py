@@ -5,6 +5,12 @@ arm i spends inside cycles of I(u, l). The budget row bounds the total play
 fraction by k (an interval of lower state l plays -l rounds per cycle); the
 per-arm rows say each arm's cycles cannot overlap (total occupancy <= 1).
 The objective sums per-cycle payoffs weighted by occupancy.
+
+Scaled by cycle length, y = (u - l) * x, the program is the linear
+relaxation of a multiple-choice knapsack: each arm picks at most one unit of
+y, an interval costs -l / (u - l) budget and pays q / (u - l) per unit.
+``solve_lp`` solves it exactly by the greedy over upper concave hulls
+(Sinha & Zoltners, Oper. Res. 27, 1979).
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .intervals import aggregated_payoff, interval_grid
 from .model import PayoffTable
@@ -22,13 +27,14 @@ _MAX_CELLS = 2**27  # A_ub entries plus objective terms build_lp may hold at onc
 
 
 class LpError(RuntimeError):
-    """The relaxation is too large to build, or HiGHS did not solve it."""
+    """The relaxation is too large to build."""
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """Dense description of the relaxation for one instance and cutoff tau_L,
-    its variables in ``interval_grid`` order within each arm."""
+    its variables in ``interval_grid`` order within each arm. ``solve_lp``
+    reads the objective, not the dense rows ``a_ub`` and ``b_ub``."""
 
     n: int
     k: int
@@ -104,18 +110,76 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Maximize the relaxation with HiGHS and return the occupancy tensor."""
-    res = linprog(
-        -problem.objective,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        bounds=(0.0, None),
-        method="highs",
+    """Maximize the relaxation exactly and return the occupancy tensor.
+
+    Reads only ``n``, ``k``, ``tau_max``, ``tau_L`` and ``objective``. Each
+    interval of arm i is a point (w, v) = (-l, q) / (u - l): its budget and
+    payoff per unit of y = (u - l) * x. The greedy
+
+    1. builds each arm's upper concave hull from the null point (0, 0)
+       through its points in increasing w, and keeps the hull's increments
+       of positive slope;
+    2. sorts all increments by slope, highest first, equal slopes by
+       (arm, step);
+    3. takes whole increments while they fit in the budget k and the first
+       that does not fit in part, then stops;
+    4. maps back with x = y / (u - l); the objective is q . x.
+
+    So every arm sits on one interval with y = 1 or on none, except at most
+    one arm that splits its unit between two neighbouring hull points.
+
+    Ties: of points with equal w only the highest v is kept, the first in
+    variable order among equal ones. A point is dropped from the hull unless
+    the slope into it, as computed, is strictly above the slope out of it,
+    so points on a hull edge (collinear ones, as clamped states below
+    tau_min make them) are dropped and only the extreme points are used.
+    """
+    n = problem.n
+    u, l = interval_grid(problem.tau_max, problem.depth)
+    length = u - l
+    w = (-l / length).tolist()
+    v = (problem.objective.reshape(n, -1) / length).tolist()
+    by_weight = sorted(range(len(w)), key=w.__getitem__)  # stable: variable order
+
+    increments = []  # (-slope, arm, step, dw, column, previous column or -1)
+    for arm, values in enumerate(v):
+        hull = [(0.0, 0.0, -1, np.inf)]  # (w, v, column, slope into it)
+        for j in by_weight:
+            wj, vj = w[j], values[j]
+            if wj == hull[-1][0]:
+                if vj <= hull[-1][1]:
+                    continue
+                hull.pop()
+            while True:
+                w0, v0, _, slope_in = hull[-1]
+                slope = (vj - v0) / (wj - w0)
+                if slope < slope_in:
+                    break
+                hull.pop()
+            hull.append((wj, vj, j, slope))
+        for step, (wj, _, j, slope) in enumerate(hull[1:]):
+            if slope <= 0.0:
+                break
+            w0, _, j0, _ = hull[step]
+            increments.append((-slope, arm, step, wj - w0, j, j0))
+    increments.sort()
+
+    y = np.zeros((n, len(w)))
+    room = float(problem.k)
+    for _, arm, _, dw, j, j0 in increments:
+        t = min(1.0, room / dw)  # below 1 only for the one split arm, the last
+        y[arm, j] = t
+        if j0 >= 0:
+            y[arm, j0] = 1.0 - t
+        if t < 1.0:
+            break
+        room -= dw
+    x = y / length
+    return LpSolution(
+        x=x.reshape(n, problem.tau_max, problem.depth),
+        objective=float(problem.objective @ x.ravel()),
+        tau_L=problem.tau_L,
     )
-    if res.status != 0:
-        raise LpError(f"HiGHS status {res.status}: {res.message}")
-    x = np.asarray(res.x).reshape(problem.n, problem.tau_max, problem.depth)
-    return LpSolution(x=x, objective=float(-res.fun), tau_L=problem.tau_L)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Scalar reference twins of vectorized library code, and the Monte Carlo
-candidate-triple sampler of criterion 4; used only by tests."""
+"""Scalar reference twins of vectorized library code, the HiGHS reference
+solver of the relaxation, and the Monte Carlo candidate-triple sampler of
+criterion 4; used only by tests."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.learning import ExplorationResult
-from mlsd.lp import LpProblem, LpSolution
+from mlsd.lp import LpError, LpProblem, LpSolution
 from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
 from mlsd.oracle import action_sets
 from mlsd.planner import Plan, PlannerRuns, _arm_distribution
@@ -104,6 +106,22 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     return LpProblem(
         n=n, k=k, tau_max=tau_max, tau_L=tau_L, objective=c, a_ub=a, b_ub=b
     )
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Maximize the dense program ``a_ub``, ``b_ub`` with HiGHS: the
+    general-purpose twin of the greedy ``lp.solve_lp``."""
+    res = linprog(
+        -problem.objective,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise LpError(f"HiGHS status {res.status}: {res.message}")
+    x = np.asarray(res.x).reshape(problem.n, problem.tau_max, problem.depth)
+    return LpSolution(x=x, objective=float(-res.fun), tau_L=problem.tau_L)
 
 
 def step_states(played: np.ndarray, init) -> np.ndarray:

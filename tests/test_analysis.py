@@ -49,6 +49,19 @@ def test_tight_instance_shape():
     assert inst2.n == 10
 
 
+def test_tight_instance_size_guard(monkeypatch):
+    def no_instance(**kwargs):
+        raise AssertionError("the table was built")
+
+    with pytest.raises(ValueError, match="1024 x 1025 payoff table, more than 1048576 cells"):
+        make_tight_instance(1, 1024)
+    monkeypatch.setattr(analysis, "_MAX_TIGHT_CELLS", 2 * 3 * 4)
+    assert make_tight_instance(2, 3).n == 6  # exactly at the limit
+    monkeypatch.setattr(analysis, "Instance", no_instance)
+    with pytest.raises(ValueError, match="k=1, m=5 has a 5 x 6 payoff table"):
+        make_tight_instance(1, 5)
+
+
 def test_tight_instance_candidate_probability():
     # exact occupancy is 1/(m+1) per arm, so the per-round candidate chance
     # is 1/(m+1); the coarser 1/m description is its large-m limit

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from mlsd import oracle
+from mlsd import learning, oracle
 from mlsd.cli import main
 
 
@@ -175,6 +175,31 @@ def test_learn_horizon_too_small(tmp_path, capsys):
     assert run(["learn", "--instance", str(inst), "--T", "10",
                 "--epsilon", "0.25", "--out", str(tmp_path / "r.csv")]) == 1
     assert "minimum viable T" in capsys.readouterr().err
+
+
+def test_learn_refuses_long_exploration_before_building_it(tmp_path, capsys, monkeypatch):
+    def no_schedule(*args):
+        raise AssertionError("the schedule was built")
+
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    monkeypatch.setattr(learning, "exploration_schedule", no_schedule)
+    capsys.readouterr()
+    assert run(["learn", "--instance", str(inst), "--T", "512",
+                "--epsilon", "1e-9", "--out", str(tmp_path / "r.csv")]) == 1
+    (line,) = _stderr_lines(capsys)
+    assert line.startswith("error: T=512 is too small: exploration needs ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_gen_refuses_oversized_tight_instance(tmp_path, capsys):
+    out = tmp_path / "c1.json"
+    assert run(["gen", "appendix-c1", "--k", "1", "--m", "20000", "--out", str(out)]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: the tight instance with k=1, m=20000 has a 20000 x 20001 payoff table, "
+        "more than 1048576 cells"
+    ]
+    assert not out.exists()
 
 
 def test_plot_data_ratio_vs_m(tmp_path):

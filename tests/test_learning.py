@@ -15,6 +15,7 @@ from mlsd.learning import (
     estimate_payoffs,
     etc_config,
     etc_run,
+    exploration_length,
     exploration_schedule,
     robustness_gap,
     schedule_length_bound,
@@ -59,6 +60,8 @@ def test_schedule_feasibility_coverage_and_length():
         sched = exploration_schedule(n, k, tau_max, tau_L, m)
         assert sched.shape[0] == n
         assert sched.sum(axis=0).max() <= k
+        assert sched.shape[1] == exploration_length(n, k, tau_max, tau_L, m)
+        assert sched[:, -1].any()  # no idle tail: the closed form is not too long
         assert sched.shape[1] <= schedule_length_bound(n, k, tau_max, tau_L, m)
         if n % k == 0:
             assert sched.shape[1] <= n * m * (tau_max**2 - tau_L + 2) / k
@@ -165,6 +168,12 @@ def test_etc_refuses_small_horizon():
     with pytest.raises(ExplorationTooLongError) as info:
         etc_run(inst, 10, 0.25, seed=0)
     assert info.value.min_viable_T > 10
+
+
+def test_etc_refuses_long_exploration_before_building_it(no_alloc):
+    # the schedule at epsilon 1e-9 would take about a billion rounds per sample
+    with pytest.raises(ExplorationTooLongError, match="^T=512 is too small: exploration needs"):
+        etc_run(make_step_instance(), 512, 1e-9, seed=0)
 
 
 def test_etc_regret_rate_decreases():

@@ -1,3 +1,7 @@
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -193,11 +197,52 @@ def test_build_lp_makes_one_aggregated_payoff_call():
 
 
 def test_solver_failure_names_highs_status():
-    # nothing bounds x: HiGHS reports the program unbounded
+    # nothing bounds x: the HiGHS reference solver reports the program unbounded
     prob = lp.LpProblem(n=1, k=1, tau_max=1, tau_L=-1, objective=np.ones(1),
                         a_ub=np.zeros((2, 1)), b_ub=np.ones(2))
     with pytest.raises(LpError, match=r"^HiGHS status 3: .*unbounded"):
-        solve_lp(prob)
+        reference.solve_lp(prob)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    tau_max=st.integers(1, 6),
+    tau_min=st.integers(-4, -1),
+    tau_L=st.integers(-4, -1),
+    monotone=st.booleans(),
+)
+def test_greedy_matches_highs_reference(seed, n, tau_max, tau_min, tau_L, monotone):
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(size=(n, tau_max - tau_min))
+    k = int(rng.integers(1, n + 1))
+    if monotone:
+        table = Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=np.sort(means))
+    else:  # estimated and perturbed tables
+        table = PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
+    prob = build_lp(table, tau_L)
+    sol = solve_lp(prob)
+    assert sol.objective == pytest.approx(reference.solve_lp(prob).objective, abs=1e-9)
+    assert check_feasible(sol, table).feasible
+    spread = np.count_nonzero(sol.x.reshape(n, -1) > 0.0, axis=1)
+    assert spread.max() <= 2 and np.count_nonzero(spread == 2) <= 1
+    # deterministic, and blind to the dense rows
+    again = solve_lp(dataclasses.replace(prob, a_ub=None, b_ub=None))
+    assert again.x.tobytes() == sol.x.tobytes()
+    assert again.objective == sol.objective
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import mlsd, mlsd.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_build_lp_size_guard_boundary(monkeypatch):
