@@ -9,10 +9,11 @@ sets are semicolon-joined 0-based indices.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -24,9 +25,21 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _set_str(column: np.ndarray) -> str:
-    """The arms set in one round's bool column of an (n, T) play matrix."""
-    return ";".join(map(str, np.flatnonzero(column).tolist()))
+def _labels(values: np.ndarray, label) -> np.ndarray:
+    """label(v) for each entry, as an object array of the same shape; label
+    runs once per distinct value present."""
+    ordered = np.sort(values, axis=None)  # np.unique is 3x slower here
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    table = np.array([label(v) for v in distinct.tolist()], dtype=object)
+    return table[np.searchsorted(distinct, values)]
+
+
+def _arm_sets(members: np.ndarray) -> list[str]:
+    """Each round's arms in an (n, T) play matrix, semicolon-joined."""
+    arms = np.nonzero(members.T)[1]
+    names = np.array([str(i) for i in range(members.shape[0])], dtype=object)[arms].tolist()
+    ends = np.cumsum(np.count_nonzero(members, axis=0)).tolist()
+    return [";".join(names[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -88,24 +101,29 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _trace_rows(runs: planner.PlannerRuns) -> tuple[list[str], Iterator[list[str]]]:
-    """The header and one row per round of run 0; ``nu_i`` is blank for an
-    arm without an interval, whose virtual state is 0."""
-    header = ["t"] + [f"nu_{i}" for i in range(runs.n)] + [
+_BLOCK_CELLS = 2**14  # (arm, round) cells the trace writer formats at a time
+
+
+def _write_trace(path, runs: planner.PlannerRuns) -> None:
+    """Run 0 as CSV, one row per round, formatted column-wise in blocks of
+    rounds; ``nu_i`` is blank for an arm without an interval (state 0)."""
+    n, T = runs.n, runs.T
+    header = ["t"] + [f"nu_{i}" for i in range(n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
-    virtual, cand, played = runs.virtual[0], runs.candidates[0], runs.played[0]
-    vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
-    rows = (
-        [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
-            _set_str(cand[:, t]),
-            _set_str(played[:, t]),
-            _fmt(vp[t]),
-            _fmt(ap[t]),
-        ]
-        for t in range(runs.T)
-    )
-    return header, rows
+    step = max(1, _BLOCK_CELLS // n)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for a in range(0, T, step):
+            b = min(a + step, T)
+            cells = np.empty((b - a, n + 5), dtype=object)
+            cells[:, 0] = [str(t) for t in range(a + 1, b + 1)]
+            cells[:, 1:-4] = _labels(runs.virtual[0, :, a:b], lambda nu: str(nu) if nu else "").T
+            cells[:, -4] = _arm_sets(runs.candidates[0, :, a:b])
+            cells[:, -3] = _arm_sets(runs.played[0, :, a:b])
+            cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)
+            cells[:, -1] = _labels(runs.actual_payoff[0, a:b], _fmt)
+            f.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
 
 
 def cmd_simulate(args) -> int:
@@ -118,8 +136,7 @@ def cmd_simulate(args) -> int:
         tau_L = _tau_L(args)
         solution = lp.solve_lp(lp.build_lp(instance, tau_L))
         trace = planner.simulate_planner(instance, solution, args.T, args.seed)
-    header, rows = _trace_rows(trace)
-    _write_csv(args.out, header, rows)
+    _write_trace(args.out, trace)
     print(
         f"T={args.T} mean_virtual={_fmt(trace.virtual_payoff.mean())} "
         f"mean_actual={_fmt(trace.actual_payoff.mean())}"
@@ -131,7 +148,7 @@ def cmd_oracle(args) -> int:
     instance = model.load_instance(args.instance)
     value, schedule = oracle.dp_optimal(instance, args.T, budget=args.budget)
     if args.out:
-        rows = [[str(t + 1), _set_str(column)] for t, column in enumerate(schedule.T)]
+        rows = zip(map(str, range(1, args.T + 1)), _arm_sets(schedule))
         _write_csv(args.out, ["t", "played"], rows)
     print(f"OPT={_fmt(value)}")
     return 0
@@ -345,8 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_main_parser = functools.cache(build_parser)  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         for name in ("T", "seeds"):
             if getattr(args, name, 1) <= 0:

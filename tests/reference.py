@@ -5,7 +5,7 @@ criterion 4; used only by tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -216,6 +216,41 @@ def init_offsets(
     return PlannerState(
         intervals=tuple(intervals), offsets=tuple(offsets), t=0, virtual=virtual
     )
+
+
+def set_str(column: np.ndarray) -> str:
+    """The arms set in one round's bool column of an (n, T) play matrix."""
+    return ";".join(map(str, np.flatnonzero(column).tolist()))
+
+
+def trace_rows(runs: PlannerRuns) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and one row per round of run 0; ``nu_i`` is blank for an
+    arm without an interval, whose virtual state is 0."""
+    header = ["t"] + [f"nu_{i}" for i in range(runs.n)] + [
+        "candidates", "played", "virtual_payoff", "actual_payoff",
+    ]
+    virtual, cand, played = runs.virtual[0], runs.candidates[0], runs.played[0]
+    vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
+    rows = (
+        [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
+            set_str(cand[:, t]),
+            set_str(played[:, t]),
+            format(vp[t], ".12g"),
+            format(ap[t], ".12g"),
+        ]
+        for t in range(runs.T)
+    )
+    return header, rows
+
+
+def write_trace(path, runs: PlannerRuns) -> None:
+    """Row-wise twin of the CLI's trace writer: one row formatted and
+    written per round."""
+    header, rows = trace_rows(runs)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
 
 
 def step_planner(state: PlannerState, model) -> tuple[frozenset[int], PlannerState]:

@@ -418,3 +418,15 @@ def test_simulate_refuses_oversized_run(tmp_path, capsys, no_alloc):
         "error: 1 x 1 x 100000000 (run, arm, round) cells exceed the planner's cap of 8388608"
     ]
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_main_parses_again_after_an_argparse_exit(tmp_path, capsys):
+    # main builds its parser once per process; a bad flag must not spoil it
+    with pytest.raises(SystemExit):
+        run(["gen", "random", "--bogus"])
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["gen", "random", "--n", "4", "--seed", "2", "--out", str(a)]) == 0
+    assert run(["gen", "random", "--out", str(b)]) == 0
+    assert json.loads(a.read_text())["n"] == 4
+    assert json.loads(b.read_text())["n"] == 3  # the default, not the last call's value

@@ -28,6 +28,12 @@ COMMANDS = [
      "--out", "trace.csv"],
     ["simulate", "--instance", "inst.json", "--plan", "plan.json", "--T", "20",
      "--out", "trace-plan.csv"],
+    # Edge cases of the trace: three arms draw no interval (blank nu_i), 25
+    # rounds have no candidate, and virtual states reach -5 < tau_min = -1.
+    ["gen", "random", "--n", "8", "--k", "2", "--tau-max", "3", "--tau-min", "-1",
+     "--seed", "28", "--out", "inst8.json"],
+    ["simulate", "--instance", "inst8.json", "--epsilon", "0.2", "--seed", "0", "--T", "300",
+     "--out", "trace-edge.csv"],
     ["oracle", "--instance", "inst.json", "--T", "8", "--out", "schedule.csv"],
     ["learn", "--instance", "c2.json", "--T", "512", "--epsilon", "0.25", "--seed", "1",
      "--seeds", "2", "--out", "regret.csv"],
@@ -52,6 +58,7 @@ GOLDEN = {
     "approximation.json": "f9115341e725fc83dd2bd621713525911989ee7ece625177f9612973abcc1aab",
     "c2.json": "99300b3385b4bdad8fb7e99ce4000c3388efbcb33e07422ab76a35008e908b28",
     "inst.json": "07e0419365d787d52a262e229422cfa30f44f933eabfb269f4fc4e5cfeb137fd",
+    "inst8.json": "d748ef39c52e32a598dabc79c38c72570e3239ec765139de7bbee4a2aa01b854",
     "plan.json": "a6a15939c382107b94dd9933c1895a935e44379464824dc8ef168264836bf930",
     "ratio-vs-m.csv": "2d27b5f2f2137a5b4faf980ed51c7b7f480ddfd50eff7b9c1a28f9aaca329483",
     "regret-trend.csv": "60f9e03028eb6f58617cbf5d92c52a843e9b204eed4421db2b6ea13907f5aaec",
@@ -64,6 +71,7 @@ GOLDEN = {
     "solution.json": "59a481ebd127e369a76d62a1a678cc10e71382028617d4df588473d23627ff24",
     "tightness.csv": "808078a101b842d3b03ab4d10bae0db274a84bd53533efa98a3928b078af1663",
     "tightness.json": "75902edbf23a8d13e0a75db0db8597ab19d009292c2b93aa626b349d8e81119b",
+    "trace-edge.csv": "cc15cca32109516b0bc31e8894e66440b97685f53a41bbd35fbda6a0fc770ed7",
     "trace-plan.csv": "1acce1043b605bae98ba054e15d03c3ee84b4f4bf021a1d129f4e977398fd875",
     "trace.csv": "5daeda5e1f507e34970a1e7d0341fd356f66782c5660f0ba3adf133dc9ba4ce3",
 }
@@ -75,6 +83,8 @@ STDOUT = {
     "plan.json": "LP*=0.748975229358 tau_L=-2 active_arms=3/3\n",
     "trace.csv": "T=20 mean_virtual=0.748975229358 mean_actual=0.742898823822\n",
     "trace-plan.csv": "T=20 mean_virtual=0.622838164618 mean_actual=0.6240461141\n",
+    "inst8.json": "wrote inst8.json (n=8, k=2, tau_max=3, tau_min=-1)\n",
+    "trace-edge.csv": "T=300 mean_virtual=1.380732434 mean_actual=1.38137626763\n",
     "schedule.csv": "OPT=5.99082093179\n",
     "regret.csv": "benchmark=oracle mean_R=283 mean_Reg=-120.86107666\n",
     "approximation.json": "wrote approximation.json and approximation.csv\n",
