@@ -6,6 +6,14 @@ boundaries preserves every future payoff. A brute-force enumeration over
 action sequences (running the unclipped dynamics) serves as an independent
 cross-check; both accumulate payoffs in the same order, so agreement is
 exact, not approximate.
+
+``dp_optimal`` runs the induction and the schedule walk on one of two
+engines over the same (action, state) reward and successor tables. Tables
+of at most ``_PY_ENGINE_CELLS`` cells (the one-arm step instance has 6) go
+to a loop over Python floats, since a numpy step costs a few microseconds
+whatever the table size; larger tables go to numpy, one array expression
+per step. Both add the same floats in the same order and break ties to the
+first action, so value and schedule are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -15,10 +23,13 @@ import math
 
 import numpy as np
 
-from .model import Instance, column_state, state_column, transition
+from .model import Instance, ModelError, column_state, require_int, state_column, transition
 
 _MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
-_MAX_POLICY = 2**26  # (round, state) cells of dp_optimal's int32 policy table, 256 MiB
+_MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 256 MiB as numpy's int32
+# largest (action, state) table for the Python-float engine: on a 2-vCPU
+# VM it beats numpy's ~3 us per step up to 48 cells and ties it at 52
+_PY_ENGINE_CELLS = 48
 
 
 class OracleBudgetError(RuntimeError):
@@ -38,16 +49,23 @@ def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_horizon(T) -> None:
+    require_int("T", T)
+    if T < 0:
+        raise ModelError(f"T must be non-negative, got {T}")
+
+
 def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, np.ndarray]:
     """OPT(T) and one optimal play schedule as an (n, T) bool matrix (arm i
     plays in round t + 1 where it is set), by exact backward induction over
     the table columns of every arm's clipped state. Raises
     OracleBudgetError, before allocating anything, when the evaluations
     exceed ``budget``, the (action, state) tables exceed _MAX_CELLS or the
-    (round, state) policy exceeds _MAX_POLICY, and ValueError unless
-    ``budget`` is positive."""
+    (round, state) policy exceeds _MAX_POLICY, ValueError unless ``budget``
+    is positive and ModelError unless ``T`` is a non-negative integer."""
     if not budget > 0:
         raise ValueError(f"the oracle budget must be positive, got {budget}")
+    _check_horizon(T)
     n, k = instance.n, instance.k
     tau_min, tau_max = instance.tau_min, instance.tau_max
     M = tau_max - tau_min
@@ -59,6 +77,20 @@ def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, 
         raise OracleBudgetError(cells, _MAX_CELLS, "dp_optimal", "(action, state) cells in memory")
     if T * J > _MAX_POLICY:
         raise OracleBudgetError(T * J, _MAX_POLICY, "dp_optimal", "(round, state) policy cells")
+    rewards, nexts, member, start = _tables(instance)
+    engine = _induct_python if rewards.size <= _PY_ENGINE_CELLS else _induct_numpy
+    value, path = engine(rewards, nexts, T, start)
+    return value, member[np.asarray(path, dtype=np.intp)].T
+
+
+def _tables(instance: Instance):
+    """The (actions, states) per-round rewards and successor states of the
+    joint clipped state space, the (actions, n) bool membership of every
+    action and the index of the joint start state (every arm at state 1)."""
+    n, k = instance.n, instance.k
+    tau_min, tau_max = instance.tau_min, instance.tau_max
+    M = tau_max - tau_min
+    J = M**n
     actions = action_sets(n, k)
 
     # successor column of each column: a play moves a positive state to -1
@@ -68,8 +100,8 @@ def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, 
     idle_next = state_column(np.where(states > 0, states + 1, 1), tau_min, tau_max)
     member = np.array([[i in act for i in range(n)] for act in actions])
 
-    # (actions, J) per-round rewards and successor indices, summed arm by arm
-    # in ascending order (adding 0.0 for an idle arm is exact)
+    # rewards and successor indices summed arm by arm in ascending order
+    # (adding 0.0 for an idle arm is exact)
     rewards = np.zeros((len(actions), J))
     nexts = np.zeros((len(actions), J), dtype=np.int64)
     for i in range(n):
@@ -78,28 +110,78 @@ def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, 
         rewards += np.where(plays, instance.means[i][digit], 0.0)
         nexts += np.where(plays, play_next[digit], idle_next[digit]) * M**i
 
-    value = np.zeros(J)
-    policy = np.zeros((T, J), dtype=np.int32)
+    one = int(state_column(1, tau_min, tau_max))
+    return rewards, nexts, member, sum(one * M**i for i in range(n))
+
+
+def _induct_numpy(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
+    """OPT from state ``start`` over T rounds and the action index of each
+    round on an optimal path, one array expression per backward step."""
+    value = np.zeros(rewards.shape[1])
+    policy = np.zeros((T, rewards.shape[1]), dtype=np.int32)
     for t in range(T - 1, -1, -1):
         q = rewards + value[nexts]
         policy[t] = q.argmax(axis=0)
         value = q.max(axis=0)
 
-    one = state_column(1, tau_min, tau_max)
-    start = s = sum(one * M**i for i in range(n))
     path = []
+    s = start
     for t in range(T):
         a = int(policy[t, s])
         path.append(a)
         s = int(nexts[a, s])
-    return float(value[start]), member[path].T
+    return float(value[start]), path
+
+
+def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
+    """``_induct_numpy`` on Python floats, looping over states and actions:
+    the same adds (reward + value of the successor) and the same tie break
+    (the first maximal action). Its tables have at most _PY_ENGINE_CELLS
+    cells, so an action index fits a byte: the policy takes one byte per
+    (round, state), rounds stored last first."""
+    J = rewards.shape[1]
+    succ = nexts.tolist()
+    # per state: its index, its (reward, successor) under action 0, then
+    # (action, reward, successor) under every later action
+    rows = [
+        (j, (r[0], nx[0]), tuple(zip(range(1, len(r)), r[1:], nx[1:])))
+        for j, (r, nx) in enumerate(zip(rewards.T.tolist(), nexts.T.tolist()))
+    ]
+    # two value buffers swapped every round, so a round allocates no list
+    value = [0.0] * J
+    values = [0.0] * J
+    actions = [0] * J
+    policy = bytearray()
+    for _ in range(T):
+        for j, (r, nx), later in rows:
+            best = r + value[nx]
+            arg = 0
+            for a, r, nx in later:
+                q = r + value[nx]
+                if q > best:
+                    best = q
+                    arg = a
+            values[j] = best
+            actions[j] = arg
+        policy.extend(actions)
+        value, values = values, value
+
+    path = bytearray()
+    s = start
+    for t in range(T - 1, -1, -1):
+        a = policy[t * J + s]
+        path.append(a)
+        s = succ[a][s]
+    return value[start], path
 
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
     """OPT(T) by enumerating every action sequence on the raw dynamics;
-    raises ValueError unless ``budget`` is positive."""
+    raises ValueError unless ``budget`` is positive and ModelError unless
+    ``T`` is a non-negative integer."""
     if not budget > 0:
         raise ValueError(f"the oracle budget must be positive, got {budget}")
+    _check_horizon(T)
     n, k = instance.n, instance.k
     actions = action_sets(n, k)
     cost = len(actions) ** T

@@ -35,6 +35,9 @@ COMMANDS = [
     ["simulate", "--instance", "inst8.json", "--epsilon", "0.2", "--seed", "0", "--T", "300",
      "--out", "trace-edge.csv"],
     ["oracle", "--instance", "inst.json", "--T", "8", "--out", "schedule.csv"],
+    # 6 (action, state) cells: the Python-float engine (inst.json's 500
+    # cells take the numpy one)
+    ["oracle", "--instance", "c2.json", "--T", "9", "--out", "schedule-c2.csv"],
     ["learn", "--instance", "c2.json", "--T", "512", "--epsilon", "0.25", "--seed", "1",
      "--seeds", "2", "--out", "regret.csv"],
     ["experiment", "approximation", "--instance", "inst.json", "--epsilon", "0.5",
@@ -67,6 +70,7 @@ GOLDEN = {
     "regret.csv": "2ba451a8bb80f2d9f8d82b3272d1ee42577939850bff0ae419749a601e65eb94",
     "robustness.csv": "c6d56f8c5267926c4e1648780be833381c1ba082372ec19fe9788480c3a6b4dd",
     "robustness.json": "2fb2fb5844bbf77c0ed27c14595f488eac6da70a858d5a8ef4ba9aee0af5b4da",
+    "schedule-c2.csv": "1142e1c2aa98870f051f4fedb21435ab9348bf8a502fc437c8e8d9956dbe9a86",
     "schedule.csv": "fbd81f7b9952b545d6123c6bf6caba55ed12da6f3c78a9950a76f75ca6d7f0ea",
     "solution.json": "59a481ebd127e369a76d62a1a678cc10e71382028617d4df588473d23627ff24",
     "tightness.csv": "808078a101b842d3b03ab4d10bae0db274a84bd53533efa98a3928b078af1663",
@@ -86,6 +90,7 @@ STDOUT = {
     "inst8.json": "wrote inst8.json (n=8, k=2, tau_max=3, tau_min=-1)\n",
     "trace-edge.csv": "T=300 mean_virtual=1.380732434 mean_actual=1.38137626763\n",
     "schedule.csv": "OPT=5.99082093179\n",
+    "schedule-c2.csv": "OPT=6\n",
     "regret.csv": "benchmark=oracle mean_R=283 mean_Reg=-120.86107666\n",
     "approximation.json": "wrote approximation.json and approximation.csv\n",
     "tightness.json": "wrote tightness.json and tightness.csv\n",

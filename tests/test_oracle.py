@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from reference import schedule_payoff
 
 from mlsd import oracle
 from mlsd.analysis import make_step_instance, make_tight_instance
-from mlsd.model import Instance
+from mlsd.model import Instance, ModelError
 from mlsd.oracle import OracleBudgetError, dp_optimal, exhaustive_optimal
 
 
@@ -120,6 +122,89 @@ def test_oracles_refuse_budget_that_is_not_positive(no_alloc, budget):
     for oracle_fn in (dp_optimal, exhaustive_optimal):
         with pytest.raises(ValueError, match=f"oracle budget must be positive, got {budget}"):
             oracle_fn(make_step_instance(), 3, budget=budget)
+
+
+@pytest.mark.parametrize("oracle_fn", [dp_optimal, exhaustive_optimal])
+@pytest.mark.parametrize("T, message", [
+    (-3, "T must be non-negative, got -3"),
+    (2.0, "T must be an integer, got 2.0"),
+    (True, "T must be an integer, got True"),
+])
+def test_oracles_refuse_horizon_that_is_not_a_count(no_alloc, oracle_fn, T, message):
+    # unchecked, the Python engine (the step instance's) would return
+    # OPT = 0 for T = -3, and exhaustive_optimal 2.0 for T = 2.0
+    with pytest.raises(ModelError, match=message):
+        oracle_fn(make_step_instance(), T)
+
+
+def test_oracles_at_horizon_zero():
+    for inst in (make_step_instance(), make_tight_instance(2, 2)):  # both engines
+        value, schedule = dp_optimal(inst, 0)
+        assert value == 0.0 and schedule.shape == (inst.n, 0)
+        assert exhaustive_optimal(inst, 0) == 0.0
+
+
+def test_engine_choice_follows_table_cells(monkeypatch):
+    chosen = []
+
+    def spy(name):
+        engine = getattr(oracle, name)
+
+        def run(*args):
+            chosen.append(name)
+            return engine(*args)
+        monkeypatch.setattr(oracle, name, run)
+
+    spy("_induct_numpy")
+    spy("_induct_python")
+    dp_optimal(make_step_instance(), 3)  # 2 actions x 3 states
+    dp_optimal(make_tight_instance(1, 4), 3)  # 3 actions x 25 states
+    assert chosen == ["_induct_python", "_induct_numpy"]
+
+
+@st.composite
+def _random_tables(draw):
+    """(rewards, nexts, start): random tables of 1..8 actions by 1..40
+    states, on both sides of the engine threshold; quarter-step rewards make
+    many actions tie."""
+    A = draw(st.integers(1, 8))
+    J = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rewards = rng.uniform(size=(A, J))
+    if draw(st.booleans()):
+        rewards = np.round(rewards * 4) / 4
+    nexts = rng.integers(0, J, size=(A, J))
+    return rewards, nexts, draw(st.integers(0, J - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=_random_tables(), T=st.integers(0, 40))
+@example(tables=(np.full((2, 3), 0.5), np.array([[1, 2, 0], [0, 0, 0]]), 0), T=5)  # all tie
+@example(tables=(np.full((8, 40), 0.25), np.zeros((8, 40), dtype=np.int64), 39), T=3)
+def test_engines_agree_bit_for_bit(tables, T):
+    rewards, nexts, start = tables
+    value, path = oracle._induct_numpy(rewards, nexts, T, start)
+    py_value, py_path = oracle._induct_python(rewards, nexts, T, start)
+    assert type(py_value) is float and value.hex() == py_value.hex()
+    assert list(py_path) == path
+
+
+def test_python_engine_policy_memory():
+    # the policy must stay within 4 bytes per (round, state), twice over,
+    # at T = 2e5 on the 3-state step instance; one Python list per round
+    # would take ~88 bytes per round
+    T = 200_000
+    rewards, nexts, _, start = oracle._tables(make_step_instance())
+    assert rewards.size <= oracle._PY_ENGINE_CELLS
+    J = rewards.shape[1]
+    tracemalloc.start()
+    try:
+        value, path = oracle._induct_python(rewards, nexts, T, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == T and value == pytest.approx(T * 2 / 3, abs=1)
+    assert peak <= 2 * 4 * T * J
 
 
 def test_schedule_replay_matches_value():
