@@ -10,10 +10,11 @@ exact, not approximate.
 ``dp_optimal`` runs the induction and the schedule walk on one of two
 engines over the same (action, state) reward and successor tables. Tables
 of at most ``_PY_ENGINE_CELLS`` cells (the one-arm step instance has 6) go
-to a loop over Python floats, since a numpy step costs a few microseconds
-whatever the table size; larger tables go to numpy, one array expression
-per step. Both add the same floats in the same order and break ties to the
-first action, so value and schedule are bit-identical either way.
+to a loop over Python floats; larger tables go to numpy, one array
+expression per step, which alone keeps the ~36 bytes per cell that
+``_MAX_CELLS`` assumes. Both add the same floats in the same order and
+break ties to the first action, so value and schedule are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .model import Instance, ModelError, column_state, require_int, state_column
 
 _MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
 _MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 256 MiB as numpy's int32
-# largest (action, state) table for the Python-float engine: on a 2-vCPU
-# VM it beats numpy's ~3 us per step up to 48 cells and ties it at 52
+# largest (action, state) table for the Python-float engine: a numpy step
+# has a fixed cost of a few microseconds, which the Python loop beats up to
+# about 48 cells (2-vCPU VM, ties at 52); the loop's tuples and floats also
+# take ~210 B a cell against numpy's ~36
 _PY_ENGINE_CELLS = 48
 
 

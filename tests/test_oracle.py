@@ -162,6 +162,23 @@ def test_engine_choice_follows_table_cells(monkeypatch):
     assert chosen == ["_induct_python", "_induct_numpy"]
 
 
+
+def test_dp_memory_per_table_cell():
+    # _MAX_CELLS's ~0.6 GiB promise is 2**24 cells at ~36 B each. On a
+    # 90,112-cell table the numpy engine peaks at ~33 B a cell; the
+    # Python-float engine's per-cell tuples and floats take ~210 B, which
+    # is why it runs only on tables of at most _PY_ENGINE_CELLS cells.
+    inst = make_tight_instance(2, 3)
+    cells = oracle._tables(inst)[0].size
+    assert cells > 10**4
+    tracemalloc.start()
+    try:
+        dp_optimal(inst, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * cells
+
 @st.composite
 def _random_tables(draw):
     """(rewards, nexts, start): random tables of 1..8 actions by 1..40
