@@ -10,7 +10,7 @@ import numpy as np
 
 from .learning import etc_run
 from .lp import build_lp, check_lp_size, solve_lp, tau_L_from_epsilon
-from .model import Instance
+from .model import Instance, ModelError, require_int
 from .oracle import dp_optimal
 from .planner import planner_runs
 
@@ -19,8 +19,7 @@ _MAX_TIGHT_CELLS = 2**20  # payoff cells make_tight_instance may build, M*k x (M
 
 def gamma_k(k: int) -> float:
     """Guarantee constant 1 - k^k / (e^k k!), evaluated in log space."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_int("k", k, least=1)
     return 1.0 - math.exp(k * math.log(k) - k - math.lgamma(k + 1))
 
 
@@ -38,14 +37,14 @@ def make_tight_instance(k: int, m: int) -> Instance:
 
     Batched round-robin keeps k arms productive per round asymptotically,
     while the planner's candidate count is binomial, which is what makes the
-    guarantee constant tight as m grows. Raises ValueError, before building
+    guarantee constant tight as m grows. Raises ModelError, before building
     anything, when the m*k x (m + 1) payoff table would hold more than
     _MAX_TIGHT_CELLS cells.
     """
     if k < 1 or m < 1:
-        raise ValueError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+        raise ModelError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     if m * k * (m + 1) > _MAX_TIGHT_CELLS:
-        raise ValueError(
+        raise ModelError(
             f"the tight instance with k={k}, m={m} has a {m * k} x {m + 1} payoff table, "
             f"more than {_MAX_TIGHT_CELLS} cells"
         )
@@ -91,8 +90,8 @@ def tightness_experiment(
     states start at m (the steady regime of the batched optimum); candidate
     counts depend only on sampled cycles and offsets.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    require_int("n_seeds", n_seeds, least=1)
+    require_int("T", T, least=1)
     check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
@@ -154,9 +153,9 @@ def approximation_experiment(
     as much.
     """
     if n_seeds < 30:
-        raise ValueError(f"need >= 30 seeds for the interval, got {n_seeds}")
+        raise ModelError(f"need >= 30 seeds for the interval, got {n_seeds}")
     if T < instance.tau_max:
-        raise ValueError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
+        raise ModelError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)
     solution = solve_lp(build_lp(instance, tau_L))
     start = instance.tau_max - 1  # columns are rounds 1..T
@@ -216,10 +215,9 @@ def regret_trend(
     paired full-information planner run, whose gap is positive and is the
     sublinear quantity the trend is fitted on.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    require_int("n_seeds", n_seeds, least=1)
     if len(set(T_grid)) < 2:
-        raise ValueError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
+        raise ModelError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
     points = []
     for T in T_grid:
         opt, _ = dp_optimal(instance, T, budget=oracle_budget)

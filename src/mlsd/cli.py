@@ -55,9 +55,7 @@ def _build_instance(args) -> model.Instance:
         return model.random_instance(args.n, args.k, args.tau_max, args.tau_min, rng)
     if args.kind == "appendix-c1":
         return analysis.make_tight_instance(args.k, args.m)
-    if args.kind == "appendix-c2":
-        return analysis.make_step_instance()
-    raise ValueError(f"unknown generator kind {args.kind!r}")
+    return analysis.make_step_instance()
 
 
 def cmd_gen(args) -> int:
@@ -70,7 +68,7 @@ def cmd_gen(args) -> int:
 
 def _instance_arg(args) -> model.Instance:
     if args.instance is None:
-        raise ValueError(f"{args.kind} needs --instance")
+        raise model.ModelError(f"{args.kind} needs --instance")
     return model.load_instance(args.instance)
 
 
@@ -85,7 +83,7 @@ def cmd_solve_lp(args) -> int:
     tau_L = _tau_L(args)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
     if args.out:
-        lp.save_solution(solution, args.out)
+        model.save_json(lp.solution_to_dict(solution), args.out)
     print(f"LP*={_fmt(solution.objective)} tau_L={tau_L}")
     return 0
 
@@ -95,7 +93,7 @@ def cmd_plan(args) -> int:
     tau_L = _tau_L(args)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
     plan = planner.round_intervals(solution, [args.seed])
-    planner.save_plan(planner.plan_to_dict(solution, plan), args.out)
+    model.save_json(planner.plan_to_dict(solution, plan), args.out)
     active = np.count_nonzero(plan.u)
     print(f"LP*={_fmt(solution.objective)} tau_L={tau_L} active_arms={active}/{instance.n}")
     return 0
@@ -203,18 +201,14 @@ def cmd_experiment(args) -> int:
             oracle_budget=args.budget,
         )
         payload = asdict(trend)
-    elif args.kind == "robustness":
+    else:  # robustness
         instance = _instance_arg(args)
         etas = [float(x) for x in args.eta_list.split(",")]
         report = learning.robustness_gap(
             instance, etas, args.T, args.seeds, args.epsilon, args.seed
         )
         payload = asdict(report)
-    else:
-        raise ValueError(f"unknown experiment kind {args.kind!r}")
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    model.save_json(payload, args.out)
     if args.csv:
         _write_flat_csv(args.csv, payload)
         print(f"wrote {args.out} and {args.csv}")
@@ -254,7 +248,7 @@ def cmd_plot_data(args) -> int:
             rows.append(["ratio", str(m), _fmt(res.ratio)])
         for m in ms:
             rows.append(["gamma", str(m), _fmt(analysis.gamma_k(args.k))])
-    elif args.kind == "regret-vs-T":
+    else:  # regret-vs-T
         instance = _instance_arg(args)
         grid = [int(x) for x in args.T_list.split(",")]
         trend = analysis.regret_trend(
@@ -265,8 +259,6 @@ def cmd_plot_data(args) -> int:
             rows.append(["regret_vs_planner", str(p.T), _fmt(p.mean_regret_vs_planner)])
         for p in trend.points:
             rows.append(["regret_vs_benchmark", str(p.T), _fmt(p.mean_regret)])
-    else:
-        raise ValueError(f"unknown plot kind {args.kind!r}")
     _write_csv(args.out, ["series", "x", "y"], rows)
     print(f"wrote {args.out}")
     return 0
@@ -370,7 +362,7 @@ def main(argv=None) -> int:
     try:
         for name in ("T", "seeds"):
             if getattr(args, name, 1) <= 0:
-                raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
+                raise model.ModelError(f"--{name} must be positive, got {getattr(args, name)}")
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
@@ -381,8 +373,7 @@ def main(argv=None) -> int:
     except oracle.OracleBudgetError as exc:
         print(f"error: oracle budget exceeded: {exc}", file=sys.stderr)
         return 1
-    except (model.ModelError, lp.LpError, planner.PlannerError, learning.LearningError,
-            ValueError) as exc:
+    except (ValueError, planner.PlannerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,11 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PayoffTable, state_column
-
-
-class IntervalError(ValueError):
-    """Raised on invalid intervals or bad play sequences."""
+from .model import ModelError, PayoffTable, require_int, state_column
 
 
 def interval_grid(tau_max: int, depth: int):
@@ -42,10 +38,8 @@ class RecurrentInterval:
     l: int
 
     def __post_init__(self):
-        if self.u < 1:
-            raise IntervalError(f"u must be >= 1, got {self.u}")
-        if self.l > -1:
-            raise IntervalError(f"l must be <= -1, got {self.l}")
+        require_int("u", self.u, least=1)
+        require_int("l", self.l, most=-1)
 
     @property
     def length(self) -> int:
@@ -81,8 +75,7 @@ def normalize_schedule(plays: Sequence[bool], tau_L: int) -> list[bool]:
     it. The last remaining play is also dropped, which guarantees the output
     ends with a non-play (or contains no play at all).
     """
-    if tau_L > -1:
-        raise IntervalError(f"tau_L must be <= -1, got {tau_L}")
+    require_int("tau_L", tau_L, most=-1)
     out = list(plays)
     cap = 1 - tau_L
     run = 0
@@ -124,7 +117,7 @@ def decompose(plays: Sequence[bool]) -> tuple[list[RecurrentInterval], int]:
             c += 1
             j += 1
         if j == n:
-            raise IntervalError("sequence ends mid-interval (last round is a play)")
+            raise ModelError("sequence ends mid-interval (last round is a play)")
         intervals.append(RecurrentInterval(u=u, l=-c))
         i = j + 1
     return intervals, 0

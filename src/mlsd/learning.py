@@ -20,16 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
-from .model import Instance, PayoffTable, column_state, state_column
+from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
 from .planner import simulate_planner, states_from_actions
 from .rng import stream
 
 
-class LearningError(RuntimeError):
-    pass
-
-
-class ExplorationTooLongError(LearningError):
+class ExplorationTooLongError(ModelError):
     """The horizon cannot fit the exploration phase."""
 
     def __init__(self, T: int, exploration_length: int):
@@ -100,10 +96,8 @@ def exploration_length(n: int, k: int, tau_max: int, tau_L: int, m: int) -> int:
     """The exact number of rounds of ``exploration_schedule`` with these
     arguments, in closed form, so that a caller can refuse a schedule
     without building it."""
-    if m < 1:
-        raise LearningError(f"m must be >= 1, got {m}")
-    if tau_L > -1:
-        raise LearningError(f"tau_L must be <= -1, got {tau_L}")
+    require_int("m", m, least=1)
+    require_int("tau_L", tau_L, most=-1)
     cohorts = -(-n // k)
     rounds = cohorts * m * (2 - tau_L)  # the dive waves
     if tau_max >= 2:
@@ -140,7 +134,7 @@ def simulate_exploration(
     saturation). Noise is drawn play by play: rounds in order, then arms."""
     n, tau_max = instance.n, instance.tau_max
     if schedule.shape[0] != n:
-        raise LearningError(f"the schedule has {schedule.shape[0]} arms, the instance {n}")
+        raise ModelError(f"the schedule has {schedule.shape[0]} arms, the instance {n}")
     width = tau_max - tau_L
     # one trailing idle column, so the last column holds the end states
     played = np.zeros((n, schedule.shape[1] + 1), dtype=bool)
@@ -175,7 +169,7 @@ def estimate_payoffs(
     if np.any(counts == 0):
         missing = np.argwhere(counts == 0)
         arm, col = missing[0]
-        raise LearningError(
+        raise ModelError(
             f"no samples for arm {arm} at state {column_state(col, tau_L)} "
             f"({len(missing)} pairs missing)"
         )
@@ -207,8 +201,10 @@ def etc_run(
     on the same random streams as a paired reference.
 
     ``benchmark_total`` is the scaled optimum (1-eps) * gamma_k * OPT(T) when
-    the caller has it; the recorded regret is benchmark - R(T).
+    the caller has it; the recorded regret is benchmark - R(T). Raises
+    ModelError unless T is an integer >= 1.
     """
+    require_int("T", T, least=1)
     cfg = etc_config(instance, T, epsilon)
     args = instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
     rounds = exploration_length(*args)
@@ -278,8 +274,8 @@ def robustness_gap(
     tables, and the deficit against the matched unperturbed run is averaged.
     Perturbations may break monotonicity; feasibility is unaffected.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    require_int("n_seeds", n_seeds, least=1)
+    require_int("T", T, least=1)
     tau_L = tau_L_from_epsilon(epsilon)
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))

@@ -15,19 +15,14 @@ y, an interval costs -l / (u - l) budget and pays q / (u - l) per unit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .intervals import aggregated_payoff, interval_grid
-from .model import PayoffTable
+from .model import ModelError, PayoffTable, require_int
 
 _MAX_CELLS = 2**27  # A_ub entries plus objective terms build_lp may hold at once
-
-
-class LpError(RuntimeError):
-    """The relaxation is too large to build."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +69,13 @@ class LpSolution:
 
 
 def check_lp_size(n: int, tau_max: int, tau_L: int) -> None:
-    """Raise ValueError unless tau_L <= -1, and LpError when the dense
-    relaxation of n arms up to tau_max would hold more than _MAX_CELLS."""
-    if tau_L > -1:
-        raise ValueError(f"tau_L must be <= -1, got {tau_L}")
+    """Raise ModelError unless tau_L is an integer <= -1 and the dense
+    relaxation of n arms up to tau_max holds at most _MAX_CELLS."""
+    require_int("tau_L", tau_L, most=-1)
     num_vars = n * tau_max * -tau_L
     # (1 + n) rows of A_ub plus up to depth terms per objective entry
     if num_vars * (1 + n - tau_L) > _MAX_CELLS:
-        raise LpError(
+        raise ModelError(
             f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
             f"{num_vars} variables, too large for a dense program"
         )
@@ -91,7 +85,7 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     """Assemble objective and constraint rows for ``table``.
 
     True instances and estimated or perturbed tables all qualify; the
-    latter may be non-monotone, which is fine here. Raises LpError, before
+    latter may be non-monotone, which is fine here. Raises ModelError, before
     allocating anything, when the dense program is larger than _MAX_CELLS.
     """
     n, tau_max = table.n, table.tau_max
@@ -193,7 +187,7 @@ def check_feasible(solution: LpSolution, model, tol: float = 1e-8) -> Feasibilit
     x = solution.x
     n, tau_max, depth = x.shape
     if n != model.n or tau_max != model.tau_max:
-        raise ValueError(
+        raise ModelError(
             f"solution shape {x.shape} does not match model (n={model.n}, tau_max={model.tau_max})"
         )
     u, l = interval_grid(tau_max, depth)
@@ -223,16 +217,10 @@ def solution_to_dict(solution: LpSolution) -> dict:
     }
 
 
-def save_solution(solution: LpSolution, path) -> None:
-    with open(path, "w") as f:
-        json.dump(solution_to_dict(solution), f, indent=2)
-        f.write("\n")
-
-
 def tau_L_from_epsilon(epsilon: float) -> int:
     """Relaxation cutoff -ceil(1/epsilon) for a target accuracy epsilon."""
     if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        raise ModelError(f"epsilon must be in (0, 1), got {epsilon}")
     if not np.isfinite(1.0 / epsilon):
-        raise ValueError(f"epsilon {epsilon} is too small: 1/epsilon overflows")
+        raise ModelError(f"epsilon {epsilon} is too small: 1/epsilon overflows")
     return -int(np.ceil(1.0 / epsilon))

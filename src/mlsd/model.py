@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MAX_RANDOM_CELLS = 2**24  # payoff cells random_instance may draw
+
 
 class ModelError(ValueError):
-    """Raised on malformed states, tables, instances, or play sets."""
+    """The one type the library raises for input it refuses: malformed
+    states, tables, plans or files, out-of-range parameters, and problems
+    past a size cap."""
 
 
 def check_state(tau: int) -> int:
@@ -38,10 +42,15 @@ def transition(tau: int, played: bool) -> int:
     return -1 if played else tau + 1
 
 
-def require_int(what: str, value) -> None:
-    """Raise ModelError unless ``value`` is an integer (bools are not)."""
+def require_int(what: str, value, least: int | None = None, most: int | None = None) -> None:
+    """Raise ModelError unless ``value`` is an integer (bools are not) that
+    is at least ``least`` and at most ``most``, when given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ModelError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ModelError(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ModelError(f"{what} must be <= {most}, got {value}")
 
 
 def state_column(tau, tau_min: int, tau_max: int):
@@ -166,10 +175,15 @@ def instance_from_dict(d: dict) -> Instance:
     return instance
 
 
-def save_instance(instance: Instance, path) -> None:
+def save_json(payload: dict, path) -> None:
+    """Write ``payload`` as indented JSON with a trailing newline."""
     with open(path, "w") as f:
-        json.dump(instance_to_dict(instance), f, indent=2)
+        json.dump(payload, f, indent=2)
         f.write("\n")
+
+
+def save_instance(instance: Instance, path) -> None:
+    save_json(instance_to_dict(instance), path)
 
 
 def load_instance(path) -> Instance:
@@ -184,6 +198,12 @@ def random_instance(
     tau_min: int,
     rng: np.random.Generator,
 ) -> Instance:
-    """Random monotone instance: each row is a sorted vector of uniforms."""
+    """Random monotone instance: each row is a sorted vector of uniforms.
+    Raises ModelError, before drawing, past _MAX_RANDOM_CELLS payoff cells."""
+    if n * (tau_max - tau_min) > _MAX_RANDOM_CELLS:
+        raise ModelError(
+            f"a random {n} x {tau_max - tau_min} payoff table has more than "
+            f"{_MAX_RANDOM_CELLS} cells"
+        )
     rows = [np.sort(rng.uniform(0.0, 1.0, size=tau_max - tau_min)) for _ in range(n)]
     return Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=rows)

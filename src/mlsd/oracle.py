@@ -35,13 +35,11 @@ _MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 256 MiB as num
 _PY_ENGINE_CELLS = 48
 
 
-class OracleBudgetError(RuntimeError):
+class OracleBudgetError(ModelError):
     """The requested computation exceeds the evaluation budget or the memory cap."""
 
     def __init__(self, cost: int, budget: int, what: str, unit: str = "state-action evaluations"):
         super().__init__(f"{what} needs ~{cost:.3g} {unit}, budget is {budget:.3g}")
-        self.cost = cost
-        self.budget = budget
 
 
 def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -52,23 +50,17 @@ def action_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_horizon(T) -> None:
-    require_int("T", T)
-    if T < 0:
-        raise ModelError(f"T must be non-negative, got {T}")
-
-
 def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, np.ndarray]:
     """OPT(T) and one optimal play schedule as an (n, T) bool matrix (arm i
     plays in round t + 1 where it is set), by exact backward induction over
     the table columns of every arm's clipped state. Raises
     OracleBudgetError, before allocating anything, when the evaluations
     exceed ``budget``, the (action, state) tables exceed _MAX_CELLS or the
-    (round, state) policy exceeds _MAX_POLICY, ValueError unless ``budget``
-    is positive and ModelError unless ``T`` is a non-negative integer."""
+    (round, state) policy exceeds _MAX_POLICY, and ModelError unless
+    ``budget`` is positive and ``T`` is a non-negative integer."""
     if not budget > 0:
-        raise ValueError(f"the oracle budget must be positive, got {budget}")
-    _check_horizon(T)
+        raise ModelError(f"the oracle budget must be positive, got {budget}")
+    require_int("T", T, least=0)
     n, k = instance.n, instance.k
     tau_min, tau_max = instance.tau_min, instance.tau_max
     M = tau_max - tau_min
@@ -180,11 +172,11 @@ def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
     """OPT(T) by enumerating every action sequence on the raw dynamics;
-    raises ValueError unless ``budget`` is positive and ModelError unless
-    ``T`` is a non-negative integer."""
+    raises ModelError unless ``budget`` is positive and ``T`` is a
+    non-negative integer."""
     if not budget > 0:
-        raise ValueError(f"the oracle budget must be positive, got {budget}")
-    _check_horizon(T)
+        raise ModelError(f"the oracle budget must be positive, got {budget}")
+    require_int("T", T, least=0)
     n, k = instance.n, instance.k
     actions = action_sets(n, k)
     cost = len(actions) ** T

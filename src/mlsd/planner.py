@@ -11,7 +11,6 @@ different payoff model (e.g. estimates) than the environment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -28,8 +27,8 @@ _MAX_CELLS = 2**23  # (run, arm, round) cells of one simulation, ~74 B each
 
 
 class PlannerError(RuntimeError):
-    """The planner cannot proceed: a selection mass out of range, a run past
-    the size cap, or a run that broke one of the paper's invariants."""
+    """A run broke one of the paper's invariants (the budget of k plays per
+    round or the domination of virtual states): a bug, not bad input."""
 
 
 def _arm_distribution(solution: LpSolution):
@@ -41,14 +40,14 @@ def _arm_distribution(solution: LpSolution):
     p = (u - l) * solution.x.reshape(n, -1)
     if (p < -_MASS_TOL).any():
         arm, j = np.argwhere(p < -_MASS_TOL)[0]
-        raise PlannerError(f"negative selection mass {p[arm, j]} for arm {arm}")
+        raise ModelError(f"negative selection mass {p[arm, j]} for arm {arm}")
     p = np.maximum(p, 0.0)
     cum = np.cumsum(p, axis=1)  # left to right, as the sampler walks the list
     total = cum[:, -1:]
     if (total > 1.0).any():
         arm = int(np.argmax(total))
         if total[arm, 0] > 1.0 + _MASS_TOL:
-            raise PlannerError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
+            raise ModelError(f"arm {arm} selection mass {total[arm, 0]} exceeds 1")
         big = total[:, 0] > 1.0
         cum[big] = np.cumsum(p[big] / total[big], axis=1)
     return u, l, cum
@@ -165,12 +164,13 @@ def run_planner(
     (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
     mean as probability, summed per round into ``realized``.
 
-    Raises ModelError for a plan of another arm count or with an interval
-    bound u above tau_max, and PlannerError past _MAX_CELLS cells, before
-    allocating, and unless every round plays at most k arms and, for runs
-    that start at +1, the actual state dominates the virtual one from round
-    tau_max on.
+    Raises ModelError, before allocating, unless T is an integer >= 0 and
+    the plan has the instance's arm count, interval bounds u up to tau_max
+    and at most _MAX_CELLS cells over T rounds; raises PlannerError unless
+    every round plays at most k arms and, for runs that start at +1, the
+    actual state dominates the virtual one from round tau_max on.
     """
+    require_int("T", T, least=0)
     S, n = plan.u.shape
     if n != instance.n:
         raise ModelError(f"plan has {n} arms, instance has {instance.n}")
@@ -180,7 +180,7 @@ def run_planner(
             f"arm {arm}'s interval bound u={plan.u[run, arm]} exceeds tau_max={instance.tau_max}"
         )
     if S * n * T > _MAX_CELLS:
-        raise PlannerError(
+        raise ModelError(
             f"{S} x {n} x {T} (run, arm, round) cells exceed the planner's cap of {_MAX_CELLS}"
         )
     active = (plan.u > 0)[..., None]
@@ -307,9 +307,3 @@ def plan_from_dict(d: dict) -> Plan:
         rows.append((u, l, a["offset"] if u else 0))
     u, l, offsets = np.array(rows, dtype=np.int64).reshape(-1, 3).T[:, None]
     return Plan(u=u, l=l, offsets=offsets)
-
-
-def save_plan(plan: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(plan, f, indent=2)
-        f.write("\n")

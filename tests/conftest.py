@@ -66,5 +66,16 @@ def no_alloc(monkeypatch):
 
 
 @pytest.fixture
+def no_draws():
+    """An rng stub whose ``uniform`` fails, so that a test of a size guard
+    (``random_instance``) can never draw the huge table it guards against."""
+    class NoDraws:
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("drew past a size guard")
+
+    return NoDraws()
+
+
+@pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))

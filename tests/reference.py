@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.learning import ExplorationResult
-from mlsd.lp import LpError, LpProblem, LpSolution
+from mlsd.lp import LpProblem, LpSolution
 from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
 from mlsd.oracle import action_sets
 from mlsd.planner import Plan, PlannerRuns, _arm_distribution
@@ -108,6 +108,10 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
     )
 
 
+class HighsError(RuntimeError):
+    """HiGHS ended without an optimal solution."""
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Maximize the dense program ``a_ub``, ``b_ub`` with HiGHS: the
     general-purpose twin of the greedy ``lp.solve_lp``."""
@@ -119,7 +123,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         method="highs",
     )
     if res.status != 0:
-        raise LpError(f"HiGHS status {res.status}: {res.message}")
+        raise HighsError(f"HiGHS status {res.status}: {res.message}")
     x = np.asarray(res.x).reshape(problem.n, problem.tau_max, problem.depth)
     return LpSolution(x=x, objective=float(-res.fun), tau_L=problem.tau_L)
 

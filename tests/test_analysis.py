@@ -12,8 +12,8 @@ from mlsd.analysis import (
     tightness_experiment,
 )
 from mlsd import analysis, lp, planner
-from mlsd.lp import LpError, build_lp, solve_lp
-from mlsd.model import Instance
+from mlsd.lp import build_lp, solve_lp
+from mlsd.model import Instance, ModelError
 from mlsd.planner import round_intervals
 
 
@@ -133,9 +133,9 @@ def test_tightness_refuses_oversized_relaxation_before_building_instance(monkeyp
         raise AssertionError("the instance was built")
 
     monkeypatch.setattr(analysis, "make_tight_instance", no_instance)
-    with pytest.raises(LpError, match="n=20000, tau_max=20000, tau_L=-1 has 400000000 variables"):
+    with pytest.raises(ModelError, match="n=20000, tau_max=20000, tau_L=-1 has 400000000 variables"):
         tightness_experiment(k=1, m=20000, T=100, n_seeds=1, seed=0)
-    with pytest.raises(LpError, match="n=512, tau_max=512"):
+    with pytest.raises(ModelError, match="n=512, tau_max=512"):
         tightness_experiment(k=1, m=512, T=100, n_seeds=1, seed=0)
     lp.check_lp_size(511, 511, -1)  # m = 511 fits the cap, m = 512 is the first past it
 
@@ -166,3 +166,9 @@ def test_regret_trend_rejects_zero_seeds():
 def test_regret_trend_needs_two_horizons():
     with pytest.raises(ValueError, match="two distinct horizons"):
         regret_trend(make_step_instance(), [512, 512], 2, 0.25, 0)
+
+
+def test_tightness_refuses_horizon_zero():
+    # unchecked, it would report ratio=nan
+    with pytest.raises(ModelError, match="T must be >= 1, got 0"):
+        tightness_experiment(1, 5, 0, 5, 0)

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from mlsd import learning, oracle
+from mlsd import cli, learning, oracle
 from mlsd.cli import main
 
 
@@ -430,3 +430,24 @@ def test_main_parses_again_after_an_argparse_exit(tmp_path, capsys):
     assert run(["gen", "random", "--out", str(b)]) == 0
     assert json.loads(a.read_text())["n"] == 4
     assert json.loads(b.read_text())["n"] == 3  # the default, not the last call's value
+
+
+def test_regret_trend_refuses_horizon_zero(tmp_path, capsys):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    assert run(["experiment", "regret-trend", "--instance", str(inst),
+                "--T-list", "0,512", "--out", str(tmp_path / "e.json")]) == 1
+    assert _stderr_lines(capsys) == ["error: T must be >= 1, got 0"]
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_gen_refuses_oversized_random_instance(tmp_path, capsys, monkeypatch, no_draws):
+    # 3 rows of 10**9 + 2 uniforms would take about 24 GB
+    monkeypatch.setattr(cli, "stream", lambda seed, name: no_draws)
+    assert run(["gen", "random", "--n", "3", "--tau-max", "1000000000",
+                "--out", str(tmp_path / "i.json")]) == 1
+    assert _stderr_lines(capsys) == [
+        "error: a random 3 x 1000000002 payoff table has more than 16777216 cells"
+    ]
+    assert not (tmp_path / "i.json").exists()

@@ -8,7 +8,6 @@ from reference import interval_action_sequence
 
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import (
-    IntervalError,
     RecurrentInterval,
     aggregated_payoff,
     cycle_phase,
@@ -16,7 +15,7 @@ from mlsd.intervals import (
     interval_grid,
     normalize_schedule,
 )
-from mlsd.model import PayoffTable, random_instance, transition
+from mlsd.model import ModelError, PayoffTable, random_instance, transition
 from mlsd.rng import stream
 
 
@@ -143,7 +142,7 @@ def test_decompose_examples():
 
 
 def test_decompose_rejects_trailing_play():
-    with pytest.raises(IntervalError):
+    with pytest.raises(ModelError):
         decompose([W, P])
 
 

@@ -11,7 +11,6 @@ import reference
 from mlsd.analysis import make_step_instance
 from mlsd.learning import (
     ExplorationTooLongError,
-    LearningError,
     estimate_payoffs,
     etc_config,
     etc_run,
@@ -22,7 +21,7 @@ from mlsd.learning import (
     simulate_exploration,
 )
 from mlsd.lp import build_lp, solve_lp
-from mlsd.model import Instance, PayoffTable, random_instance
+from mlsd.model import Instance, ModelError, PayoffTable, random_instance
 from mlsd.planner import round_intervals, run_planner
 from mlsd.rng import stream
 
@@ -103,7 +102,7 @@ def test_simulate_exploration_matches_scalar_reference(data):
 def test_simulate_exploration_rejects_schedule_of_other_arm_count():
     inst = random_instance(2, 1, 1, -1, stream(0, "instance"))
     one_arm = exploration_schedule(n=1, k=1, tau_max=1, tau_L=-1, m=1)
-    with pytest.raises(LearningError, match="the schedule has 1 arms, the instance 2"):
+    with pytest.raises(ModelError, match="the schedule has 1 arms, the instance 2"):
         simulate_exploration(inst, one_arm, -1, stream(0, "noise"))
 
 
@@ -127,7 +126,7 @@ def test_estimates_all_zero_payoffs():
 def test_estimate_missing_pair_raises():
     counts = np.array([[2, 0, 2]])
     sums = np.zeros((1, 3))
-    with pytest.raises(LearningError, match="no samples"):
+    with pytest.raises(ModelError, match="no samples"):
         estimate_payoffs(1, 1, -2, counts, sums)
 
 
@@ -234,3 +233,21 @@ def test_robustness_feasibility_under_perturbation():
 def test_robustness_rejects_zero_seeds():
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         robustness_gap(make_step_instance(), [0.1], T=150, n_seeds=0, epsilon=0.5, seed=0)
+
+
+@pytest.mark.parametrize("T, message", [
+    (0, "T must be >= 1, got 0"),
+    (-3, "T must be >= 1, got -3"),
+    (100.5, "T must be an integer, got 100.5"),
+])
+def test_etc_refuses_horizon_that_is_not_a_positive_count(T, message):
+    # unchecked, T <= 0 would fail in etc_config with "math domain error"
+    # and T = 100.5 with an IndexError
+    with pytest.raises(ModelError, match=message):
+        etc_run(make_step_instance(), T, 0.25, seed=0)
+
+
+def test_robustness_refuses_horizon_zero():
+    # unchecked, it would report deficits [nan, nan]
+    with pytest.raises(ModelError, match="T must be >= 1, got 0"):
+        robustness_gap(make_step_instance(), [0.0, 0.1], 0, 3, 0.5, 0)

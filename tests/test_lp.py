@@ -16,7 +16,6 @@ from mlsd import lp
 from mlsd.analysis import make_step_instance, make_tight_instance
 from mlsd.intervals import interval_grid
 from mlsd.lp import (
-    LpError,
     LpSolution,
     build_lp,
     check_feasible,
@@ -24,7 +23,7 @@ from mlsd.lp import (
     solve_lp,
     tau_L_from_epsilon,
 )
-from mlsd.model import Instance, PayoffTable
+from mlsd.model import Instance, ModelError, PayoffTable
 from mlsd.oracle import dp_optimal
 
 
@@ -200,7 +199,7 @@ def test_solver_failure_names_highs_status():
     # nothing bounds x: the HiGHS reference solver reports the program unbounded
     prob = lp.LpProblem(n=1, k=1, tau_max=1, tau_L=-1, objective=np.ones(1),
                         a_ub=np.zeros((2, 1)), b_ub=np.ones(2))
-    with pytest.raises(LpError, match=r"^HiGHS status 3: .*unbounded"):
+    with pytest.raises(reference.HighsError, match=r"^HiGHS status 3: .*unbounded"):
         reference.solve_lp(prob)
 
 
@@ -249,10 +248,10 @@ def test_build_lp_size_guard_boundary(monkeypatch):
     inst = make_step_instance()  # n = 1, tau_max = 1
     monkeypatch.setattr(lp, "_MAX_CELLS", 2 * (1 + 1 + 2))
     assert build_lp(inst, -2).num_vars == 2  # exactly at the limit
-    with pytest.raises(LpError, match="too large"):
+    with pytest.raises(ModelError, match="too large"):
         build_lp(inst, -3)
 
 
 def test_build_lp_refuses_tiny_epsilon(no_alloc):
-    with pytest.raises(LpError, match="variables, too large"):
+    with pytest.raises(ModelError, match="variables, too large"):
         build_lp(make_step_instance(), tau_L_from_epsilon(1e-9))

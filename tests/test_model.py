@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from reference import initial_states, step_environment
 
+import mlsd
+from mlsd import model
 from mlsd.model import (
     Instance,
     ModelError,
@@ -205,3 +210,36 @@ def test_state_column_scalar_array_inverse_and_clamp(tau_min, tau_max, taus):
         clamped = min(max(tau, tau_min), tau_max)
         assert col == state_column(clamped, tau_min, tau_max)
         assert column_state(col, tau_min) == clamped
+
+
+def test_random_instance_refuses_oversized_table_before_drawing(no_draws):
+    # 3 rows of 10**9 + 2 uniforms would take about 24 GB
+    with pytest.raises(ModelError,
+                       match="a random 3 x 1000000002 payoff table has more than 16777216 cells"):
+        random_instance(3, 1, 10**9, -2, no_draws)
+
+
+def test_random_instance_cap_boundary(monkeypatch, no_draws):
+    monkeypatch.setattr(model, "_MAX_RANDOM_CELLS", 6)
+    assert random_instance(2, 1, 1, -2, stream(0, "instance")).means.shape == (2, 3)
+    with pytest.raises(ModelError, match="a random 2 x 4 payoff table has more than 6 cells"):
+        random_instance(2, 1, 2, -2, no_draws)
+
+
+def test_every_library_error_refuses_input_but_planner_error():
+    # ModelError is the one type for refused input; PlannerError alone marks
+    # a broken invariant, so a new module-specific error type fails here
+    errors = {}
+    for info in pkgutil.iter_modules(mlsd.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"mlsd.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                errors[name] = obj
+    assert sorted(errors) == [
+        "ExplorationTooLongError", "ModelError", "OracleBudgetError", "PlannerError",
+    ]
+    for name, cls in errors.items():
+        assert issubclass(cls, ModelError) == (name != "PlannerError"), name

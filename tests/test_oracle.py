@@ -126,7 +126,7 @@ def test_oracles_refuse_budget_that_is_not_positive(no_alloc, budget):
 
 @pytest.mark.parametrize("oracle_fn", [dp_optimal, exhaustive_optimal])
 @pytest.mark.parametrize("T, message", [
-    (-3, "T must be non-negative, got -3"),
+    (-3, "T must be >= 0, got -3"),
     (2.0, "T must be an integer, got 2.0"),
     (True, "T must be an integer, got True"),
 ])

@@ -67,7 +67,7 @@ def test_rounding_rejects_excess_mass():
     x[0, 0, 0] = 0.30
     x[0, 0, 1] = 0.25  # masses 2*0.30 + 3*0.25 = 1.35 > 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
-    with pytest.raises(PlannerError):
+    with pytest.raises(ModelError):
         round_intervals(sol, [0])
 
 
@@ -75,7 +75,7 @@ def test_rounding_rejects_negative_mass():
     x = np.zeros((2, 1, 2))
     x[1, 0, 1] = -1e-6  # beyond the 1e-9 tolerance, on arm 1
     sol = LpSolution(x=x, objective=0.0, tau_L=-2)
-    with pytest.raises(PlannerError, match="negative selection mass .* for arm 1"):
+    with pytest.raises(ModelError, match="negative selection mass .* for arm 1"):
         round_intervals(sol, [0])
 
 
@@ -473,10 +473,16 @@ def test_run_size_cap_boundary(monkeypatch):
     inst, plan = make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0])
     monkeypatch.setattr(planner, "_MAX_CELLS", 6)
     assert run_planner(inst, plan, 6).T == 6
-    with pytest.raises(PlannerError, match=r"1 x 1 x 7 \(run, arm, round\) cells exceed"):
+    with pytest.raises(ModelError, match=r"1 x 1 x 7 \(run, arm, round\) cells exceed"):
         run_planner(inst, plan, 7)
     (runs,) = planner_runs(inst, _step_solution(), 3, range(2))  # one chunk of 6 cells
     assert runs.played.shape == (2, 1, 3)
     monkeypatch.setattr(planner, "_MAX_CELLS", 5)
-    with pytest.raises(PlannerError, match="2 x 1 x 3 .* cap of 5"):
+    with pytest.raises(ModelError, match="2 x 1 x 3 .* cap of 5"):
         list(planner_runs(inst, _step_solution(), 3, range(2)))
+
+
+def test_planner_refuses_negative_horizon():
+    # unchecked, it would return empty (1, 1, 0) runs
+    with pytest.raises(ModelError, match="T must be >= 0, got -1"):
+        simulate_planner(make_step_instance(), _step_solution(), -1, 0)
