@@ -38,11 +38,11 @@ def make_tight_instance(k: int, m: int) -> Instance:
     Batched round-robin keeps k arms productive per round asymptotically,
     while the planner's candidate count is binomial, which is what makes the
     guarantee constant tight as m grows. Raises ModelError, before building
-    anything, when the m*k x (m + 1) payoff table would hold more than
-    _MAX_TIGHT_CELLS cells.
+    anything, unless k and m are integers >= 1 and the m*k x (m + 1) payoff
+    table holds at most _MAX_TIGHT_CELLS cells.
     """
-    if k < 1 or m < 1:
-        raise ModelError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+    require_int("k", k, least=1)
+    require_int("m", m, least=1)
     if m * k * (m + 1) > _MAX_TIGHT_CELLS:
         raise ModelError(
             f"the tight instance with k={k}, m={m} has a {m * k} x {m + 1} payoff table, "
@@ -65,16 +65,6 @@ class TightnessResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def tightness_optimal_rate(k: int, m: int) -> float:
-    """Long-run optimal per-round payoff on the threshold instance.
-
-    A productive play needs m idle rounds after the previous play, so each
-    of the m*k arms contributes at most one unit per m+1 rounds; a rotating
-    schedule achieves that rate.
-    """
-    return m * k / (m + 1)
 
 
 def tightness_experiment(
@@ -100,8 +90,10 @@ def tightness_experiment(
         np.minimum(runs.candidates.sum(axis=1), k).mean(axis=1)
         for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n)
     ])
-    opt_rate = tightness_optimal_rate(k, m)
-    ratios = rates / opt_rate
+    # the long-run optimal rate: a productive play needs m idle rounds after
+    # the previous play, so each of the m*k arms pays at most one unit per
+    # m+1 rounds, and a rotating schedule achieves that
+    ratios = rates / (m * k / (m + 1))
     se = float(ratios.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0
     return TightnessResult(
         k=k, m=m, T=T, n_seeds=n_seeds,

@@ -72,15 +72,9 @@ def _instance_arg(args) -> model.Instance:
     return model.load_instance(args.instance)
 
 
-def _tau_L(args) -> int:
-    if getattr(args, "tau_L", None) is not None:
-        return args.tau_L
-    return lp.tau_L_from_epsilon(args.epsilon)
-
-
 def cmd_solve_lp(args) -> int:
     instance = model.load_instance(args.instance)
-    tau_L = _tau_L(args)
+    tau_L = lp.tau_L_from_epsilon(args.epsilon)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
     if args.out:
         model.save_json(lp.solution_to_dict(solution), args.out)
@@ -90,7 +84,7 @@ def cmd_solve_lp(args) -> int:
 
 def cmd_plan(args) -> int:
     instance = model.load_instance(args.instance)
-    tau_L = _tau_L(args)
+    tau_L = lp.tau_L_from_epsilon(args.epsilon)
     solution = lp.solve_lp(lp.build_lp(instance, tau_L))
     plan = planner.round_intervals(solution, [args.seed])
     model.save_json(planner.plan_to_dict(solution, plan), args.out)
@@ -131,8 +125,7 @@ def cmd_simulate(args) -> int:
             plan = json.load(f)
         trace = planner.run_planner(instance, planner.plan_from_dict(plan), args.T)
     else:
-        tau_L = _tau_L(args)
-        solution = lp.solve_lp(lp.build_lp(instance, tau_L))
+        solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(args.epsilon)))
         trace = planner.simulate_planner(instance, solution, args.T, args.seed)
     _write_trace(args.out, trace)
     print(
@@ -156,14 +149,12 @@ def cmd_learn(args) -> int:
     instance = model.load_instance(args.instance)
     try:
         opt, _ = oracle.dp_optimal(instance, args.T, budget=args.budget)
-        benchmark = (1.0 - args.epsilon) * analysis.gamma_k(instance.k) * opt
         label = "oracle"
     except oracle.OracleBudgetError:
         solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(args.epsilon)))
-        benchmark = (1.0 - args.epsilon) * analysis.gamma_k(instance.k) * (
-            args.T * solution.objective
-        )
+        opt = args.T * solution.objective
         label = "LP*_upper_bound"
+    benchmark = (1.0 - args.epsilon) * analysis.gamma_k(instance.k) * opt
     rows = []
     for s in range(args.seeds):
         res = learning.etc_run(
@@ -180,6 +171,14 @@ def cmd_learn(args) -> int:
     return 0
 
 
+def _regret_trend(args) -> analysis.RegretTrend:
+    instance = _instance_arg(args)  # before parsing --T-list
+    grid = [int(x) for x in args.T_list.split(",")]
+    return analysis.regret_trend(
+        instance, grid, args.seeds, args.epsilon, args.seed, oracle_budget=args.budget
+    )
+
+
 def cmd_experiment(args) -> int:
     if args.kind == "approximation":
         instance = _instance_arg(args)
@@ -194,13 +193,7 @@ def cmd_experiment(args) -> int:
         )
         payload = result.to_dict()
     elif args.kind == "regret-trend":
-        instance = _instance_arg(args)
-        grid = [int(x) for x in args.T_list.split(",")]
-        trend = analysis.regret_trend(
-            instance, grid, args.seeds, args.epsilon, args.seed,
-            oracle_budget=args.budget,
-        )
-        payload = asdict(trend)
+        payload = asdict(_regret_trend(args))
     else:  # robustness
         instance = _instance_arg(args)
         etas = [float(x) for x in args.eta_list.split(",")]
@@ -249,12 +242,7 @@ def cmd_plot_data(args) -> int:
         for m in ms:
             rows.append(["gamma", str(m), _fmt(analysis.gamma_k(args.k))])
     else:  # regret-vs-T
-        instance = _instance_arg(args)
-        grid = [int(x) for x in args.T_list.split(",")]
-        trend = analysis.regret_trend(
-            instance, grid, args.seeds, args.epsilon, args.seed,
-            oracle_budget=args.budget,
-        )
+        trend = _regret_trend(args)
         for p in trend.points:
             rows.append(["regret_vs_planner", str(p.T), _fmt(p.mean_regret_vs_planner)])
         for p in trend.points:
@@ -282,14 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve-lp", help="solve the interval relaxation")
     s.add_argument("--instance", required=True)
     s.add_argument("--epsilon", type=float, default=0.5)
-    s.add_argument("--tau-L", type=int, default=None, dest="tau_L")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_solve_lp)
 
     pl = sub.add_parser("plan", help="round the relaxation into per-arm cycles")
     pl.add_argument("--instance", required=True)
     pl.add_argument("--epsilon", type=float, default=0.5)
-    pl.add_argument("--tau-L", type=int, default=None, dest="tau_L")
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--out", default="plan.json")
     pl.set_defaults(fn=cmd_plan)
@@ -298,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--instance", required=True)
     si.add_argument("--plan", default=None)
     si.add_argument("--epsilon", type=float, default=0.5)
-    si.add_argument("--tau-L", type=int, default=None, dest="tau_L")
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--T", type=int, required=True)
     si.add_argument("--out", default="trace.csv")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
-from .planner import simulate_planner, states_from_actions
+from .planner import planner_runs, simulate_planner, states_from_actions
 from .rng import stream
 
 
@@ -280,24 +280,19 @@ def robustness_gap(
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))
 
+    seeds = range(seed, seed + n_seeds)
+    base_rates = np.concatenate([
+        runs.actual_payoff.mean(axis=1) for runs in planner_runs(instance, true_solution, T, seeds)
+    ])
     per_eta: list[np.ndarray] = [np.zeros(n_seeds) for _ in etas]
-    for s in range(n_seeds):
-        run_seed = seed + s
-        signs = np.where(
-            stream(run_seed, "perturb").random(truth.shape) < 0.5, -1.0, 1.0
-        )
-        base = simulate_planner(instance, true_solution, T, run_seed)
-        base_rate = float(base.actual_payoff.mean())
+    for s, run_seed in enumerate(seeds):
+        signs = np.where(stream(run_seed, "perturb").random(truth.shape) < 0.5, -1.0, 1.0)
         for j, eta in enumerate(etas):
-            tables = PayoffTable(
-                k=instance.k,
-                tau_min=instance.tau_min,
-                tau_max=instance.tau_max,
-                means=np.clip(truth + eta * signs, 0.0, 1.0),
-            )
+            means = np.clip(truth + eta * signs, 0.0, 1.0)
+            tables = PayoffTable(instance.k, instance.tau_min, instance.tau_max, means)
             sol = solve_lp(build_lp(tables, tau_L))
             trace = simulate_planner(instance, sol, T, run_seed, selection=tables)
-            per_eta[j][s] = base_rate - float(trace.actual_payoff.mean())
+            per_eta[j][s] = base_rates[s] - float(trace.actual_payoff.mean())
 
     deficits = [float(v.mean()) for v in per_eta]
     ses = [float(v.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0 for v in per_eta]

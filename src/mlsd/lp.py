@@ -23,6 +23,7 @@ from .intervals import aggregated_payoff, interval_grid
 from .model import ModelError, PayoffTable, require_int
 
 _MAX_CELLS = 2**27  # A_ub entries plus objective terms build_lp may hold at once
+_FEASIBLE_TOL = 1e-8  # largest violation check_feasible accepts
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class FeasibilityReport:
     max_violation: float
 
 
-def check_feasible(solution: LpSolution, model, tol: float = 1e-8) -> FeasibilityReport:
+def check_feasible(solution: LpSolution, model) -> FeasibilityReport:
     """Largest violation of the budget row, per-arm rows, and nonnegativity."""
     x = solution.x
     n, tau_max, depth = x.shape
@@ -196,7 +197,7 @@ def check_feasible(solution: LpSolution, model, tol: float = 1e-8) -> Feasibilit
     per_arm = np.sum(x * (u - l), axis=1) - 1.0
     neg = -float(x.min()) if x.size else 0.0
     worst = max(budget, float(per_arm.max()) if per_arm.size else 0.0, neg, 0.0)
-    return FeasibilityReport(feasible=worst <= tol, max_violation=worst)
+    return FeasibilityReport(feasible=worst <= _FEASIBLE_TOL, max_violation=worst)
 
 
 def solution_to_dict(solution: LpSolution) -> dict:

@@ -94,13 +94,10 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     n, T = played.shape
     # the run in progress at round 0 is of plays where lead is set, and began
     # at round before = 1 - |init|
-    if init is None:
-        lead, before = False, 0
-    else:
-        init = np.asarray(init)
-        if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
-            raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
-        lead, before = (init < 0)[:, None], 1 - np.abs(init.astype(np.int64))[:, None]
+    init = np.ones(n, dtype=np.int64) if init is None else np.asarray(init)
+    if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
+        raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
+    lead, before = (init < 0)[:, None], 1 - np.abs(init.astype(np.int64))[:, None]
     b = np.empty((n, T), dtype=bool)
     b[:, :1] = lead
     b[:, 1:] = played[:, :-1]
@@ -115,8 +112,10 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
 class PlannerRuns:
     """S planner runs as (S, n, T) arrays, round t in column t-1; the
     payoff series are (S, T). ``virtual`` holds 0 for arms that received no
-    interval (0 is not a valid state, so it cannot collide). ``realized``,
-    the noisy collected payoff, is present only when noise was simulated."""
+    interval (0 is not a valid state, so it cannot collide).
+    ``virtual_payoff`` is scored by the selection table, so an ETC commit run
+    scores it by the estimates. ``realized``, the noisy collected payoff, is
+    present only when noise was simulated."""
 
     virtual: np.ndarray
     candidates: np.ndarray
@@ -231,17 +230,23 @@ def planner_runs(
     solution: LpSolution,
     T: int,
     seeds: Sequence[int],
+    *,
+    selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
+    noise_rng: Optional[np.random.Generator] = None,
 ) -> Iterator[PlannerRuns]:
-    """``simulate_planner`` for every seed: one plan for all seeds, run in
-    chunks of about _CHUNK_CELLS (seed, arm, round) cells; run s of the
-    concatenated chunks equals ``simulate_planner(..., seeds[s], ...)``."""
+    """Rounding, offsets and T online rounds for every seed (see ``run_planner``
+    for the options): one plan, run in chunks of about _CHUNK_CELLS (seed,
+    arm, round) cells. Run s of the chunks is ``seeds[s]``'s run; a
+    ``noise_rng`` is drawn from run after run."""
+    require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)
     per = max(1, _CHUNK_CELLS // max(1, solution.n * T))
     for lo in range(0, len(seeds), per):
         rows = slice(lo, lo + per)
         chunk = Plan(u=plan.u[rows], l=plan.l[rows], offsets=plan.offsets[rows])
-        yield run_planner(instance, chunk, T, init_states=init_states)
+        yield run_planner(instance, chunk, T, selection=selection,
+                          init_states=init_states, noise_rng=noise_rng)
 
 
 def simulate_planner(
@@ -254,16 +259,10 @@ def simulate_planner(
     init_states: Optional[Sequence[int]] = None,
     noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerRuns:
-    """Full pipeline for one seed: rounding and offsets, then T online rounds
-    (see ``run_planner`` for ``selection``, ``init_states`` and ``noise_rng``)."""
-    return run_planner(
-        instance,
-        round_intervals(solution, [seed]),
-        T,
-        selection=selection,
-        init_states=init_states,
-        noise_rng=noise_rng,
-    )
+    """``planner_runs`` for one seed, with the same options."""
+    (runs,) = planner_runs(instance, solution, T, [seed], selection=selection,
+                           init_states=init_states, noise_rng=noise_rng)
+    return runs
 
 
 def plan_to_dict(solution: LpSolution, plan: Plan) -> dict:

@@ -394,6 +394,7 @@ def simulate_seeds(
     solution: LpSolution,
     T: int,
     seeds: Sequence[int],
+    selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
 ) -> list[PlannerRuns]:
     """The planner one seed at a time: rounding, offsets, then T rounds."""
@@ -401,7 +402,8 @@ def simulate_seeds(
     for seed in seeds:
         intervals = round_intervals(solution, stream(seed, "rounding"))
         offsets = draw_offsets(intervals, stream(seed, "offsets"))
-        traces.append(run_planner(instance, intervals, offsets, T, init_states=init_states))
+        traces.append(run_planner(instance, intervals, offsets, T, selection=selection,
+                                  init_states=init_states))
     return traces
 
 

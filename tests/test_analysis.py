@@ -49,6 +49,18 @@ def test_tight_instance_shape():
     assert inst2.n == 10
 
 
+@pytest.mark.parametrize("k, m, message", [
+    (0, 2, "k must be >= 1, got 0"),
+    (2, 0, "m must be >= 1, got 0"),
+    (1.5, 2, "k must be an integer, got 1.5"),
+    (2, 2.0, "m must be an integer, got 2.0"),
+])
+def test_tight_instance_refuses_bad_k_and_m(k, m, message):
+    with pytest.raises(ModelError) as info:
+        make_tight_instance(k, m)
+    assert str(info.value) == message
+
+
 def test_tight_instance_size_guard(monkeypatch):
     def no_instance(**kwargs):
         raise AssertionError("the table was built")

@@ -202,6 +202,17 @@ def test_gen_refuses_oversized_tight_instance(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["appendix-c1", "--k", "0"], "k must be >= 1, got 0"),
+    (["random", "--tau-min", "0"], "need tau_min < 0 < tau_max, got [0, 3]"),
+])
+def test_gen_refuses_bad_bounds(tmp_path, capsys, flags, message):
+    out = tmp_path / "i.json"
+    assert run(["gen", *flags, "--out", str(out)]) == 1
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_plot_data_ratio_vs_m(tmp_path):
     out = tmp_path / "plot.csv"
     assert run(["plot-data", "ratio-vs-m", "--k", "1", "--m-list", "2,4",

@@ -13,6 +13,9 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +146,16 @@ def test_every_command_stdout_is_pinned(golden_run):
 @pytest.mark.parametrize("out", sorted(STDOUT))
 def test_command_stdout(golden_run, out):
     assert golden_run[1][out] == STDOUT[out]
+
+
+@pytest.mark.parametrize("module", ["mlsd.cli", "mlsd"])
+def test_module_entry_point_writes_golden_file(tmp_path, module):
+    # ``python -m mlsd.cli`` runs cli's __main__ block, ``python -m mlsd`` __main__.py
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "c2.json"
+    proc = subprocess.run([sys.executable, "-m", module, "gen", "appendix-c2", "--out", str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["c2.json"]

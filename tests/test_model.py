@@ -22,6 +22,9 @@ from mlsd.model import (
     transition,
 )
 from mlsd.analysis import make_step_instance, make_tight_instance
+from mlsd.intervals import RecurrentInterval, normalize_schedule
+from mlsd.learning import exploration_length
+from mlsd.lp import build_lp
 from mlsd.rng import stream
 
 
@@ -176,8 +179,9 @@ def test_payoff_table_is_a_read_only_copy():
     ({"payoffs": [[0.0, 1.0, 1.0], [0.0, 1.0]], "n": 2}, "expected 3 values in every payoff row"),
     ({"payoffs": [[0.0, 1.0]]}, "expected 3 values, got 2"),
     ({"payoffs": [], "n": 0}, "instance needs at least one arm"),
+    ({"n": 2}, "n=2 does not match 1 payoff rows"),
 ], ids=["string", "bool", "nan", "above-1", "below-0", "fractional-tau_max", "float-tau_min",
-        "ragged", "short-row", "no-arms"])
+        "ragged", "short-row", "no-arms", "n-mismatch"])
 def test_instance_from_dict_rejects_bad_tables(change, message):
     d = instance_to_dict(make_step_instance())
     d.update(change)
@@ -210,6 +214,28 @@ def test_state_column_scalar_array_inverse_and_clamp(tau_min, tau_max, taus):
         clamped = min(max(tau, tau_min), tau_max)
         assert col == state_column(clamped, tau_min, tau_max)
         assert column_state(col, tau_min) == clamped
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: build_lp(make_step_instance(), 0), "tau_L must be <= -1, got 0"),
+    (lambda: normalize_schedule([True, False], 0), "tau_L must be <= -1, got 0"),
+    (lambda: exploration_length(1, 1, 1, 0, 1), "tau_L must be <= -1, got 0"),
+    (lambda: RecurrentInterval(1, 0), "l must be <= -1, got 0"),
+    (lambda: PayoffTable(k=1, tau_min=0, tau_max=1, means=[[0.5]]),
+     "need tau_min < 0 < tau_max, got [0, 1]"),
+    (lambda: PayoffTable(k=1, tau_min=-1, tau_max=0, means=[[0.5]]),
+     "need tau_min < 0 < tau_max, got [-1, 0]"),
+], ids=["build_lp", "normalize_schedule", "exploration_length", "interval", "tau_min-0",
+        "tau_max-0"])
+def test_bounds_refused(refuse, message):
+    with pytest.raises(ModelError) as info:
+        refuse()
+    assert str(info.value) == message
+
+
+def test_unknown_stream_name_refused():
+    with pytest.raises(KeyError, match="unknown stream 'round'; known: "):
+        stream(0, "round")
 
 
 def test_random_instance_refuses_oversized_table_before_drawing(no_draws):

@@ -350,8 +350,9 @@ def test_closed_form_cycle_matches_transition(u, l):
     cells=st.integers(1, 120),
     lift=st.one_of(st.none(), st.integers(0, 5)),
     thin=st.booleans(),
+    perturb=st.booleans(),
 )
-def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
+def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb):
     # chunks of max(1, cells // (n T)) seeds, so S is often not a multiple
     inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -1 - seed % 3))
@@ -361,10 +362,15 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin):
     if lift is not None:
         rng = stream(seed, "misc")
         init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
+    selection = None
+    if perturb:  # non-monotone selection tables, as robustness_gap builds them
+        noise = stream(seed, "perturb").uniform(-0.3, 0.3, inst.means.shape)
+        selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
+                                means=np.clip(inst.means + noise, 0.0, 1.0))
     seeds = range(seed, seed + S)
     with mock.patch.object(planner, "_CHUNK_CELLS", cells):
-        chunks = list(planner_runs(inst, sol, T, seeds, init_states=init))
-    want = reference.simulate_seeds(inst, sol, T, seeds, init_states=init)
+        chunks = list(planner_runs(inst, sol, T, seeds, selection=selection, init_states=init))
+    want = reference.simulate_seeds(inst, sol, T, seeds, selection=selection, init_states=init)
     rows = [(c, r) for c in chunks for r in range(c.played.shape[0])]
     assert len(rows) == S
     for (c, r), trace in zip(rows, want):
@@ -486,3 +492,11 @@ def test_planner_refuses_negative_horizon():
     # unchecked, it would return empty (1, 1, 0) runs
     with pytest.raises(ModelError, match="T must be >= 0, got -1"):
         simulate_planner(make_step_instance(), _step_solution(), -1, 0)
+
+
+def test_planner_runs_refuse_fractional_horizon():
+    # unchecked, the chunk size would be a float and range() a TypeError
+    for run in (lambda: simulate_planner(make_step_instance(), _step_solution(), 1.5, 0),
+                lambda: list(planner_runs(make_step_instance(), _step_solution(), 1.5, [0]))):
+        with pytest.raises(ModelError, match="T must be an integer, got 1.5"):
+            run()
