@@ -142,10 +142,11 @@ def approximation_experiment(
     Per-seed means are taken over rounds tau_max..T, where the virtual state
     is dominated by the actual one; the report compares the virtual-payoff
     mean against the bound and confirms the actual stream collects at least
-    as much.
+    as much. Raises ModelError, before any seed runs, unless n_seeds is an
+    integer >= 30, seed an integer >= 0 and T at least tau_max.
     """
-    if n_seeds < 30:
-        raise ModelError(f"need >= 30 seeds for the interval, got {n_seeds}")
+    require_int("n_seeds (need >= 30 seeds for the interval)", n_seeds, least=30)
+    require_int("seed", seed, least=0)
     if T < instance.tau_max:
         raise ModelError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)

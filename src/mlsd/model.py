@@ -71,10 +71,18 @@ def column_state(col, tau_min: int):
 
 def _has_bool(rows) -> bool:
     """Whether nested payoff rows hold a boolean, which np.array would
-    silently turn into 0.0 or 1.0 next to numbers."""
+    silently turn into 0.0 or 1.0 next to numbers: an array by its dtype, a
+    list row by the types of its items."""
     if isinstance(rows, np.ndarray):
         return rows.dtype.kind == "b"
-    return any(isinstance(v, (bool, np.bool_)) for v in np.array(rows, dtype=object).flat)
+    types = set()
+    for row in rows:
+        if isinstance(row, np.ndarray):
+            if row.dtype.kind == "b":
+                return True
+        else:
+            types.update(map(type, row))
+    return not types.isdisjoint((bool, np.bool_))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ different payoff model (e.g. estimates) than the environment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -19,10 +20,12 @@ import numpy as np
 from .intervals import cycle_phase, interval_grid
 from .lp import LpSolution
 from .model import Instance, ModelError, PayoffTable, require_int, require_keys, state_column
-from .rng import stream
+from .rng import streams
 
 _MASS_TOL = 1e-9
-_CHUNK_CELLS = 8000  # (seed, arm, round) cells per array pass of planner_runs
+_CHUNK_CELLS = 2**14  # (seed, arm, round) cells per array pass of planner_runs
+_ROUND_CELLS = 2**18  # (seed, arm, interval) comparisons per block of round_intervals
+_MAX_ROUNDED = 2**23  # (seed, arm) pairs of one round_intervals call, ~40 B each
 _MAX_CELLS = 2**23  # (run, arm, round) cells of one simulation, ~74 B each
 
 
@@ -69,17 +72,34 @@ def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
     """The offline phase for every seed, one row each: per arm, an interval
     (or none) picked by one ``"rounding"`` uniform, independently across
     arms, then a uniform phase offset drawn from the seed's ``"offsets"``
-    stream in arm order for the arms that picked an interval."""
+    stream in arm order for the arms that picked an interval.
+
+    Seeds go in blocks of about _ROUND_CELLS (seed, arm, interval)
+    comparisons, and each block's generators come from one ``rng.streams``
+    batch. Raises ModelError, before drawing, past _MAX_ROUNDED (seed, arm)
+    pairs.
+    """
+    S, n = len(seeds), solution.n
+    if S * n > _MAX_ROUNDED:
+        raise ModelError(
+            f"{S} x {n} (seed, arm) pairs exceed the rounding's cap of {_MAX_ROUNDED}"
+        )
     u, l, cum = _arm_distribution(solution)
-    r = np.array([stream(s, "rounding").random(cum.shape[0]) for s in seeds])
-    picks = (cum <= r.reshape(-1, cum.shape[0], 1)).sum(axis=-1)  # u.size: picked none
-    u, l = np.append(u, 0)[picks], np.append(l, 0)[picks]
-    offsets = np.zeros(picks.shape, dtype=np.int64)
-    for row, s in enumerate(seeds):
-        rng = stream(s, "offsets")
-        for i in np.flatnonzero(u[row]):
-            offsets[row, i] = rng.integers(u[row, i] - l[row, i])
-    return Plan(u=u, l=l, offsets=offsets)
+    u, l = np.append(u, 0), np.append(l, 0)  # index u.size - 1: picked none
+    plan = Plan(u=np.empty((S, n), dtype=np.int64), l=np.empty((S, n), dtype=np.int64),
+                offsets=np.empty((S, n), dtype=np.int64))
+    per = max(1, _ROUND_CELLS // max(1, cum.size))
+    for lo in range(0, S, per):
+        block = seeds[lo:lo + per]
+        rngs = streams([(s, "rounding") for s in block] + [(s, "offsets") for s in block])
+        r = np.array([next(rngs).random(n) for _ in block]).reshape(-1, n, 1)
+        picks = (cum <= r).sum(axis=-1)
+        rows = slice(lo, lo + len(block))
+        plan.u[rows], plan.l[rows] = u[picks], l[picks]
+        lengths = (plan.u[rows] - plan.l[rows]).tolist()  # 0 where no interval
+        plan.offsets[rows] = [[rng.integers(x) if x else 0 for x in row]
+                              for row, rng in zip(lengths, rngs)]
+    return plan
 
 
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
@@ -145,6 +165,16 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     return int((runs.actual_states - runs.virtual)[..., tau_max - 1:].min(initial=0))
 
 
+def _joint_period(lengths: list[int], T: int) -> int:
+    """The lcm of ``lengths`` in exact Python ints, or T + 1 once it passes T."""
+    period = 1
+    for length in set(lengths):
+        period = math.lcm(period, length)
+        if period > T:
+            return T + 1
+    return period
+
+
 def run_planner(
     instance: Instance,
     plan: Plan,
@@ -162,6 +192,14 @@ def run_planner(
     to ``instance`` at the actual states, which start from ``init_states``
     (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
     mean as probability, summed per round into ``realized``.
+
+    Virtual states, candidates, plays and virtual payoffs repeat with each
+    run's joint period P_s, the lcm of its cycle lengths, computed in exact
+    Python ints and capped at T + 1. They are computed over a window of W =
+    max_s min(P_s, T) rounds, budget check included, and round t of run s
+    reads window column t mod P_s; when W == T no copy is made. Actual
+    states, actual payoffs, domination and noise are per cell. The result
+    is bit-identical to computing every (run, arm, round) cell.
 
     Raises ModelError, before allocating, unless T is an integer >= 0 and
     the plan has the instance's arm count, interval bounds u up to tau_max
@@ -182,10 +220,12 @@ def run_planner(
         raise ModelError(
             f"{S} x {n} x {T} (run, arm, round) cells exceed the planner's cap of {_MAX_CELLS}"
         )
+    L = np.maximum(plan.u - plan.l, 1)  # 1 for arms without an interval
+    period = [_joint_period(row, T) for row in L.tolist()]
+    W = min(max(period, default=T), T)
     active = (plan.u > 0)[..., None]
-    L = np.maximum(plan.u - plan.l, 1)[..., None]  # 1 for arms without an interval
-    pos = (plan.offsets[..., None] + np.arange(1, T + 1)) % L
-    state, play = cycle_phase(plan.u[..., None], L, pos)
+    pos = (plan.offsets[..., None] + np.arange(1, W + 1)) % L[..., None]
+    state, play = cycle_phase(plan.u[..., None], L[..., None], pos)
     virtual = np.where(active, state, 0)
     cand = active & play
 
@@ -201,6 +241,12 @@ def run_planner(
     most = int(played.sum(axis=1).max(initial=0))
     if most > instance.k:
         raise PlannerError(f"{most} arms played in a round, budget is {instance.k}")
+    virtual_payoff = np.where(played, selp, 0.0).sum(axis=1)
+    if W < T:  # every period fits the window
+        col = np.arange(T) % np.array(period)[:, None]  # (S, T)
+        virtual_payoff = virtual_payoff.ravel().take(col + W * np.arange(S)[:, None])
+        cell = col[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
+        virtual, cand, played = (a.ravel().take(cell) for a in (virtual, cand, played))
 
     init = None if init_states is None else np.tile(np.asarray(init_states), S)
     actual = states_from_actions(played.reshape(S * n, T), init).reshape(S, n, T)
@@ -210,7 +256,7 @@ def run_planner(
         candidates=cand,
         played=played,
         actual_states=actual,
-        virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
+        virtual_payoff=virtual_payoff,
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
     )
     if init is None or (init == 1).all():

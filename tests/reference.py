@@ -60,11 +60,12 @@ def prescribes_play(interval: RecurrentInterval, tau: int) -> bool:
     return tau == interval.u or interval.l < tau < 0
 
 
-def cycle_walk(interval: RecurrentInterval) -> list[tuple[int, bool]]:
+def cycle_walk(interval: RecurrentInterval, steps: Optional[int] = None) -> list[tuple[int, bool]]:
     """One period of (state, play) pairs from state +1, stepped with
-    ``transition``: the scalar twin of ``cycle_phase``."""
+    ``transition``: the scalar twin of ``cycle_phase``. With ``steps``, only
+    the first ``min(steps, length)`` pairs, for cycles too long to walk."""
     tau, out = 1, []
-    for _ in range(interval.length):
+    for _ in range(interval.length if steps is None else min(steps, interval.length)):
         play = prescribes_play(interval, tau)
         out.append((tau, play))
         tau = transition(tau, play)
@@ -368,7 +369,7 @@ def run_planner(
     for i, iv in enumerate(intervals):
         if iv is None:
             continue
-        cycle = cycle_walk(iv)
+        cycle = cycle_walk(iv, offsets[i] + T + 1)  # the phases a run reaches
         for t in range(T):
             virtual[i, t], cand[i, t] = cycle[(offsets[i] + t + 1) % iv.length]
             selp[i, t] = selection.payoff(i, int(virtual[i, t]))

@@ -134,6 +134,21 @@ def test_seed_count_checked_before_any_seed_runs(monkeypatch):
         approximation_experiment(make_step_instance(), 0.5, 100, 29, 0)
 
 
+@pytest.mark.parametrize("n_seeds, seed, message", [
+    (30.5, 0, "n_seeds (need >= 30 seeds for the interval) must be an integer, got 30.5"),
+    (True, 0, "n_seeds (need >= 30 seeds for the interval) must be an integer, got True"),
+    (29, 0, "n_seeds (need >= 30 seeds for the interval) must be >= 30, got 29"),
+    (30, 1.5, "seed must be an integer, got 1.5"),
+    (30, -1, "seed must be >= 0, got -1"),
+], ids=["fractional-count", "bool-count", "few-seeds", "fractional-seed", "negative-seed"])
+def test_experiment_refuses_bad_seed_count_and_seed(monkeypatch, n_seeds, seed, message):
+    # unchecked, 30.5 and 1.5 were a TypeError from range
+    monkeypatch.setattr(analysis, "planner_runs", lambda *a, **k: pytest.fail("a seed was simulated"))
+    with pytest.raises(ModelError) as info:
+        approximation_experiment(make_step_instance(), 0.5, 100, n_seeds, seed)
+    assert str(info.value) == message
+
+
 def test_tightness_rejects_zero_seeds():
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         tightness_experiment(k=1, m=5, T=100, n_seeds=0, seed=0)

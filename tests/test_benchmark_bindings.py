@@ -23,12 +23,14 @@ def test_gate_and_tracing_see_lp_solves_and_planner_runs(monkeypatch):
     gate.install(patcher)
     harness.install_tracing(patcher, tracer)
     try:
-        for op in (
-            lambda: analysis.approximation_experiment(inst, 0.25, 200, 30, 0),
-            lambda: learning.etc_run(inst, 512, 0.25, 0),
+        for op, seeds in (
+            (lambda: analysis.approximation_experiment(inst, 0.25, 200, 30, 0), 30),
+            (lambda: learning.etc_run(inst, 512, 0.25, 0), None),
         ):
             op()
             assert gate.lps and gate.runs
+            if seeds is not None:  # every seed's run goes through run_planner
+                assert sum(trace.played.shape[0] for _, _, trace in gate.runs) == seeds
             assert gate.check(dict.fromkeys(workloads.STAT_KEYS, 0)) == []
     finally:
         patcher.undo()

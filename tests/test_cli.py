@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
 
-from mlsd import cli, learning, oracle
+from mlsd import cli, learning, oracle, planner
 from mlsd.cli import main
 
 
@@ -143,6 +144,24 @@ def test_oracle_refuses_oversized_tables(tmp_path, capsys, no_alloc):
         "error: oracle budget exceeded: dp_optimal needs ~8e+07 (action, state) cells "
         "in memory, budget is 1.68e+07"
     ]
+
+
+def test_tightness_refuses_a_million_seeds_before_rounding(tmp_path, capsys, monkeypatch):
+    # without the cap, the rounding's comparisons alone took about 3.3 KB a
+    # seed at n = 50, 3.3 GB for a million seeds
+    monkeypatch.setattr(planner, "streams", lambda keys: pytest.fail("drew past a size guard"))
+    tracemalloc.start()
+    try:
+        code = run(["experiment", "tightness", "--seeds", "1000000",
+                    "--out", str(tmp_path / "t.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert _stderr_lines(capsys) == [
+        "error: 1000000 x 50 (seed, arm) pairs exceed the rounding's cap of 8388608"
+    ]
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

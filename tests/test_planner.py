@@ -345,15 +345,18 @@ def test_closed_form_cycle_matches_transition(u, l):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    T=st.integers(1, 25),
+    T=st.integers(1, 80),
     S=st.integers(1, 9),
-    cells=st.integers(1, 120),
+    cells=st.integers(1, 1000),
     lift=st.one_of(st.none(), st.integers(0, 5)),
     thin=st.booleans(),
     perturb=st.booleans(),
 )
 def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb):
-    # chunks of max(1, cells // (n T)) seeds, so S is often not a multiple
+    # chunks of max(1, cells // (n T)) seeds, so S is often not a multiple;
+    # cycles are at most 6 rounds long, so a joint period is at most 60: T
+    # from 61 on always takes the window of run_planner, small T often the
+    # full width; rounding blocks of max(1, cells // (n intervals)) seeds
     inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -1 - seed % 3))
     if thin:  # half the selection mass: many arms draw no interval
@@ -368,7 +371,8 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb
         selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
                                 means=np.clip(inst.means + noise, 0.0, 1.0))
     seeds = range(seed, seed + S)
-    with mock.patch.object(planner, "_CHUNK_CELLS", cells):
+    with mock.patch.object(planner, "_CHUNK_CELLS", cells), \
+            mock.patch.object(planner, "_ROUND_CELLS", cells):
         chunks = list(planner_runs(inst, sol, T, seeds, selection=selection, init_states=init))
     want = reference.simulate_seeds(inst, sol, T, seeds, selection=selection, init_states=init)
     rows = [(c, r) for c in chunks for r in range(c.played.shape[0])]
@@ -398,6 +402,39 @@ def test_run_planner_matches_scalar_twin(seed, T, perturb):
         run_planner(inst, plan, T, selection=selection),
         reference.run_planner(inst, ivs, offs, T, selection=selection),
     )
+
+
+@pytest.mark.parametrize("T", [1, 7, 40])
+def test_window_matches_twin_on_cycles_near_2_62(T):
+    # cycles of 2**62 and 2**62 - 1 rounds: their lcm, about 2**124, would
+    # wrap in int64; the run keeps the full width of T rounds
+    inst = draw_instance(11, n_range=(4, 4))
+    arms = [(1, -(2**62 - 1), 3), (1, -(2**62 - 2), 0), (1, -1, 1), (1, -2, 2)]
+    plan = plan_from_dict({"arms": [
+        {"interval": {"u": u, "l": l}, "offset": off} for u, l, off in arms
+    ]})
+    assert plan.u.shape == (1, 4) and plan.l[0, 0] == -(2**62 - 1)
+    _assert_same_trace(run_planner(inst, plan, T), reference.run_planner(inst, *plan_lists(plan), T))
+    # without the long cycles the joint period is 6 rounds, a window for T = 7, 40
+    short = plan_of([RecurrentInterval(u=1, l=-1), RecurrentInterval(u=1, l=-2)] * 2, [1, 2, 0, 1])
+    _assert_same_trace(run_planner(inst, short, T), reference.run_planner(inst, *plan_lists(short), T))
+
+
+def test_rounding_refuses_too_many_seeds_before_drawing(no_alloc, monkeypatch):
+    # 2**23 // 50 + 1 seeds of a 50-arm relaxation: 3.3 KB a seed of
+    # comparisons in one block, and still 0.2 GB of plan rows in small ones
+    solution = LpSolution(x=np.full((50, 50, 1), 1 / 51 / 50), objective=0.0, tau_L=-1)
+    monkeypatch.setattr(planner, "streams", lambda keys: pytest.fail("drew past a size guard"))
+    with pytest.raises(ModelError, match=r"167773 x 50 \(seed, arm\) pairs exceed the "
+                                         r"rounding's cap of 8388608"):
+        round_intervals(solution, range(2**23 // 50 + 1))
+
+
+def test_rounding_cap_boundary(monkeypatch):
+    monkeypatch.setattr(planner, "_MAX_ROUNDED", 3)
+    assert round_intervals(_step_solution(), range(3)).u.shape == (3, 1)
+    with pytest.raises(ModelError, match=r"4 x 1 \(seed, arm\) pairs exceed"):
+        round_intervals(_step_solution(), range(4))
 
 
 def test_kernel_rejects_round_over_budget(monkeypatch):
