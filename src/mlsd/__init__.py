@@ -9,12 +9,7 @@ from .analysis import (
     regret_trend,
     tightness_experiment,
 )
-from .intervals import (
-    RecurrentInterval,
-    aggregated_payoff,
-    decompose,
-    normalize_schedule,
-)
+from .intervals import RecurrentInterval, aggregated_payoff
 from .learning import (
     EtcConfig,
     estimate_payoffs,
@@ -39,7 +34,7 @@ from .model import (
     random_instance,
     save_instance,
 )
-from .oracle import dp_optimal, exhaustive_optimal
+from .oracle import dp_optimal
 from .planner import (
     Plan,
     round_intervals,

@@ -13,6 +13,7 @@ from .lp import build_lp, check_lp_size, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, require_int
 from .oracle import dp_optimal
 from .planner import planner_runs
+from .rng import seed_range
 
 _MAX_TIGHT_CELLS = 2**20  # payoff cells make_tight_instance may build, M*k x (M+1)
 
@@ -81,11 +82,11 @@ def tightness_experiment(
     counts depend only on sampled cycles and offsets.
     """
     require_int("n_seeds", n_seeds, least=1)
+    seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
     check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
-    seeds = range(seed, seed + n_seeds)
     rates = np.concatenate([
         np.minimum(runs.candidates.sum(axis=1), k).mean(axis=1)
         for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n)
@@ -143,17 +144,17 @@ def approximation_experiment(
     is dominated by the actual one; the report compares the virtual-payoff
     mean against the bound and confirms the actual stream collects at least
     as much. Raises ModelError, before any seed runs, unless n_seeds is an
-    integer >= 30, seed an integer >= 0 and T at least tau_max.
+    integer >= 30, its seeds stream seeds and T at least tau_max.
     """
     require_int("n_seeds (need >= 30 seeds for the interval)", n_seeds, least=30)
-    require_int("seed", seed, least=0)
+    seeds = seed_range(seed, n_seeds)
     if T < instance.tau_max:
         raise ModelError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)
     solution = solve_lp(build_lp(instance, tau_L))
     start = instance.tau_max - 1  # columns are rounds 1..T
     virt, act = [], []
-    for runs in planner_runs(instance, solution, T, range(seed, seed + n_seeds)):
+    for runs in planner_runs(instance, solution, T, seeds):
         virt.append(runs.virtual_payoff[:, start:].mean(axis=1))
         act.append(runs.actual_payoff[:, start:].mean(axis=1))
     virt, act = np.concatenate(virt), np.concatenate(act)
@@ -206,19 +207,22 @@ def regret_trend(
     Regret is recorded both against the scaled optimum (the formal target,
     which a strong planner can beat, making it negative) and against the
     paired full-information planner run, whose gap is positive and is the
-    sublinear quantity the trend is fitted on.
+    sublinear quantity the trend is fitted on. The oracle values come
+    first, largest horizon first: the oracle's cost grows with T, so an
+    OracleBudgetError comes before any learning run.
     """
     require_int("n_seeds", n_seeds, least=1)
+    seeds = seed_range(seed, n_seeds)
     if len(set(T_grid)) < 2:
         raise ModelError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
+    for T in T_grid:
+        require_int("T", T, least=1)
+    opts = {T: dp_optimal(instance, T, budget=oracle_budget)[0]
+            for T in sorted(set(T_grid), reverse=True)}
     points = []
     for T in T_grid:
-        opt, _ = dp_optimal(instance, T, budget=oracle_budget)
-        benchmark = (1.0 - epsilon) * gamma_k(instance.k) * opt
-        results = [
-            etc_run(instance, T, epsilon, seed + i, benchmark_total=benchmark)
-            for i in range(n_seeds)
-        ]
+        benchmark = (1.0 - epsilon) * gamma_k(instance.k) * opts[T]
+        results = [etc_run(instance, T, epsilon, s, benchmark_total=benchmark) for s in seeds]
         points.append(
             RegretTrendPoint(
                 T=T,

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import analysis, learning, lp, model, oracle, planner
-from .rng import stream
+from .rng import seed_range, stream
 
 
 def _fmt(x) -> str:
@@ -147,6 +147,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_learn(args) -> int:
     instance = model.load_instance(args.instance)
+    seeds = seed_range(args.seed, args.seeds)
     try:
         opt, _ = oracle.dp_optimal(instance, args.T, budget=args.budget)
         label = "oracle"
@@ -156,12 +157,10 @@ def cmd_learn(args) -> int:
         label = "LP*_upper_bound"
     benchmark = (1.0 - args.epsilon) * analysis.gamma_k(instance.k) * opt
     rows = []
-    for s in range(args.seeds):
-        res = learning.etc_run(
-            instance, args.T, args.epsilon, args.seed + s, benchmark_total=benchmark
-        )
+    for s in seeds:
+        res = learning.etc_run(instance, args.T, args.epsilon, s, benchmark_total=benchmark)
         rows.append([
-            str(args.seed + s), str(args.T), str(res.exploration_length),
+            str(s), str(args.T), str(res.exploration_length),
             _fmt(res.realized_total), _fmt(res.regret),
         ])
     _write_csv(args.out, ["seed", "T", "exploration_length", "R", "Reg"], rows)

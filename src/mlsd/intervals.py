@@ -9,11 +9,10 @@ at l, returning to +1. Any single-arm play sequence splits into such cycles
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError, PayoffTable, require_int, state_column
+from .model import PayoffTable, require_int, state_column
 
 
 def interval_grid(tau_max: int, depth: int):
@@ -65,59 +64,3 @@ def aggregated_payoff(table: PayoffTable, u, l) -> np.ndarray:
     used = term < -l[:, None]
     p = np.where(used, table.means[:, state_column(taus, table.tau_min, table.tau_max)], -0.0)
     return np.cumsum(p, axis=-1)[..., -1]  # left to right; np.sum adds pairwise
-
-
-def normalize_schedule(plays: Sequence[bool], tau_L: int) -> list[bool]:
-    """Cap play runs at -tau_L and drop the final play.
-
-    Scanning from the start, every (1 - tau_L)-th consecutive play is turned
-    into a non-play; the omission breaks the run, so counting restarts after
-    it. The last remaining play is also dropped, which guarantees the output
-    ends with a non-play (or contains no play at all).
-    """
-    require_int("tau_L", tau_L, most=-1)
-    out = list(plays)
-    cap = 1 - tau_L
-    run = 0
-    for t, p in enumerate(out):
-        if not p:
-            run = 0
-            continue
-        run += 1
-        if run == cap:
-            out[t] = False
-            run = 0
-    for t in range(len(out) - 1, -1, -1):
-        if out[t]:
-            out[t] = False
-            break
-    return out
-
-
-def decompose(plays: Sequence[bool]) -> tuple[list[RecurrentInterval], int]:
-    """Split a play sequence into recurrent intervals plus trailing rests.
-
-    Cutting at every play -> non-play switch, a sequence that starts at state
-    +1 splits into blocks of (u-1 waits, -l plays, 1 rest) = one interval
-    each. The sequence must end with a rest after its last play; returns the
-    intervals in order and the count of trailing all-rest rounds.
-    """
-    intervals: list[RecurrentInterval] = []
-    i = 0
-    n = len(plays)
-    while i < n:
-        j = i
-        while j < n and not plays[j]:
-            j += 1
-        if j == n:
-            return intervals, n - i
-        u = j - i + 1
-        c = 0
-        while j < n and plays[j]:
-            c += 1
-            j += 1
-        if j == n:
-            raise ModelError("sequence ends mid-interval (last round is a play)")
-        intervals.append(RecurrentInterval(u=u, l=-c))
-        i = j + 1
-    return intervals, 0

@@ -22,7 +22,7 @@ import numpy as np
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
 from .planner import planner_runs, simulate_planner, states_from_actions
-from .rng import stream
+from .rng import seed_range, stream
 
 
 class ExplorationTooLongError(ModelError):
@@ -275,12 +275,12 @@ def robustness_gap(
     Perturbations may break monotonicity; feasibility is unaffected.
     """
     require_int("n_seeds", n_seeds, least=1)
+    seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
     tau_L = tau_L_from_epsilon(epsilon)
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))
 
-    seeds = range(seed, seed + n_seeds)
     base_rates = np.concatenate([
         runs.actual_payoff.mean(axis=1) for runs in planner_runs(instance, true_solution, T, seeds)
     ])

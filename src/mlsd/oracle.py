@@ -2,10 +2,9 @@
 
 Backward induction over the joint clipped state space gives OPT(T) exactly:
 payoffs saturate outside [tau_min, tau_max], so clipping states at the
-boundaries preserves every future payoff. A brute-force enumeration over
-action sequences (running the unclipped dynamics) serves as an independent
-cross-check; both accumulate payoffs in the same order, so agreement is
-exact, not approximate.
+boundaries preserves every future payoff. The tests hold a brute-force
+twin that enumerates action sequences on the unclipped dynamics; both add
+payoffs in the same order, so they agree exactly, not approximately.
 
 ``dp_optimal`` runs the induction and the schedule walk on one of two
 engines over the same (action, state) reward and successor tables. Tables
@@ -24,7 +23,7 @@ import math
 
 import numpy as np
 
-from .model import Instance, ModelError, column_state, require_int, state_column, transition
+from .model import Instance, ModelError, column_state, require_int, state_column
 
 _MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
 _MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 256 MiB as numpy's int32
@@ -169,35 +168,3 @@ def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
         s = succ[a][s]
     return value[start], path
 
-
-def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
-    """OPT(T) by enumerating every action sequence on the raw dynamics;
-    raises ModelError unless ``budget`` is positive and ``T`` is a
-    non-negative integer."""
-    if not budget > 0:
-        raise ModelError(f"the oracle budget must be positive, got {budget}")
-    require_int("T", T, least=0)
-    n, k = instance.n, instance.k
-    actions = action_sets(n, k)
-    cost = len(actions) ** T
-    if cost > budget:
-        raise OracleBudgetError(cost, int(budget), "exhaustive_optimal")
-    action_members = [frozenset(a) for a in actions]
-
-    def best(states: tuple[int, ...], t: int) -> float:
-        if t == T:
-            return 0.0
-        top = -np.inf
-        for act, members in zip(actions, action_members):
-            r = 0.0
-            for i in act:
-                r = r + instance.payoff(i, states[i])
-            nxt = tuple(
-                transition(tau, i in members) for i, tau in enumerate(states)
-            )
-            v = r + best(nxt, t + 1)
-            if v > top:
-                top = v
-        return top
-
-    return float(best((1,) * n, 0))

@@ -1,4 +1,5 @@
-"""Shared test helpers: instance draws and an independent LP oracle."""
+"""Shared test helpers: instance draws, an independent LP oracle and the
+seeds that no random stream takes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,14 @@ import pytest
 
 from mlsd.model import Instance, random_instance
 from mlsd.rng import stream
+
+# seeds outside [0, 2**64 - 1] or not integers, each with its ModelError
+BAD_SEEDS = {
+    "negative": (-1, "seed must be >= 0, got -1"),
+    "fractional": (1.5, "seed must be an integer, got 1.5"),
+    "bool": (True, "seed must be an integer, got True"),
+    "past-2**64": (2**64, "seed must be <= 18446744073709551615, got 18446744073709551616"),
+}
 
 
 def draw_instance(

@@ -1,6 +1,7 @@
 """Scalar reference twins of vectorized library code, the HiGHS reference
-solver of the relaxation, and the Monte Carlo candidate-triple sampler of
-criterion 4; used only by tests."""
+solver of the relaxation, the Monte Carlo candidate-triple sampler of
+criterion 4, the brute-force oracle of criterion 2 and the schedule
+normalization and decomposition of criterion 10; used only by tests."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from scipy.optimize import linprog
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
-from mlsd.model import Instance, ModelError, PayoffTable, column_state, state_column, transition
-from mlsd.oracle import action_sets
+from mlsd.model import (
+    Instance, ModelError, PayoffTable, column_state, require_int, state_column, transition,
+)
+from mlsd.oracle import OracleBudgetError, action_sets
 from mlsd.planner import Plan, PlannerRuns, _arm_distribution
 from mlsd.rng import stream
 
@@ -75,6 +78,62 @@ def cycle_walk(interval: RecurrentInterval, steps: Optional[int] = None) -> list
 def interval_action_sequence(interval: RecurrentInterval) -> list[bool]:
     """One period of the interval's actions, starting from state +1."""
     return [play for _, play in cycle_walk(interval)]
+
+
+def normalize_schedule(plays: Sequence[bool], tau_L: int) -> list[bool]:
+    """Cap play runs at -tau_L and drop the final play.
+
+    Scanning from the start, every (1 - tau_L)-th consecutive play is turned
+    into a non-play; the omission breaks the run, so counting restarts after
+    it. The last remaining play is also dropped, which guarantees the output
+    ends with a non-play (or contains no play at all).
+    """
+    require_int("tau_L", tau_L, most=-1)
+    out = list(plays)
+    cap = 1 - tau_L
+    run = 0
+    for t, p in enumerate(out):
+        if not p:
+            run = 0
+            continue
+        run += 1
+        if run == cap:
+            out[t] = False
+            run = 0
+    for t in range(len(out) - 1, -1, -1):
+        if out[t]:
+            out[t] = False
+            break
+    return out
+
+
+def decompose(plays: Sequence[bool]) -> tuple[list[RecurrentInterval], int]:
+    """Split a play sequence into recurrent intervals plus trailing rests.
+
+    Cutting at every play -> non-play switch, a sequence that starts at state
+    +1 splits into blocks of (u-1 waits, -l plays, 1 rest) = one interval
+    each. The sequence must end with a rest after its last play; returns the
+    intervals in order and the count of trailing all-rest rounds.
+    """
+    intervals: list[RecurrentInterval] = []
+    i = 0
+    n = len(plays)
+    while i < n:
+        j = i
+        while j < n and not plays[j]:
+            j += 1
+        if j == n:
+            return intervals, n - i
+        u = j - i + 1
+        c = 0
+        while j < n and plays[j]:
+            c += 1
+            j += 1
+        if j == n:
+            raise ModelError("sequence ends mid-interval (last round is a play)")
+        intervals.append(RecurrentInterval(u=u, l=-c))
+        i = j + 1
+    return intervals, 0
 
 
 def aggregated_payoff(table: PayoffTable, arm: int, interval: RecurrentInterval) -> float:
@@ -471,3 +530,36 @@ def dp_optimal(instance: Instance, T: int) -> tuple[float, np.ndarray]:
             schedule[i, t] = True
         s = int(nexts[a][s])
     return float(value[start]), schedule
+
+
+def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:
+    """OPT(T) by enumerating every action sequence on the raw dynamics;
+    raises ModelError unless ``budget`` is positive and ``T`` is a
+    non-negative integer."""
+    if not budget > 0:
+        raise ModelError(f"the oracle budget must be positive, got {budget}")
+    require_int("T", T, least=0)
+    n, k = instance.n, instance.k
+    actions = action_sets(n, k)
+    cost = len(actions) ** T
+    if cost > budget:
+        raise OracleBudgetError(cost, int(budget), "exhaustive_optimal")
+    action_members = [frozenset(a) for a in actions]
+
+    def best(states: tuple[int, ...], t: int) -> float:
+        if t == T:
+            return 0.0
+        top = -np.inf
+        for act, members in zip(actions, action_members):
+            r = 0.0
+            for i in act:
+                r = r + instance.payoff(i, states[i])
+            nxt = tuple(
+                transition(tau, i in members) for i, tau in enumerate(states)
+            )
+            v = r + best(nxt, t + 1)
+            if v > top:
+                top = v
+        return top
+
+    return float(best((1,) * n, 0))

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance
-from reference import candidate_marginals, marginal_expectations, schedule_payoff
+from reference import (
+    candidate_marginals,
+    decompose,
+    exhaustive_optimal,
+    marginal_expectations,
+    normalize_schedule,
+    schedule_payoff,
+)
 
 from mlsd.analysis import (
     approximation_experiment,
@@ -22,11 +29,10 @@ from mlsd.analysis import (
     regret_trend,
     tightness_experiment,
 )
-from mlsd.intervals import decompose, normalize_schedule
 from mlsd.learning import exploration_schedule, simulate_exploration
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import random_instance
-from mlsd.oracle import dp_optimal, exhaustive_optimal
+from mlsd.oracle import dp_optimal
 from mlsd.planner import domination_margin, simulate_planner
 from mlsd.rng import stream
 

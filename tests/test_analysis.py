@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import BAD_SEEDS
+
 from mlsd.analysis import (
     approximation_experiment,
     gamma_k,
@@ -11,10 +13,13 @@ from mlsd.analysis import (
     regret_trend,
     tightness_experiment,
 )
-from mlsd import analysis, lp, planner
+from mlsd import analysis, learning, lp, planner
+from mlsd.learning import robustness_gap
 from mlsd.lp import build_lp, solve_lp
-from mlsd.model import Instance, ModelError
+from mlsd.model import Instance, ModelError, random_instance
+from mlsd.oracle import OracleBudgetError
 from mlsd.planner import round_intervals
+from mlsd.rng import stream
 
 
 def test_gamma_values():
@@ -199,3 +204,47 @@ def test_tightness_refuses_horizon_zero():
     # unchecked, it would report ratio=nan
     with pytest.raises(ModelError, match="T must be >= 1, got 0"):
         tightness_experiment(1, 5, 0, 5, 0)
+
+
+EXPERIMENTS = {
+    "approximation": lambda seed: approximation_experiment(
+        make_step_instance(), 0.5, 100, 30, seed),
+    "tightness": lambda seed: tightness_experiment(1, 5, 100, 30, seed),
+    "regret-trend": lambda seed: regret_trend(make_step_instance(), [256, 512], 2, 0.25, seed),
+    "robustness": lambda seed: robustness_gap(make_step_instance(), [0.0], 50, 3, 0.5, seed),
+}
+
+
+@pytest.fixture
+def no_streams(monkeypatch):
+    """Make every stream start in the experiments fail."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a stream was started")
+
+    monkeypatch.setattr(planner, "streams", refuse)
+    monkeypatch.setattr(learning, "stream", refuse)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS.values(), ids=list(BAD_SEEDS))
+@pytest.mark.parametrize("experiment", EXPERIMENTS.values(), ids=list(EXPERIMENTS))
+def test_experiments_refuse_bad_seeds_before_drawing(no_streams, experiment, seed, message):
+    # unchecked, 1.5 was a TypeError from range in tightness and robustness,
+    # and ran seeds 1, 2, ... in regret-trend
+    with pytest.raises(ModelError) as info:
+        experiment(seed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS.values(), ids=list(EXPERIMENTS))
+def test_experiments_refuse_a_last_seed_past_the_bound(no_streams, experiment):
+    with pytest.raises(ModelError, match=r"^the last seed must be <= 18446744073709551615, got "):
+        experiment(2**64 - 1)
+
+
+def test_regret_trend_checks_the_oracle_budget_before_any_run(monkeypatch):
+    # the largest horizon's oracle comes first; before, T = 2**10 and 2**11
+    # ran their learning runs and only then was 2**20 refused
+    monkeypatch.setattr(analysis, "etc_run", lambda *a, **k: pytest.fail("a learning run started"))
+    inst = random_instance(3, 2, 3, -2, stream(0, "instance"))
+    with pytest.raises(OracleBudgetError, match=r"dp_optimal needs ~9.18e\+08 state-action"):
+        regret_trend(inst, [2**10, 2**11, 2**20], 2, 0.25, 0)

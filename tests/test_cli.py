@@ -481,3 +481,20 @@ def test_gen_refuses_oversized_random_instance(tmp_path, capsys, monkeypatch, no
         "error: a random 3 x 1000000002 payoff table has more than 16777216 cells"
     ]
     assert not (tmp_path / "i.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "random"],
+    ["plan", "--instance", "{inst}"],
+    ["simulate", "--instance", "{inst}", "--T", "50"],
+    ["learn", "--instance", "{inst}", "--T", "512"],
+    ["experiment", "tightness"],
+], ids=["gen", "plan", "simulate", "learn", "experiment-tightness"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, command):
+    inst, out = tmp_path / "c2.json", tmp_path / "out"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    capsys.readouterr()
+    args = [a.format(inst=inst) for a in command]
+    assert run(args + ["--seed", "-1", "--out", str(out)]) == 1
+    assert _stderr_lines(capsys) == ["error: seed must be >= 0, got -1"]
+    assert not out.exists()

@@ -4,17 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from reference import interval_action_sequence
+from reference import decompose, interval_action_sequence, normalize_schedule
 
 from mlsd.analysis import make_step_instance
-from mlsd.intervals import (
-    RecurrentInterval,
-    aggregated_payoff,
-    cycle_phase,
-    decompose,
-    interval_grid,
-    normalize_schedule,
-)
+from mlsd.intervals import RecurrentInterval, aggregated_payoff, cycle_phase, interval_grid
 from mlsd.model import ModelError, PayoffTable, random_instance, transition
 from mlsd.rng import stream
 

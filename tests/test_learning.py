@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_instance
+from conftest import BAD_SEEDS, draw_instance
 import reference
 
 from mlsd.analysis import make_step_instance
@@ -251,3 +251,11 @@ def test_robustness_refuses_horizon_zero():
     # unchecked, it would report deficits [nan, nan]
     with pytest.raises(ModelError, match="T must be >= 1, got 0"):
         robustness_gap(make_step_instance(), [0.0, 0.1], 0, 3, 0.5, 0)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS.values(), ids=list(BAD_SEEDS))
+def test_etc_refuses_bad_seeds(seed, message):
+    # unchecked, seed 1.5 ran seed 1 (realized_total 283.0 for both)
+    with pytest.raises(ModelError) as info:
+        etc_run(make_step_instance(), 512, 0.25, seed)
+    assert str(info.value) == message

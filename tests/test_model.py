@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import initial_states, step_environment
+from reference import initial_states, normalize_schedule, step_environment
 
 import mlsd
 from mlsd import model
@@ -22,7 +22,7 @@ from mlsd.model import (
     transition,
 )
 from mlsd.analysis import make_step_instance, make_tight_instance
-from mlsd.intervals import RecurrentInterval, normalize_schedule
+from mlsd.intervals import RecurrentInterval
 from mlsd.learning import exploration_length
 from mlsd.lp import build_lp
 from mlsd.rng import stream

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import draw_instance
-from reference import schedule_payoff
+from reference import exhaustive_optimal, schedule_payoff
 
 from mlsd import oracle
 from mlsd.analysis import make_step_instance, make_tight_instance
 from mlsd.model import Instance, ModelError
-from mlsd.oracle import OracleBudgetError, dp_optimal, exhaustive_optimal
+from mlsd.oracle import OracleBudgetError, dp_optimal
 
 
 def test_step_instance_small_horizons():
@@ -208,9 +208,10 @@ def test_engines_agree_bit_for_bit(tables, T):
 
 def test_python_engine_policy_memory():
     # the policy must stay within 4 bytes per (round, state), twice over,
-    # at T = 2e5 on the 3-state step instance; one Python list per round
-    # would take ~88 bytes per round
-    T = 200_000
+    # at T = 2e4 on the 3-state step instance; one Python list per round
+    # would take ~88 bytes per round (a peak of 1.95 MB against the bound's
+    # 0.48 MB); bound and mutant both grow in proportion to T
+    T = 20_000
     rewards, nexts, _, start = oracle._tables(make_step_instance())
     assert rewards.size <= oracle._PY_ENGINE_CELLS
     J = rewards.shape[1]

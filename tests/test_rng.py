@@ -3,25 +3,28 @@ SeedSequence and PCG64 seeding in batch; it must draw exactly what
 ``rng.stream`` draws, so a numpy release that seeds differently fails here."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlsd import rng
-from mlsd.rng import stream, streams
+from conftest import BAD_SEEDS
 
-KEYS = st.tuples(
-    st.integers(0, 2**70),
-    st.sampled_from(sorted(rng._STREAMS)),
-    st.lists(st.integers(0, 2**40), max_size=2),
-)
+from mlsd import rng
+from mlsd.model import ModelError
+from mlsd.rng import seed_range, stream, streams
+
+NAMES = sorted(rng._STREAMS)
+# the seeds where a key grows from two entropy words to three, and the last seed
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+KEYS = st.tuples(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+                 st.sampled_from(NAMES))
 
 
 @settings(max_examples=80, deadline=None)
 @given(keys=st.lists(KEYS, min_size=1, max_size=3 * rng._BATCH_KEYS))
+@example(keys=[(seed, name) for seed in EDGE_SEEDS for name in NAMES])
 def test_streams_draw_what_stream_draws(keys):
-    # seeds past 2**64 and extras make keys of up to 8 entropy words, so the
-    # batch sees keys past its four-word pool as well
-    keys = [(seed, name, *extra) for seed, name, extra in keys]
+    # lists below and from _BATCH_KEYS on take the per-key and the batched path
     got = streams(keys)
     for key in keys:
         want, g = stream(*key), next(got)
@@ -29,6 +32,14 @@ def test_streams_draw_what_stream_draws(keys):
         highs = [2, 7, 2**31, 2**40]
         assert g.integers(highs).tolist() == [int(want.integers(h)) for h in highs], key
     assert next(got, None) is None
+
+
+def test_stream_is_numpy_seeding_of_the_key():
+    # the property above compares the batch with ``stream``; this pins ``stream``
+    for seed in EDGE_SEEDS:
+        key = np.random.SeedSequence((seed, rng._STREAMS["noise"]))
+        want = np.random.Generator(np.random.PCG64(key))
+        assert stream(seed, "noise").random(4).tolist() == want.random(4).tolist()
 
 
 def test_streams_batch_from_the_threshold():
@@ -40,3 +51,22 @@ def test_streams_batch_from_the_threshold():
     assert distinct(rng._BATCH_KEYS - 1) == rng._BATCH_KEYS - 1
     assert distinct(rng._BATCH_KEYS) == 1
     assert distinct(rng._BATCH_KEYS + 1) == 1
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS.values(), ids=list(BAD_SEEDS))
+def test_bad_seeds_are_refused(seed, message):
+    calls = [lambda: stream(seed, "noise"), lambda: seed_range(seed, 1)]
+    for count in (1, rng._BATCH_KEYS):  # the per-key and the batched path
+        keys = [(0, "rounding")] * (count - 1) + [(seed, "offsets")]
+        calls.append(lambda keys=keys: next(streams(keys)))
+    for call in calls:
+        with pytest.raises(ModelError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_seed_range_checks_its_last_seed():
+    assert seed_range(2**64 - 3, 3) == range(2**64 - 3, 2**64)
+    with pytest.raises(ModelError, match=r"the last seed must be <= 18446744073709551615, "
+                                         r"got 18446744073709551616"):
+        seed_range(2**64 - 3, 4)
