@@ -6,20 +6,28 @@ boundaries preserves every future payoff. The tests hold a brute-force
 twin that enumerates action sequences on the unclipped dynamics; both add
 payoffs in the same order, so they agree exactly, not approximately.
 
-``dp_optimal`` runs the induction and the schedule walk on one of two
-engines over the same (action, state) reward and successor tables. Tables
-of at most ``_PY_ENGINE_CELLS`` cells (the one-arm step instance has 6) go
-to a loop over Python floats; larger tables go to numpy, one array
-expression per step, which alone keeps the ~36 bytes per cell that
-``_MAX_CELLS`` assumes. Both add the same floats in the same order and
-break ties to the first action, so value and schedule are bit-identical
-either way.
+``dp_optimal`` runs the induction on one of two engines over the same
+(action, state) reward and successor tables, and one walk reads the
+schedule off their policy. Tables of at most ``_PY_ENGINE_CELLS`` cells
+(the one-arm step instance has 6) go to a loop over Python floats; larger
+tables go to numpy, one array expression per step, which alone keeps the
+~36 bytes per cell that ``_MAX_CELLS`` assumes. Both add the same floats
+in the same order and break ties to the first action, so value and
+schedule are bit-identical either way.
+
+On exact tables (every reward a multiple of 2^-e with T * max reward * 2^e
+< 2^53, as 0/1 payoffs are) every float sum is exact: the induction stops
+at the first round whose values are a checkpoint round's (1, 2, 4, ...)
+plus a constant, as policy rows repeat from there on, ties and all, and the
+walk reads them in place. Other tables run all T rounds. The refusals still
+count ``cells * T``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -112,29 +120,23 @@ def _induct_numpy(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
     """OPT from state ``start`` over T rounds and the action index of each
     round on an optimal path, one array expression per backward step."""
     value = np.zeros(rewards.shape[1])
-    policy = np.zeros((T, rewards.shape[1]), dtype=np.int32)
-    for t in range(T - 1, -1, -1):
+    policy = np.zeros((T, rewards.shape[1]), dtype=np.int32)  # row h: h + 1 rounds to go
+    exact, mark, h, h0 = _exact(rewards, T), [0, None], 0, 0
+    for h in range(1, T + 1):
         q = rewards + value[nexts]
-        policy[t] = q.argmax(axis=0)
+        policy[h - 1] = q.argmax(axis=0)
         value = q.max(axis=0)
-
-    path = []
-    s = start
-    for t in range(T):
-        a = int(policy[t, s])
-        path.append(a)
-        s = int(nexts[a, s])
-    return float(value[start]), path
+        if exact and (h0 := _repeat(mark, h, (value - value[0]).tobytes())):
+            break
+    return _walk(policy.ravel(), nexts, rewards, value, T, start, h, h0)
 
 
 def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
     """``_induct_numpy`` on Python floats, looping over states and actions:
-    the same adds (reward + value of the successor) and the same tie break
-    (the first maximal action). Its tables have at most _PY_ENGINE_CELLS
-    cells, so an action index fits a byte: the policy takes one byte per
-    (round, state), rounds stored last first."""
+    the same adds, tie break (the first maximal action) and stop at a
+    repeat. Its tables have at most _PY_ENGINE_CELLS cells, so an action
+    index fits a byte: one byte per (round, state) of the policy."""
     J = rewards.shape[1]
-    succ = nexts.tolist()
     # per state: its index, its (reward, successor) under action 0, then
     # (action, reward, successor) under every later action
     rows = [
@@ -146,7 +148,8 @@ def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
     values = [0.0] * J
     actions = [0] * J
     policy = bytearray()
-    for _ in range(T):
+    exact, mark, h, h0 = _exact(rewards, T), [0, None], 0, 0
+    for h in range(1, T + 1):
         for j, (r, nx), later in rows:
             best = r + value[nx]
             arg = 0
@@ -159,12 +162,49 @@ def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
             actions[j] = arg
         policy.extend(actions)
         value, values = values, value
+        if exact and (h0 := _repeat(mark, h, [v - value[0] for v in value])):
+            break
+    return _walk(policy, nexts.tolist(), rewards.tolist(), value, T, start, h, h0)
 
-    path = bytearray()
+
+def _exact(rewards: np.ndarray, T: int) -> bool:
+    """Whether every reward is a multiple of 2^-e for an e >= 0 with
+    T * max reward * 2^e < 2^53, which makes every sum of dp_optimal exact."""
+    e = 53 - math.frexp(T * float(rewards.max()))[1]  # the largest such e
+    scaled = np.ldexp(rewards, max(e, 0))
+    return e >= 0 and bool((scaled == np.rint(scaled)).all())
+
+
+def _repeat(mark: list, h: int, key) -> int:
+    """Brent's cycle finding: ``key`` is the values after round h less the
+    first, ``mark`` the [round, key] checkpoint taken at rounds 1, 2, 4, ...
+    Returns the checkpoint's round if its key equals this one, else 0."""
+    if key == mark[1]:
+        return mark[0]
+    if h & (h - 1) == 0:
+        mark[:] = h, key
+    return 0
+
+
+def _walk(policy, succ, rewards, value, T, start, h, h0):
+    """OPT(T) from ``start`` and the action index of each round on its path
+    from the h flat policy rows and ``value``, the values after round h. If
+    h < T, those equal the values after round h0 plus a constant, so on
+    exact tables row h0 + (t - h0) mod (h - h0) serves t + 1 > h rounds to
+    go, and the value adds up the (exact) rewards until h rounds are left."""
+    # a table within _MAX_CELLS has at most 2^12 actions, as actions <= states
+    path = bytearray() if len(rewards) <= 256 else array("H")
+    J = len(rewards[0])
+    total = 0.0
     s = start
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, h - 1, -1):
+        a = policy[(h0 + (t - h0) % (h - h0)) * J + s]
+        path.append(a)
+        total += rewards[a][s]
+        s = succ[a][s]
+    total += value[s]
+    for t in range(h - 1, -1, -1):
         a = policy[t * J + s]
         path.append(a)
         s = succ[a][s]
-    return value[start], path
-
+    return float(total), path

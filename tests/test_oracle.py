@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_engine_choice_follows_table_cells(monkeypatch):
     spy("_induct_numpy")
     spy("_induct_python")
     dp_optimal(make_step_instance(), 3)  # 2 actions x 3 states
-    dp_optimal(make_tight_instance(1, 4), 3)  # 3 actions x 25 states
+    dp_optimal(make_tight_instance(1, 4), 3)  # 5 actions x 625 states
     assert chosen == ["_induct_python", "_induct_numpy"]
 
 
@@ -180,16 +181,20 @@ def test_dp_memory_per_table_cell():
     assert peak <= 40 * cells
 
 @st.composite
-def _random_tables(draw):
+def _random_tables(draw, kinds=("uniform", "quarter", "integer")):
     """(rewards, nexts, start): random tables of 1..8 actions by 1..40
-    states, on both sides of the engine threshold; quarter-step rewards make
-    many actions tie."""
+    states, on both sides of the engine threshold; quarter-step and integer
+    rewards (0..3) make many actions tie and are exact, so the induction
+    may stop at a repeat."""
     A = draw(st.integers(1, 8))
     J = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rewards = rng.uniform(size=(A, J))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "quarter":
         rewards = np.round(rewards * 4) / 4
+    elif kind == "integer":
+        rewards = np.floor(rewards * 4)
     nexts = rng.integers(0, J, size=(A, J))
     return rewards, nexts, draw(st.integers(0, J - 1))
 
@@ -203,26 +208,84 @@ def test_engines_agree_bit_for_bit(tables, T):
     value, path = oracle._induct_numpy(rewards, nexts, T, start)
     py_value, py_path = oracle._induct_python(rewards, nexts, T, start)
     assert type(py_value) is float and value.hex() == py_value.hex()
-    assert list(py_path) == path
+    assert list(py_path) == list(path)
 
 
-def test_python_engine_policy_memory():
-    # the policy must stay within 4 bytes per (round, state), twice over,
-    # at T = 2e4 on the 3-state step instance; one Python list per round
-    # would take ~88 bytes per round (a peak of 1.95 MB against the bound's
-    # 0.48 MB); bound and mutant both grow in proportion to T
-    T = 20_000
-    rewards, nexts, _, start = oracle._tables(make_step_instance())
-    assert rewards.size <= oracle._PY_ENGINE_CELLS
-    J = rewards.shape[1]
+@settings(max_examples=40, deadline=None)
+@given(tables=_random_tables(kinds=("quarter", "integer")), T=st.integers(0, 3000))
+def test_stop_at_repeat_matches_every_round(tables, T):
+    # on exact tables both engines may stop at a repeat; with the exactness
+    # test made to fail, numpy runs all T rounds, as without the stop
+    rewards, nexts, start = tables
+    with mock.patch.object(oracle, "_exact", return_value=False):
+        full_value, full_path = oracle._induct_numpy(rewards, nexts, T, start)
+    for engine in (oracle._induct_numpy, oracle._induct_python):
+        value, path = engine(rewards, nexts, T, start)
+        assert value.hex() == full_value.hex()
+        assert list(path) == list(full_path)
+
+
+def test_numpy_engine_path_holds_wide_action_index():
+    # past 256 actions an action index needs more than a byte
+    rewards = np.zeros((300, 2))
+    rewards[299] = 1.0
+    value, path = oracle._induct_numpy(rewards, np.zeros((300, 2), dtype=np.int64), 5, 0)
+    assert value == 5.0 and list(path) == [299] * 5
+
+
+def _policy_peak(rewards, nexts, T, start):
     tracemalloc.start()
     try:
         value, path = oracle._induct_python(rewards, nexts, T, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(path) == T and value == pytest.approx(T * 2 / 3, abs=1)
-    assert peak <= 2 * 4 * T * J
+    assert len(path) == T
+    return value, peak
+
+
+def test_python_engine_policy_memory():
+    # the policy must stay within 4 bytes per (round, state), twice over,
+    # at T = 2e4 on the 3-state step instance; one Python list per round
+    # would take ~88 bytes per round (a peak of 1.95 MB against the bound's
+    # 0.48 MB); bound and mutant both grow in proportion to T. The step
+    # instance stops at round 7, which would hide that cost, so it runs
+    # again scaled by 0.7: rewards that are not dyadic run all T rounds
+    T = 20_000
+    rewards, nexts, _, start = oracle._tables(make_step_instance())
+    assert rewards.size <= oracle._PY_ENGINE_CELLS
+    J = rewards.shape[1]
+    for scale in (1.0, 0.7):
+        value, peak = _policy_peak(rewards * scale, nexts, T, start)
+        assert value == pytest.approx(scale * T * 2 / 3, abs=1)
+        assert peak <= 2 * 4 * T * J
+
+
+def test_stop_at_repeat_keeps_no_full_policy():
+    # step instance, exact: the policy stops at round 7, so at T = 2^18 the
+    # peak is the 1-byte-a-round path, a third of the T * J bytes a full
+    # policy takes (2^18, not 2^20: under tracemalloc every float the walk
+    # adds is traced, and 2^20 rounds take ~2.5 s)
+    T = 2**18
+    rewards, nexts, _, start = oracle._tables(make_step_instance())
+    J = rewards.shape[1]
+    value, peak = _policy_peak(rewards, nexts, T, start)
+    assert value == 2 * (T // 3) + min(T % 3, 2)
+    assert peak < T * J / 2
+
+
+def test_exactness_bound_on_horizon_decides_the_stop():
+    # rewards 1 - 2^-40 are multiples of 2^-40: exact while T * 2^40 stays
+    # below 2^53 (T < 8192), so T = 8000 stops at the repeat and keeps no
+    # full policy, while T = 10,000 runs every round and keeps all T * J
+    # bytes; both agree with the twin
+    inst = Instance(k=1, tau_min=-2, tau_max=1, means=[[0.0, 1 - 2**-40, 1 - 2**-40]])
+    rewards, nexts, _, start = oracle._tables(inst)
+    J = rewards.shape[1]
+    for T, stops in ((8000, True), (10_000, False)):
+        _, peak = _policy_peak(rewards, nexts, T, start)
+        assert (peak < T * J) == stops
+        _same_as_twin(inst, T)
 
 
 def test_schedule_replay_matches_value():
@@ -240,6 +303,11 @@ def _same_as_twin(inst, T):
     assert value.hex() == twin_value.hex()
     assert schedule.dtype == twin_schedule.dtype
     assert np.array_equal(schedule, twin_schedule)
+    rewards, nexts, member, start = oracle._tables(inst)
+    for engine in (oracle._induct_numpy, oracle._induct_python):
+        value, path = engine(rewards, nexts, T, start)
+        assert value.hex() == twin_value.hex()
+        assert np.array_equal(member[np.asarray(path, dtype=np.intp)].T, twin_schedule)
 
 
 @settings(max_examples=80, deadline=None)
@@ -248,7 +316,7 @@ def _same_as_twin(inst, T):
     n_k=st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
     tau_max=st.integers(1, 3),
     tau_min=st.integers(-3, -1),
-    T=st.integers(1, 40),
+    T=st.integers(1, 40) | st.integers(41, 3000),
     coarse=st.booleans(),
 )
 @example(seed=0, n_k=(3, 3), tau_max=3, tau_min=-2, T=1, coarse=False)  # 3-arm sums round
@@ -262,6 +330,10 @@ def test_dp_matches_scalar_twin(seed, n_k, tau_max, tau_min, T, coarse):
 
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(1, 3), T=st.integers(1, 40))
+@example(m=1, T=6)  # the step instance stops at round 7: before,
+@example(m=1, T=7)  # at
+@example(m=1, T=8)  # and after it
+@example(m=1, T=9)
 def test_dp_matches_scalar_twin_on_reference_instances(m, T):
     _same_as_twin(make_step_instance(), T)
     _same_as_twin(make_tight_instance(1, m), T)
