@@ -277,6 +277,9 @@ def robustness_gap(
     require_int("n_seeds", n_seeds, least=1)
     seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
+    for eta in etas:
+        if not 0 <= eta < math.inf:  # nan fails both
+            raise ModelError(f"eta must be finite and >= 0, got {eta}")
     tau_L = tau_L_from_epsilon(epsilon)
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))

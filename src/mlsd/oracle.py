@@ -17,9 +17,11 @@ schedule are bit-identical either way.
 
 On exact tables (every reward a multiple of 2^-e with T * max reward * 2^e
 < 2^53, as 0/1 payoffs are) every float sum is exact: the induction stops
-at the first round whose values are a checkpoint round's (1, 2, 4, ...)
-plus a constant, as policy rows repeat from there on, ties and all, and the
-walk reads them in place. Other tables run all T rounds. The refusals still
+at the first round h whose values are a checkpoint round's (1, 2, 4, ...)
+plus a constant, as policy rows repeat from there on, ties and all, with
+period c. The walk reads them in place and, once its path repeats, copies
+whole laps of it, so its Python work is O(h * cells + c * J) for J states,
+plus an O(T) byte copy. Other tables run all T rounds. The refusals still
 count ``cells * T``.
 """
 
@@ -190,21 +192,40 @@ def _walk(policy, succ, rewards, value, T, start, h, h0):
     """OPT(T) from ``start`` and the action index of each round on its path
     from the h flat policy rows and ``value``, the values after round h. If
     h < T, those equal the values after round h0 plus a constant, so on
-    exact tables row h0 + (t - h0) mod (h - h0) serves t + 1 > h rounds to
-    go, and the value adds up the (exact) rewards until h rounds are left."""
+    exact tables row h0 + (t - h0) mod c, c = h - h0, serves t + 1 > h
+    rounds to go, and the value adds up the (exact) rewards until h rounds
+    are left. That part runs in blocks of c rounds: once a block starts at
+    a state an earlier one started at (within J blocks), the path repeats,
+    so whole laps of it are copied in place and their reward sum added at
+    once. The walk reads at most h + 2 * c * J policy cells, whatever T."""
     # a table within _MAX_CELLS has at most 2^12 actions, as actions <= states
-    path = bytearray() if len(rewards) <= 256 else array("H")
+    path = bytearray(T) if len(rewards) <= 256 else array("H", [0]) * T
     J = len(rewards[0])
-    total = 0.0
-    s = start
-    for t in range(T - 1, h - 1, -1):
-        a = policy[(h0 + (t - h0) % (h - h0)) * J + s]
-        path.append(a)
-        total += rewards[a][s]
-        s = succ[a][s]
+    total, s, i = 0.0, start, 0
+    c = h - h0  # round k of every block reads the row at flat offset rows[k]
+    rows = [(h0 + (T - 1 - k - h0) % c) * J for k in range(min(c, T - h))]
+    marks = {}  # state -> (round index, total) where a block first started at it
+    while i < T - h:
+        i1, total1 = marks.setdefault(s, (i, total))
+        if i1 < i:
+            laps = (T - h - i) // (i - i1)
+            total += laps * (total - total1)  # exact, as every sum here is
+            end = i + laps * (i - i1)
+            with memoryview(path) as view:  # path[i1:i] doubled until end
+                while i < end:
+                    step = min(i - i1, end - i)
+                    view[i : i + step] = view[i1 : i1 + step]
+                    i += step
+        for row in rows[: T - h - i]:
+            a = policy[row + s]
+            path[i] = a
+            total += rewards[a][s]
+            s = succ[a][s]
+            i += 1
     total += value[s]
     for t in range(h - 1, -1, -1):
         a = policy[t * J + s]
-        path.append(a)
+        path[i] = a
         s = succ[a][s]
+        i += 1
     return float(total), path

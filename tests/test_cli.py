@@ -303,6 +303,18 @@ def test_experiment_requires_instance(tmp_path, capsys, kind):
     assert _stderr_lines(capsys) == [f"error: {kind} needs --instance"]
 
 
+@pytest.mark.parametrize("eta", ["-1", "nan"])
+def test_robustness_rejects_bad_eta(tmp_path, capsys, eta):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    out = tmp_path / "e.json"
+    capsys.readouterr()
+    assert run(["experiment", "robustness", "--instance", str(inst), "--eta-list", f"0.1,{eta}",
+                "--T", "60", "--seeds", "3", "--out", str(out)]) == 1
+    assert _stderr_lines(capsys) == [f"error: eta must be finite and >= 0, got {float(eta)}"]
+    assert not out.exists()
+
+
 def test_regret_trend_rejects_single_horizon(tmp_path, capsys):
     inst = tmp_path / "c2.json"
     run(["gen", "appendix-c2", "--out", str(inst)])

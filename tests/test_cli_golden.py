@@ -41,6 +41,11 @@ COMMANDS = [
     # 6 (action, state) cells: the Python-float engine (inst.json's 500
     # cells take the numpy one)
     ["oracle", "--instance", "c2.json", "--T", "9", "--out", "schedule-c2.csv"],
+    # long walks over a repeating path on both engines: the Python one's
+    # 6 cells, and appendix-c1's 3,125 cells on the numpy one
+    ["oracle", "--instance", "c2.json", "--T", "100000", "--out", "schedule-c2-long.csv"],
+    ["gen", "appendix-c1", "--k", "1", "--m", "4", "--out", "c1.json"],
+    ["oracle", "--instance", "c1.json", "--T", "20000", "--out", "schedule-c1-long.csv"],
     ["learn", "--instance", "c2.json", "--T", "512", "--epsilon", "0.25", "--seed", "1",
      "--seeds", "2", "--out", "regret.csv"],
     ["experiment", "approximation", "--instance", "inst.json", "--epsilon", "0.5",
@@ -62,6 +67,7 @@ COMMANDS = [
 GOLDEN = {
     "approximation.csv": "5ecb5b599b4a6d2a88cf0038e30c8f641c635221e36c52fa912bba653f375099",
     "approximation.json": "f9115341e725fc83dd2bd621713525911989ee7ece625177f9612973abcc1aab",
+    "c1.json": "92c2776daa848bbd259f1d6da27a36fbb30f554641aae987c4895149419ebf17",
     "c2.json": "99300b3385b4bdad8fb7e99ce4000c3388efbcb33e07422ab76a35008e908b28",
     "inst.json": "07e0419365d787d52a262e229422cfa30f44f933eabfb269f4fc4e5cfeb137fd",
     "inst8.json": "d748ef39c52e32a598dabc79c38c72570e3239ec765139de7bbee4a2aa01b854",
@@ -73,6 +79,8 @@ GOLDEN = {
     "regret.csv": "2ba451a8bb80f2d9f8d82b3272d1ee42577939850bff0ae419749a601e65eb94",
     "robustness.csv": "c6d56f8c5267926c4e1648780be833381c1ba082372ec19fe9788480c3a6b4dd",
     "robustness.json": "2fb2fb5844bbf77c0ed27c14595f488eac6da70a858d5a8ef4ba9aee0af5b4da",
+    "schedule-c1-long.csv": "9b4dbe9284d103fc97d0825ae9bc817d06d26a1bb0df9112a04da98c47683cd4",
+    "schedule-c2-long.csv": "4c6c960146b5845d50b8d9795834b47d5c769bb5d67c9bc932afb0d463009700",
     "schedule-c2.csv": "1142e1c2aa98870f051f4fedb21435ab9348bf8a502fc437c8e8d9956dbe9a86",
     "schedule.csv": "fbd81f7b9952b545d6123c6bf6caba55ed12da6f3c78a9950a76f75ca6d7f0ea",
     "solution.json": "59a481ebd127e369a76d62a1a678cc10e71382028617d4df588473d23627ff24",
@@ -94,6 +102,9 @@ STDOUT = {
     "trace-edge.csv": "T=300 mean_virtual=1.380732434 mean_actual=1.38137626763\n",
     "schedule.csv": "OPT=5.99082093179\n",
     "schedule-c2.csv": "OPT=6\n",
+    "schedule-c2-long.csv": "OPT=66667\n",
+    "c1.json": "wrote c1.json (n=4, k=1, tau_max=4, tau_min=-1)\n",
+    "schedule-c1-long.csv": "OPT=15998\n",
     "regret.csv": "benchmark=oracle mean_R=283 mean_Reg=-120.86107666\n",
     "approximation.json": "wrote approximation.json and approximation.csv\n",
     "tightness.json": "wrote tightness.json and tightness.csv\n",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import BAD_SEEDS, draw_instance
 import reference
 
+from mlsd import learning
 from mlsd.analysis import make_step_instance
 from mlsd.learning import (
     ExplorationTooLongError,
@@ -251,6 +252,18 @@ def test_robustness_refuses_horizon_zero():
     # unchecked, it would report deficits [nan, nan]
     with pytest.raises(ModelError, match="T must be >= 1, got 0"):
         robustness_gap(make_step_instance(), [0.0, 0.1], 0, 3, 0.5, 0)
+
+
+@pytest.mark.parametrize("eta", [-1.0, -1e-9, float("nan"), float("inf")])
+def test_robustness_refuses_eta_that_is_negative_or_not_finite(monkeypatch, eta):
+    # unchecked, -1 fit the slope on a negative eta * k and nan failed late
+    # with "payoff nan outside [0, 1]"; the refusal comes before any run
+    def no_run(*args):
+        raise AssertionError("solved an LP before checking the etas")
+
+    monkeypatch.setattr(learning, "solve_lp", no_run)
+    with pytest.raises(ModelError, match=f"eta must be finite and >= 0, got {eta}"):
+        robustness_gap(make_step_instance(), [0.0, eta], 150, 3, 0.5, 0)
 
 
 @pytest.mark.parametrize("seed, message", BAD_SEEDS.values(), ids=list(BAD_SEEDS))

@@ -225,6 +225,74 @@ def test_stop_at_repeat_matches_every_round(tables, T):
         assert list(path) == list(full_path)
 
 
+class _CountingPolicy:
+    """A flat policy that counts the cells read from it."""
+
+    def __init__(self, policy):
+        self.policy, self.reads = policy, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.policy[index]
+
+
+def _run_counting_walk(engine, rewards, nexts, T, start):
+    """``engine``'s value and path, and its walk's policy reads, stop round
+    h, period c = h - h0 and states J."""
+    walk, seen = oracle._walk, {}
+
+    def spy(policy, succ, rewards, value, T, start, h, h0):
+        seen.update(policy=_CountingPolicy(policy), h=h, c=h - h0, J=len(rewards[0]))
+        return walk(seen["policy"], succ, rewards, value, T, start, h, h0)
+
+    with mock.patch.object(oracle, "_walk", spy):
+        value, path = engine(rewards, nexts, T, start)
+    return value, path, seen["policy"].reads, seen["h"], seen["c"], seen["J"]
+
+
+@pytest.mark.parametrize("engine", [oracle._induct_python, oracle._induct_numpy])
+@pytest.mark.parametrize("inst", [make_step_instance(), make_tight_instance(1, 2)])
+def test_walk_reads_are_bounded_whatever_the_horizon(engine, inst):
+    # past h rounds to go the path repeats within J blocks of c rounds, so
+    # whole laps are copied, not walked: a walk that reads a cell a round
+    # would read 2^20
+    rewards, nexts, _, start = oracle._tables(inst)
+    for T in (2**10, 2**20):
+        value, path, reads, h, c, J = _run_counting_walk(engine, rewards, nexts, T, start)
+        assert h < T and len(path) == T
+        assert reads <= h + 2 * c * J < 100
+    assert abs(value - 2 * T / 3) <= 1  # both instances earn 2 in every 3 rounds
+
+
+_QUARTER = Instance(k=1, tau_min=-2, tau_max=3, means=[[0.25, 0.25, 0.5, 1.0, 1.0],
+                                                       [0.25, 0.25, 0.25, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize("inst, h, T", [
+    # the step instance stops at h = 7 (c = 3); its path repeats every 3 rounds
+    (make_step_instance(), 7, 8),  # T = h + 1
+    (make_step_instance(), 7, 9),  # no full lap fits
+    (make_step_instance(), 7, 17),  # 2 laps after the first, then 1 round
+    (make_step_instance(), 7, 18),  # first repeat mid-block (rounds 2 and 5)
+    # _QUARTER stops at h = 12 (c = 4); its path repeats every 8 rounds
+    (_QUARTER, 12, 13),  # T = h + 1
+    (_QUARTER, 12, 16),  # no full lap fits
+    (_QUARTER, 12, 28),  # a block repeats, no lap after it fits
+    (_QUARTER, 12, 41),  # 1 lap after the first, then 1 round
+    (_QUARTER, 12, 1000),  # first repeat mid-block (rounds 3 and 11)
+    (_QUARTER, 12, 1003),  # first repeat mid-block (rounds 30 and 38), 7 rounds left
+])
+def test_tiled_walk_matches_every_round(inst, h, T):
+    rewards, nexts, _, start = oracle._tables(inst)
+    with mock.patch.object(oracle, "_exact", return_value=False):
+        full_value, full_path = oracle._induct_numpy(rewards, nexts, T, start)
+    for engine in (oracle._induct_numpy, oracle._induct_python):
+        value, path, _, stop, _, _ = _run_counting_walk(engine, rewards, nexts, T, start)
+        assert stop == h
+        assert value.hex() == full_value.hex()
+        assert list(path) == list(full_path)
+
+
 def test_numpy_engine_path_holds_wide_action_index():
     # past 256 actions an action index needs more than a byte
     rewards = np.zeros((300, 2))
