@@ -217,6 +217,7 @@ def regret_trend(
         raise ModelError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")
     for T in T_grid:
         require_int("T", T, least=1)
+    tau_L_from_epsilon(epsilon)  # refuses a bad epsilon before the oracle runs
     opts = {T: dp_optimal(instance, T, budget=oracle_budget)[0]
             for T in sorted(set(T_grid), reverse=True)}
     points = []

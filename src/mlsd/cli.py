@@ -148,11 +148,12 @@ def cmd_oracle(args) -> int:
 def cmd_learn(args) -> int:
     instance = model.load_instance(args.instance)
     seeds = seed_range(args.seed, args.seeds)
+    tau_L = lp.tau_L_from_epsilon(args.epsilon)
     try:
         opt, _ = oracle.dp_optimal(instance, args.T, budget=args.budget)
         label = "oracle"
     except oracle.OracleBudgetError:
-        solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(args.epsilon)))
+        solution = lp.solve_lp(lp.build_lp(instance, tau_L))
         opt = args.T * solution.objective
         label = "LP*_upper_bound"
     benchmark = (1.0 - args.epsilon) * analysis.gamma_k(instance.k) * opt

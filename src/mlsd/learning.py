@@ -277,6 +277,8 @@ def robustness_gap(
     require_int("n_seeds", n_seeds, least=1)
     seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
+    if not etas:
+        raise ModelError("the slope needs at least one eta, got []")
     for eta in etas:
         if not 0 <= eta < math.inf:  # nan fails both
             raise ModelError(f"eta must be finite and >= 0, got {eta}")

@@ -6,14 +6,12 @@ boundaries preserves every future payoff. The tests hold a brute-force
 twin that enumerates action sequences on the unclipped dynamics; both add
 payoffs in the same order, so they agree exactly, not approximately.
 
-``dp_optimal`` runs the induction on one of two engines over the same
-(action, state) reward and successor tables, and one walk reads the
-schedule off their policy. Tables of at most ``_PY_ENGINE_CELLS`` cells
-(the one-arm step instance has 6) go to a loop over Python floats; larger
-tables go to numpy, one array expression per step, which alone keeps the
-~36 bytes per cell that ``_MAX_CELLS`` assumes. Both add the same floats
-in the same order and break ties to the first action, so value and
-schedule are bit-identical either way.
+``dp_optimal`` runs the induction in numpy over (action, state) reward and
+successor tables, one array expression per backward step, with ties broken
+to the first action; it peaks at the ~36 bytes per cell that ``_MAX_CELLS``
+assumes. Its policy takes one byte per (round, state) up to 256 actions,
+two past that, and grows with the rounds computed. One walk reads the
+schedule off it.
 
 On exact tables (every reward a multiple of 2^-e with T * max reward * 2^e
 < 2^53, as 0/1 payoffs are) every float sum is exact: the induction stops
@@ -29,19 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 
 import numpy as np
 
 from .model import Instance, ModelError, column_state, require_int, state_column
 
 _MAX_CELLS = 2**24  # (action, state) cells dp_optimal may hold, ~36 B each at its peak
-_MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 256 MiB as numpy's int32
-# largest (action, state) table for the Python-float engine: a numpy step
-# has a fixed cost of a few microseconds, which the Python loop beats up to
-# about 48 cells (2-vCPU VM, ties at 52); the loop's tuples and floats also
-# take ~210 B a cell against numpy's ~36
-_PY_ENGINE_CELLS = 48
+_MAX_POLICY = 2**26  # (round, state) policy cells of dp_optimal, 1 or 2 B each
 
 
 class OracleBudgetError(ModelError):
@@ -82,9 +74,8 @@ def dp_optimal(instance: Instance, T: int, budget: float = 1e8) -> tuple[float, 
     if T * J > _MAX_POLICY:
         raise OracleBudgetError(T * J, _MAX_POLICY, "dp_optimal", "(round, state) policy cells")
     rewards, nexts, member, start = _tables(instance)
-    engine = _induct_python if rewards.size <= _PY_ENGINE_CELLS else _induct_numpy
-    value, path = engine(rewards, nexts, T, start)
-    return value, member[np.asarray(path, dtype=np.intp)].T
+    value, path = _induct(rewards, nexts, T, start)
+    return value, member[path].T
 
 
 def _tables(instance: Instance):
@@ -118,55 +109,25 @@ def _tables(instance: Instance):
     return rewards, nexts, member, sum(one * M**i for i in range(n))
 
 
-def _induct_numpy(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
+def _induct(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
     """OPT from state ``start`` over T rounds and the action index of each
     round on an optimal path, one array expression per backward step."""
-    value = np.zeros(rewards.shape[1])
-    policy = np.zeros((T, rewards.shape[1]), dtype=np.int32)  # row h: h + 1 rounds to go
+    J = rewards.shape[1]
+    value = np.zeros(J)
+    # row h: h + 1 rounds to go, its rows doubled up to T as the rounds go
+    # on, so a stop at a repeat holds no T-row buffer
+    policy = np.empty((0, J), dtype=np.uint8 if len(rewards) <= 256 else np.uint16)
     exact, mark, h, h0 = _exact(rewards, T), [0, None], 0, 0
     for h in range(1, T + 1):
+        if h > len(policy):
+            policy = np.concatenate((policy, np.empty((min(h, T + 1 - h), J), policy.dtype)))
         q = rewards + value[nexts]
         policy[h - 1] = q.argmax(axis=0)
         value = q.max(axis=0)
         if exact and (h0 := _repeat(mark, h, (value - value[0]).tobytes())):
             break
-    return _walk(policy.ravel(), nexts, rewards, value, T, start, h, h0)
-
-
-def _induct_python(rewards: np.ndarray, nexts: np.ndarray, T: int, start: int):
-    """``_induct_numpy`` on Python floats, looping over states and actions:
-    the same adds, tie break (the first maximal action) and stop at a
-    repeat. Its tables have at most _PY_ENGINE_CELLS cells, so an action
-    index fits a byte: one byte per (round, state) of the policy."""
-    J = rewards.shape[1]
-    # per state: its index, its (reward, successor) under action 0, then
-    # (action, reward, successor) under every later action
-    rows = [
-        (j, (r[0], nx[0]), tuple(zip(range(1, len(r)), r[1:], nx[1:])))
-        for j, (r, nx) in enumerate(zip(rewards.T.tolist(), nexts.T.tolist()))
-    ]
-    # two value buffers swapped every round, so a round allocates no list
-    value = [0.0] * J
-    values = [0.0] * J
-    actions = [0] * J
-    policy = bytearray()
-    exact, mark, h, h0 = _exact(rewards, T), [0, None], 0, 0
-    for h in range(1, T + 1):
-        for j, (r, nx), later in rows:
-            best = r + value[nx]
-            arg = 0
-            for a, r, nx in later:
-                q = r + value[nx]
-                if q > best:
-                    best = q
-                    arg = a
-            values[j] = best
-            actions[j] = arg
-        policy.extend(actions)
-        value, values = values, value
-        if exact and (h0 := _repeat(mark, h, [v - value[0] for v in value])):
-            break
-    return _walk(policy, nexts.tolist(), rewards.tolist(), value, T, start, h, h0)
+    flat = [memoryview(table.reshape(-1)) for table in (policy, nexts, rewards)]
+    return _walk(*flat, value, T, start, h, h0)
 
 
 def _exact(rewards: np.ndarray, T: int) -> bool:
@@ -190,17 +151,18 @@ def _repeat(mark: list, h: int, key) -> int:
 
 def _walk(policy, succ, rewards, value, T, start, h, h0):
     """OPT(T) from ``start`` and the action index of each round on its path
-    from the h flat policy rows and ``value``, the values after round h. If
-    h < T, those equal the values after round h0 plus a constant, so on
-    exact tables row h0 + (t - h0) mod c, c = h - h0, serves t + 1 > h
+    from the h policy rows and ``value``, the values after round h; the
+    policy, successor and reward tables come flat, cell (a, s) at a * J + s.
+    If h < T, those values equal the values after round h0 plus a constant,
+    so on exact tables row h0 + (t - h0) mod c, c = h - h0, serves t + 1 > h
     rounds to go, and the value adds up the (exact) rewards until h rounds
     are left. That part runs in blocks of c rounds: once a block starts at
     a state an earlier one started at (within J blocks), the path repeats,
     so whole laps of it are copied in place and their reward sum added at
     once. The walk reads at most h + 2 * c * J policy cells, whatever T."""
-    # a table within _MAX_CELLS has at most 2^12 actions, as actions <= states
-    path = bytearray(T) if len(rewards) <= 256 else array("H", [0]) * T
-    J = len(rewards[0])
+    J = len(value)
+    path = np.empty(T, policy.format)
+    out = memoryview(path)
     total, s, i = 0.0, start, 0
     c = h - h0  # round k of every block reads the row at flat offset rows[k]
     rows = [(h0 + (T - 1 - k - h0) % c) * J for k in range(min(c, T - h))]
@@ -211,21 +173,18 @@ def _walk(policy, succ, rewards, value, T, start, h, h0):
             laps = (T - h - i) // (i - i1)
             total += laps * (total - total1)  # exact, as every sum here is
             end = i + laps * (i - i1)
-            with memoryview(path) as view:  # path[i1:i] doubled until end
-                while i < end:
-                    step = min(i - i1, end - i)
-                    view[i : i + step] = view[i1 : i1 + step]
-                    i += step
+            while i < end:  # path[i1:i] doubled until end
+                step = min(i - i1, end - i)
+                out[i : i + step] = out[i1 : i1 + step]
+                i += step
         for row in rows[: T - h - i]:
-            a = policy[row + s]
-            path[i] = a
-            total += rewards[a][s]
-            s = succ[a][s]
+            a = out[i] = policy[row + s]
+            total += rewards[a * J + s]
+            s = succ[a * J + s]
             i += 1
     total += value[s]
     for t in range(h - 1, -1, -1):
-        a = policy[t * J + s]
-        path[i] = a
-        s = succ[a][s]
+        a = out[i] = policy[t * J + s]
+        s = succ[a * J + s]
         i += 1
     return float(total), path

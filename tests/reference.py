@@ -514,22 +514,34 @@ def dp_optimal(instance: Instance, T: int) -> tuple[float, np.ndarray]:
         rewards.append(r)
         nexts.append(nxt)
 
-    value = np.zeros(J)
-    policy = np.zeros((T, J), dtype=np.int32)
+    one = state_column(1, tau_min, tau_max)
+    value, path = induct(rewards, nexts, T, sum(one * M**i for i in range(n)))
+    schedule = np.zeros((n, T), dtype=bool)
+    for t, a in enumerate(path):
+        for i in actions[a]:
+            schedule[i, t] = True
+    return value, schedule
+
+
+def induct(rewards, nexts, T: int, start: int) -> tuple[float, list[int]]:
+    """OPT from state ``start`` over T rounds and the action index of each
+    round on an optimal path, from one row of rewards and one of successor
+    states per action: every round computed, a full (T, states) policy,
+    ties to the first action."""
+    value = np.zeros(len(rewards[0]))
+    policy = np.zeros((T, len(value)), dtype=np.int32)
     for t in range(T - 1, -1, -1):
-        stacked = np.stack([rewards[a] + value[nexts[a]] for a in range(len(actions))])
+        stacked = np.stack([rewards[a] + value[nexts[a]] for a in range(len(rewards))])
         policy[t] = stacked.argmax(axis=0)
         value = stacked.max(axis=0)
 
-    one = state_column(1, tau_min, tau_max)
-    start = s = sum(one * M**i for i in range(n))
-    schedule = np.zeros((n, T), dtype=bool)
+    s = start
+    path = []
     for t in range(T):
         a = int(policy[t, s])
-        for i in actions[a]:
-            schedule[i, t] = True
+        path.append(a)
         s = int(nexts[a][s])
-    return float(value[start]), schedule
+    return float(value[start]), path
 
 
 def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float:

@@ -241,6 +241,14 @@ def test_experiments_refuse_a_last_seed_past_the_bound(no_streams, experiment):
         experiment(2**64 - 1)
 
 
+def test_regret_trend_checks_epsilon_before_the_oracle(monkeypatch):
+    # before, this spent ~0.6 s in the oracle, then etc_run refused epsilon
+    monkeypatch.setattr(analysis, "dp_optimal", lambda *a, **k: pytest.fail("the oracle ran"))
+    inst = Instance(k=1, tau_min=-2, tau_max=1, means=[[0.1, 0.35, 0.7]])
+    with pytest.raises(ModelError, match=r"^epsilon must be in \(0, 1\), got 1.5$"):
+        regret_trend(inst, [200000, 400000], 2, 1.5, 0, oracle_budget=1e9)
+
+
 def test_regret_trend_checks_the_oracle_budget_before_any_run(monkeypatch):
     # the largest horizon's oracle comes first; before, T = 2**10 and 2**11
     # ran their learning runs and only then was 2**20 refused

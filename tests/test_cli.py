@@ -187,6 +187,16 @@ def test_learn_falls_back_to_lp_bound_past_table_cap(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out.startswith("benchmark=LP*_upper_bound ")
 
 
+def test_learn_checks_epsilon_before_the_oracle(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "c2.json"
+    run(["gen", "appendix-c2", "--out", str(inst)])
+    monkeypatch.setattr(oracle, "dp_optimal", lambda *a, **k: pytest.fail("the oracle ran"))
+    capsys.readouterr()
+    assert run(["learn", "--instance", str(inst), "--T", "512", "--epsilon", "1.5",
+                "--out", str(tmp_path / "r.csv")]) == 1
+    assert _stderr_lines(capsys) == ["error: epsilon must be in (0, 1), got 1.5"]
+
+
 def test_learn_horizon_too_small(tmp_path, capsys):
     inst = tmp_path / "c2.json"
     run(["gen", "appendix-c2", "--out", str(inst)])

@@ -38,11 +38,9 @@ COMMANDS = [
     ["simulate", "--instance", "inst8.json", "--epsilon", "0.2", "--seed", "0", "--T", "300",
      "--out", "trace-edge.csv"],
     ["oracle", "--instance", "inst.json", "--T", "8", "--out", "schedule.csv"],
-    # 6 (action, state) cells: the Python-float engine (inst.json's 500
-    # cells take the numpy one)
+    # 6 (action, state) cells, against inst.json's 500
     ["oracle", "--instance", "c2.json", "--T", "9", "--out", "schedule-c2.csv"],
-    # long walks over a repeating path on both engines: the Python one's
-    # 6 cells, and appendix-c1's 3,125 cells on the numpy one
+    # long walks over a repeating path: 6 cells, and appendix-c1's 3,125
     ["oracle", "--instance", "c2.json", "--T", "100000", "--out", "schedule-c2-long.csv"],
     ["gen", "appendix-c1", "--k", "1", "--m", "4", "--out", "c1.json"],
     ["oracle", "--instance", "c1.json", "--T", "20000", "--out", "schedule-c1-long.csv"],

@@ -266,6 +266,14 @@ def test_robustness_refuses_eta_that_is_negative_or_not_finite(monkeypatch, eta)
         robustness_gap(make_step_instance(), [0.0, eta], 150, 3, 0.5, 0)
 
 
+def test_robustness_refuses_empty_eta_list(monkeypatch):
+    # unchecked, it reported etas [] with fitted_slope 0.0 after the
+    # unperturbed runs
+    monkeypatch.setattr(learning, "solve_lp", lambda *args: pytest.fail("solved an LP"))
+    with pytest.raises(ModelError, match=r"^the slope needs at least one eta, got \[\]$"):
+        robustness_gap(make_step_instance(), [], 60, 3, 0.5, 0)
+
+
 @pytest.mark.parametrize("seed, message", BAD_SEEDS.values(), ids=list(BAD_SEEDS))
 def test_etc_refuses_bad_seeds(seed, message):
     # unchecked, seed 1.5 ran seed 1 (realized_total 283.0 for both)

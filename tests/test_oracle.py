@@ -132,43 +132,22 @@ def test_oracles_refuse_budget_that_is_not_positive(no_alloc, budget):
     (True, "T must be an integer, got True"),
 ])
 def test_oracles_refuse_horizon_that_is_not_a_count(no_alloc, oracle_fn, T, message):
-    # unchecked, the Python engine (the step instance's) would return
-    # OPT = 0 for T = -3, and exhaustive_optimal 2.0 for T = 2.0
+    # unchecked, exhaustive_optimal would return 2.0 for T = 2.0
     with pytest.raises(ModelError, match=message):
         oracle_fn(make_step_instance(), T)
 
 
 def test_oracles_at_horizon_zero():
-    for inst in (make_step_instance(), make_tight_instance(2, 2)):  # both engines
+    for inst in (make_step_instance(), make_tight_instance(2, 2)):
         value, schedule = dp_optimal(inst, 0)
         assert value == 0.0 and schedule.shape == (inst.n, 0)
         assert exhaustive_optimal(inst, 0) == 0.0
 
 
-def test_engine_choice_follows_table_cells(monkeypatch):
-    chosen = []
-
-    def spy(name):
-        engine = getattr(oracle, name)
-
-        def run(*args):
-            chosen.append(name)
-            return engine(*args)
-        monkeypatch.setattr(oracle, name, run)
-
-    spy("_induct_numpy")
-    spy("_induct_python")
-    dp_optimal(make_step_instance(), 3)  # 2 actions x 3 states
-    dp_optimal(make_tight_instance(1, 4), 3)  # 5 actions x 625 states
-    assert chosen == ["_induct_python", "_induct_numpy"]
-
-
-
 def test_dp_memory_per_table_cell():
     # _MAX_CELLS's ~0.6 GiB promise is 2**24 cells at ~36 B each. On a
-    # 90,112-cell table the numpy engine peaks at ~33 B a cell; the
-    # Python-float engine's per-cell tuples and floats take ~210 B, which
-    # is why it runs only on tables of at most _PY_ENGINE_CELLS cells.
+    # 90,112-cell table dp_optimal peaks at ~33 B a cell; Python lists of
+    # the tables, or tuples and floats per cell, would take ~210 B.
     inst = make_tight_instance(2, 3)
     cells = oracle._tables(inst)[0].size
     assert cells > 10**4
@@ -183,9 +162,8 @@ def test_dp_memory_per_table_cell():
 @st.composite
 def _random_tables(draw, kinds=("uniform", "quarter", "integer")):
     """(rewards, nexts, start): random tables of 1..8 actions by 1..40
-    states, on both sides of the engine threshold; quarter-step and integer
-    rewards (0..3) make many actions tie and are exact, so the induction
-    may stop at a repeat."""
+    states; quarter-step and integer rewards (0..3) make many actions tie
+    and are exact, so the induction may stop at a repeat."""
     A = draw(st.integers(1, 8))
     J = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -204,25 +182,25 @@ def _random_tables(draw, kinds=("uniform", "quarter", "integer")):
 @example(tables=(np.full((2, 3), 0.5), np.array([[1, 2, 0], [0, 0, 0]]), 0), T=5)  # all tie
 @example(tables=(np.full((8, 40), 0.25), np.zeros((8, 40), dtype=np.int64), 39), T=3)
 def test_engines_agree_bit_for_bit(tables, T):
+    # the induction against the reference's, which runs every round
     rewards, nexts, start = tables
-    value, path = oracle._induct_numpy(rewards, nexts, T, start)
-    py_value, py_path = oracle._induct_python(rewards, nexts, T, start)
-    assert type(py_value) is float and value.hex() == py_value.hex()
-    assert list(py_path) == list(path)
+    value, path = oracle._induct(rewards, nexts, T, start)
+    ref_value, ref_path = reference.induct(rewards, nexts, T, start)
+    assert type(value) is float and value.hex() == ref_value.hex()
+    assert list(path) == ref_path
 
 
 @settings(max_examples=40, deadline=None)
 @given(tables=_random_tables(kinds=("quarter", "integer")), T=st.integers(0, 3000))
 def test_stop_at_repeat_matches_every_round(tables, T):
-    # on exact tables both engines may stop at a repeat; with the exactness
-    # test made to fail, numpy runs all T rounds, as without the stop
+    # on exact tables the induction may stop at a repeat; with the
+    # exactness test made to fail, it runs all T rounds, as without the stop
     rewards, nexts, start = tables
     with mock.patch.object(oracle, "_exact", return_value=False):
-        full_value, full_path = oracle._induct_numpy(rewards, nexts, T, start)
-    for engine in (oracle._induct_numpy, oracle._induct_python):
-        value, path = engine(rewards, nexts, T, start)
-        assert value.hex() == full_value.hex()
-        assert list(path) == list(full_path)
+        full_value, full_path = oracle._induct(rewards, nexts, T, start)
+    value, path = oracle._induct(rewards, nexts, T, start)
+    assert value.hex() == full_value.hex()
+    assert list(path) == list(full_path)
 
 
 class _CountingPolicy:
@@ -235,30 +213,35 @@ class _CountingPolicy:
         self.reads += 1
         return self.policy[index]
 
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
 
-def _run_counting_walk(engine, rewards, nexts, T, start):
-    """``engine``'s value and path, and its walk's policy reads, stop round
-    h, period c = h - h0 and states J."""
+
+def _run_counting_walk(rewards, nexts, T, start):
+    """The induction's value and path, and its walk's policy reads, stop
+    round h, period c = h - h0 and states J."""
     walk, seen = oracle._walk, {}
 
     def spy(policy, succ, rewards, value, T, start, h, h0):
-        seen.update(policy=_CountingPolicy(policy), h=h, c=h - h0, J=len(rewards[0]))
+        seen.update(policy=_CountingPolicy(policy), h=h, c=h - h0, J=len(value))
         return walk(seen["policy"], succ, rewards, value, T, start, h, h0)
 
     with mock.patch.object(oracle, "_walk", spy):
-        value, path = engine(rewards, nexts, T, start)
+        value, path = oracle._induct(rewards, nexts, T, start)
     return value, path, seen["policy"].reads, seen["h"], seen["c"], seen["J"]
 
 
-@pytest.mark.parametrize("engine", [oracle._induct_python, oracle._induct_numpy])
-@pytest.mark.parametrize("inst", [make_step_instance(), make_tight_instance(1, 2)])
-def test_walk_reads_are_bounded_whatever_the_horizon(engine, inst):
+# the ids keep the names these cases had while a second, Python-float
+# induction ran them too
+@pytest.mark.parametrize("inst", [make_step_instance(), make_tight_instance(1, 2)],
+                         ids=["inst0-_induct_numpy", "inst1-_induct_numpy"])
+def test_walk_reads_are_bounded_whatever_the_horizon(inst):
     # past h rounds to go the path repeats within J blocks of c rounds, so
     # whole laps are copied, not walked: a walk that reads a cell a round
     # would read 2^20
     rewards, nexts, _, start = oracle._tables(inst)
     for T in (2**10, 2**20):
-        value, path, reads, h, c, J = _run_counting_walk(engine, rewards, nexts, T, start)
+        value, path, reads, h, c, J = _run_counting_walk(rewards, nexts, T, start)
         assert h < T and len(path) == T
         assert reads <= h + 2 * c * J < 100
     assert abs(value - 2 * T / 3) <= 1  # both instances earn 2 in every 3 rounds
@@ -285,26 +268,25 @@ _QUARTER = Instance(k=1, tau_min=-2, tau_max=3, means=[[0.25, 0.25, 0.5, 1.0, 1.
 def test_tiled_walk_matches_every_round(inst, h, T):
     rewards, nexts, _, start = oracle._tables(inst)
     with mock.patch.object(oracle, "_exact", return_value=False):
-        full_value, full_path = oracle._induct_numpy(rewards, nexts, T, start)
-    for engine in (oracle._induct_numpy, oracle._induct_python):
-        value, path, _, stop, _, _ = _run_counting_walk(engine, rewards, nexts, T, start)
-        assert stop == h
-        assert value.hex() == full_value.hex()
-        assert list(path) == list(full_path)
+        full_value, full_path = oracle._induct(rewards, nexts, T, start)
+    value, path, _, stop, _, _ = _run_counting_walk(rewards, nexts, T, start)
+    assert stop == h
+    assert value.hex() == full_value.hex()
+    assert list(path) == list(full_path)
 
 
 def test_numpy_engine_path_holds_wide_action_index():
     # past 256 actions an action index needs more than a byte
     rewards = np.zeros((300, 2))
     rewards[299] = 1.0
-    value, path = oracle._induct_numpy(rewards, np.zeros((300, 2), dtype=np.int64), 5, 0)
+    value, path = oracle._induct(rewards, np.zeros((300, 2), dtype=np.int64), 5, 0)
     assert value == 5.0 and list(path) == [299] * 5
 
 
 def _policy_peak(rewards, nexts, T, start):
     tracemalloc.start()
     try:
-        value, path = oracle._induct_python(rewards, nexts, T, start)
+        value, path = oracle._induct(rewards, nexts, T, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,7 +294,7 @@ def _policy_peak(rewards, nexts, T, start):
     return value, peak
 
 
-def test_python_engine_policy_memory():
+def test_policy_memory_per_round_and_state():
     # the policy must stay within 4 bytes per (round, state), twice over,
     # at T = 2e4 on the 3-state step instance; one Python list per round
     # would take ~88 bytes per round (a peak of 1.95 MB against the bound's
@@ -321,7 +303,6 @@ def test_python_engine_policy_memory():
     # again scaled by 0.7: rewards that are not dyadic run all T rounds
     T = 20_000
     rewards, nexts, _, start = oracle._tables(make_step_instance())
-    assert rewards.size <= oracle._PY_ENGINE_CELLS
     J = rewards.shape[1]
     for scale in (1.0, 0.7):
         value, peak = _policy_peak(rewards * scale, nexts, T, start)
@@ -371,11 +352,6 @@ def _same_as_twin(inst, T):
     assert value.hex() == twin_value.hex()
     assert schedule.dtype == twin_schedule.dtype
     assert np.array_equal(schedule, twin_schedule)
-    rewards, nexts, member, start = oracle._tables(inst)
-    for engine in (oracle._induct_numpy, oracle._induct_python):
-        value, path = engine(rewards, nexts, T, start)
-        assert value.hex() == twin_value.hex()
-        assert np.array_equal(member[np.asarray(path, dtype=np.intp)].T, twin_schedule)
 
 
 @settings(max_examples=80, deadline=None)
