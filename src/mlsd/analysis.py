@@ -81,7 +81,6 @@ def tightness_experiment(
     states start at m (the steady regime of the batched optimum); candidate
     counts depend only on sampled cycles and offsets.
     """
-    require_int("n_seeds", n_seeds, least=1)
     seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
     check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
@@ -211,7 +210,6 @@ def regret_trend(
     first, largest horizon first: the oracle's cost grows with T, so an
     OracleBudgetError comes before any learning run.
     """
-    require_int("n_seeds", n_seeds, least=1)
     seeds = seed_range(seed, n_seeds)
     if len(set(T_grid)) < 2:
         raise ModelError(f"the slope needs at least two distinct horizons, got {list(T_grid)}")

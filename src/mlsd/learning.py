@@ -219,16 +219,15 @@ def etc_run(
     )
 
     solution = solve_lp(build_lp(estimates, cfg.tau_L))
-    commit = simulate_planner(
-        instance,
-        solution,
-        T - rounds,
-        seed,
-        selection=estimates,
-        init_states=expl.end_states,
-        noise_rng=noise,
-    )
-    realized_total = expl.realized_total + float(commit.realized.sum())
+    commit = simulate_planner(instance, solution, T - rounds, seed,
+                              selection=estimates, init_states=expl.end_states)
+    # the commit phase's noise: one draw per (run, arm, round) cell, a hit
+    # where the arm played and the draw is below its mean at its actual state
+    draws = noise.random(size=commit.played.shape)
+    col = state_column(commit.actual_states, instance.tau_min, instance.tau_max)
+    means = instance.means[np.arange(instance.n)[:, None], col]
+    hits = np.count_nonzero(commit.played & (draws < means))
+    realized_total = expl.realized_total + float(hits)
     mean_total = expl.mean_total + float(commit.actual_payoff.sum())
 
     full_info = solve_lp(build_lp(instance, cfg.tau_L))
@@ -274,7 +273,6 @@ def robustness_gap(
     tables, and the deficit against the matched unperturbed run is averaged.
     Perturbations may break monotonicity; feasibility is unaffected.
     """
-    require_int("n_seeds", n_seeds, least=1)
     seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
     if not etas:

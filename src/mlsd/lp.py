@@ -15,6 +15,7 @@ y, an interval costs -l / (u - l) budget and pays q / (u - l) per unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     v = (problem.objective.reshape(n, -1) / length).tolist()
     by_weight = sorted(range(len(w)), key=w.__getitem__)  # stable: variable order
 
-    increments = []  # (-slope, arm, step, dw, column, previous column or -1)
+    increments = []  # (-slope, arm, step, column, previous column or -1)
     for arm, values in enumerate(v):
         hull = [(0.0, 0.0, -1, np.inf)]  # (w, v, column, slope into it)
         for j in by_weight:
@@ -152,21 +153,28 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                     break
                 hull.pop()
             hull.append((wj, vj, j, slope))
-        for step, (wj, _, j, slope) in enumerate(hull[1:]):
+        for step, (_, _, j, slope) in enumerate(hull[1:]):
             if slope <= 0.0:
                 break
-            w0, _, j0, _ = hull[step]
-            increments.append((-slope, arm, step, wj - w0, j, j0))
+            increments.append((-slope, arm, step, j, hull[step][2]))
     increments.sort()
 
+    # the budget left, exactly: a count of 1/scale units, scale the lcm of
+    # the cycle lengths met so far (index -1 of plays and cycle: null point)
+    plays, cycle = (-l).tolist() + [0], length.tolist() + [1]
     y = np.zeros((n, len(w)))
-    room = float(problem.k)
-    for _, arm, _, dw, j, j0 in increments:
-        t = min(1.0, room / dw)  # below 1 only for the one split arm, the last
+    room, scale = problem.k, 1
+    for _, arm, _, j, j0 in increments:
+        c, c0 = cycle[j], cycle[j0]
+        if scale % c or scale % c0:
+            grown = math.lcm(scale, c, c0)
+            room, scale = room * (grown // scale), grown
+        dw = plays[j] * (scale // c) - plays[j0] * (scale // c0)
+        t = 1.0 if dw <= room else room / dw  # below 1 only for the split arm, the last
         y[arm, j] = t
         if j0 >= 0:
             y[arm, j0] = 1.0 - t
-        if t < 1.0:
+        if dw > room:
             break
         room -= dw
     x = y / length

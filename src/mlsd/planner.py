@@ -128,14 +128,13 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerRuns:
     """S planner runs as (S, n, T) arrays, round t in column t-1; the
     payoff series are (S, T). ``virtual`` holds 0 for arms that received no
     interval (0 is not a valid state, so it cannot collide).
     ``virtual_payoff`` is scored by the selection table, so an ETC commit run
-    scores it by the estimates. ``realized``, the noisy collected payoff, is
-    present only when noise was simulated."""
+    scores it by the estimates."""
 
     virtual: np.ndarray
     candidates: np.ndarray
@@ -143,7 +142,6 @@ class PlannerRuns:
     actual_states: np.ndarray
     virtual_payoff: np.ndarray
     actual_payoff: np.ndarray
-    realized: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -182,7 +180,6 @@ def run_planner(
     *,
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
-    noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerRuns:
     """The online phase of every run of ``plan``: T rounds against the true
     environment.
@@ -190,15 +187,14 @@ def run_planner(
     ``selection`` is the payoff model consulted for ranking candidates
     (defaults to the instance itself). The environment always pays according
     to ``instance`` at the actual states, which start from ``init_states``
-    (all +1 when omitted). With ``noise_rng``, each play pays 1 with its
-    mean as probability, summed per round into ``realized``.
+    (all +1 when omitted).
 
     Virtual states, candidates, plays and virtual payoffs repeat with each
     run's joint period P_s, the lcm of its cycle lengths, computed in exact
     Python ints and capped at T + 1. They are computed over a window of W =
     max_s min(P_s, T) rounds, budget check included, and round t of run s
     reads window column t mod P_s; when W == T no copy is made. Actual
-    states, actual payoffs, domination and noise are per cell. The result
+    states, actual payoffs and domination are per cell. The result
     is bit-identical to computing every (run, arm, round) cell.
 
     Raises ModelError, before allocating, unless T is an integer >= 0 and
@@ -265,9 +261,6 @@ def run_planner(
             raise PlannerError(
                 f"actual state {-margin} below virtual state after round {instance.tau_max}"
             )
-    if noise_rng is not None:
-        draws = noise_rng.random(size=played.shape)
-        runs.realized = np.where(played & (draws < actual_p), 1.0, 0.0).sum(axis=1)
     return runs
 
 
@@ -279,20 +272,17 @@ def planner_runs(
     *,
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
-    noise_rng: Optional[np.random.Generator] = None,
 ) -> Iterator[PlannerRuns]:
     """Rounding, offsets and T online rounds for every seed (see ``run_planner``
     for the options): one plan, run in chunks of about _CHUNK_CELLS (seed,
-    arm, round) cells. Run s of the chunks is ``seeds[s]``'s run; a
-    ``noise_rng`` is drawn from run after run."""
+    arm, round) cells. Run s of the chunks is ``seeds[s]``'s run."""
     require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)
     per = max(1, _CHUNK_CELLS // max(1, solution.n * T))
     for lo in range(0, len(seeds), per):
         rows = slice(lo, lo + per)
         chunk = Plan(u=plan.u[rows], l=plan.l[rows], offsets=plan.offsets[rows])
-        yield run_planner(instance, chunk, T, selection=selection,
-                          init_states=init_states, noise_rng=noise_rng)
+        yield run_planner(instance, chunk, T, selection=selection, init_states=init_states)
 
 
 def simulate_planner(
@@ -303,11 +293,10 @@ def simulate_planner(
     *,
     selection: Optional[PayoffTable] = None,
     init_states: Optional[Sequence[int]] = None,
-    noise_rng: Optional[np.random.Generator] = None,
 ) -> PlannerRuns:
     """``planner_runs`` for one seed, with the same options."""
     (runs,) = planner_runs(instance, solution, T, [seed], selection=selection,
-                           init_states=init_states, noise_rng=noise_rng)
+                           init_states=init_states)
     return runs
 
 

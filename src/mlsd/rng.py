@@ -83,7 +83,8 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 def seed_range(seed: int, n_seeds: int) -> range:
-    """``range(seed, seed + n_seeds)``, after checking its first and last seed."""
+    """``range(seed, seed + n_seeds)``, after checking n_seeds >= 1 and the first and last seed."""
+    require_int("n_seeds", n_seeds, least=1)
     require_int("seed", seed, least=0, most=_MAX_SEED)
     require_int("the last seed", seed + n_seeds - 1, most=_MAX_SEED)
     return range(seed, seed + n_seeds)

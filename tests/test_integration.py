@@ -14,6 +14,7 @@ from mlsd.cli import main
 from mlsd.learning import (
     estimate_payoffs,
     etc_config,
+    etc_run,
     exploration_schedule,
     simulate_exploration,
 )
@@ -75,19 +76,31 @@ def test_exploration_counts_are_exact_where_construction_promises():
 
 
 def test_etc_commit_continues_from_exploration_states():
-    inst = make_step_instance()
-    T, eps, seed = 400, 0.25, 8
-    cfg = etc_config(inst, T, eps)
-    sched = exploration_schedule(inst.n, inst.k, inst.tau_max, cfg.tau_L, cfg.m)
-    noise = stream(seed, "noise")
-    expl = simulate_exploration(inst, sched, cfg.tau_L, noise)
-    est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
-    sol = solve_lp(build_lp(est, cfg.tau_L))
-    trace = run_planner(
-        inst, round_intervals(sol, [seed]), T - sched.shape[1],
-        selection=est, init_states=expl.end_states, noise_rng=noise,
-    )
-    assert trace.actual_states[0, 0, 0] == expl.end_states[0]
+    cases = [(make_step_instance(), 400, 0.25, 8),
+             (random_instance(3, 1, 2, -2, stream(42, "instance")), 3000, 0.5, 2)]
+    for inst, T, eps, seed in cases:
+        cfg = etc_config(inst, T, eps)
+        sched = exploration_schedule(inst.n, inst.k, inst.tau_max, cfg.tau_L, cfg.m)
+        noise = stream(seed, "noise")
+        expl = simulate_exploration(inst, sched, cfg.tau_L, noise)
+        est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
+        sol = solve_lp(build_lp(est, cfg.tau_L))
+        trace = run_planner(
+            inst, round_intervals(sol, [seed]), T - sched.shape[1],
+            selection=est, init_states=expl.end_states,
+        )
+        assert tuple(trace.actual_states[0, :, 0].tolist()) == expl.end_states
+        # the commit's payoffs continue the same noise stream: one draw per
+        # (arm, round) cell, a hit where the arm played below its true mean
+        draws = noise.random(size=trace.played.shape)[0]
+        hits = 0
+        for arm in range(inst.n):
+            for t in range(trace.T):
+                if trace.played[0, arm, t]:
+                    tau = int(trace.actual_states[0, arm, t])
+                    hits += bool(draws[arm, t] < inst.payoff(arm, tau))
+        want = expl.realized_total + hits
+        assert etc_run(inst, T, eps, seed).realized_total.hex() == want.hex()
 
 
 def test_trace_csv_golden(tmp_path):
@@ -190,8 +203,6 @@ def test_learn_falls_back_to_lp_bound(tmp_path, capsys):
 
 
 def test_etc_on_multi_arm_instance():
-    from mlsd.learning import etc_run
-
     inst = random_instance(3, 1, 2, -2, stream(42, "instance"))
     results = [etc_run(inst, 3000, 0.5, seed=s) for s in range(4)]
     for res in results:

@@ -53,6 +53,14 @@ def test_step_instance_lp_value():
     assert sol.x[0, 0, 1] == pytest.approx(1.0 / 3.0, abs=1e-6)  # I(1, -2)
 
 
+def test_exactly_binding_budget_leaves_no_rounding_residue():
+    # three cycles I(1, -2) of 2/3 budget each fill k = 2 exactly, so no
+    # arm keeps a rounding-size occupancy on a neighbouring interval
+    inst = Instance(k=2, tau_min=-1, tau_max=1, means=[[0.75, 1.0]] * 3)
+    entries = solution_to_dict(solve_lp(build_lp(inst, tau_L_from_epsilon(0.34))))["entries"]
+    assert entries == [{"i": i, "u": 1, "l": -2, "value": 1 / 3} for i in range(3)]
+
+
 def test_zero_payoffs_give_zero():
     zero = Instance(k=1, tau_min=-1, tau_max=2, means=[[0.0, 0.0, 0.0]] * 2)
     assert solve_lp(build_lp(zero, -2)).objective == pytest.approx(0.0, abs=1e-9)
@@ -62,9 +70,9 @@ def test_threshold_instance_against_vertex_enumeration():
     # k=1, m=3: the greedy guess x = 1/3 per arm violates the per-arm row
     # (4/3 > 1); the true optimum puts 1/(m+1) on each arm's threshold cycle
     inst = make_tight_instance(1, 3)
-    prob = build_lp(inst, -1)
-    sol = solve_lp(prob)
-    exact = vertex_optimal(prob.objective, prob.a_ub, prob.b_ub)
+    sol = solve_lp(build_lp(inst, -1))
+    ref = reference.build_lp(inst, -1)
+    exact = vertex_optimal(ref.objective, ref.a_ub, ref.b_ub)
     assert sol.objective == pytest.approx(exact, abs=1e-6)
     assert sol.objective == pytest.approx(3.0 / 4.0, abs=1e-6)
     for arm in range(inst.n):
@@ -75,9 +83,9 @@ def test_solver_matches_vertex_enumeration_on_random_instances():
     for seed in range(12):
         inst = draw_instance(seed, n_range=(1, 2), tau_max_range=(1, 2))
         tau_L = -1 - (seed % 2)
-        prob = build_lp(inst, tau_L)
-        sol = solve_lp(prob)
-        exact = vertex_optimal(prob.objective, prob.a_ub, prob.b_ub)
+        sol = solve_lp(build_lp(inst, tau_L))
+        ref = reference.build_lp(inst, tau_L)
+        exact = vertex_optimal(ref.objective, ref.a_ub, ref.b_ub)
         assert sol.objective == pytest.approx(exact, abs=1e-7)
 
 
@@ -222,7 +230,8 @@ def test_greedy_matches_highs_reference(seed, n, tau_max, tau_min, tau_L, monoto
         table = PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
     prob = build_lp(table, tau_L)
     sol = solve_lp(prob)
-    assert sol.objective == pytest.approx(reference.solve_lp(prob).objective, abs=1e-9)
+    highs = reference.solve_lp(reference.build_lp(table, tau_L))
+    assert sol.objective == pytest.approx(highs.objective, abs=1e-9)
     assert check_feasible(sol, table).feasible
     spread = np.count_nonzero(sol.x.reshape(n, -1) > 0.0, axis=1)
     assert spread.max() <= 2 and np.count_nonzero(spread == 2) <= 1

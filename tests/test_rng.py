@@ -70,3 +70,11 @@ def test_seed_range_checks_its_last_seed():
     with pytest.raises(ModelError, match=r"the last seed must be <= 18446744073709551615, "
                                          r"got 18446744073709551616"):
         seed_range(2**64 - 3, 4)
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1, 1.5, True])
+def test_seed_range_refuses_a_bad_seed_count(n_seeds):
+    # checked before the seeds, so a bad count and a bad seed name the count
+    for seed in (0, -1):
+        with pytest.raises(ModelError, match=r"^n_seeds must be "):
+            seed_range(seed, n_seeds)
