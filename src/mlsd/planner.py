@@ -102,6 +102,14 @@ def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
     return plan
 
 
+def _init_states(init, n: int) -> np.ndarray:
+    """``init`` as an array, or ModelError unless it holds n nonzero integers."""
+    init = np.asarray(init)
+    if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
+        raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
+    return init
+
+
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     """Actual states implied by a (n, T) play matrix, starting from ``init``.
 
@@ -114,9 +122,7 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     n, T = played.shape
     # the run in progress at round 0 is of plays where lead is set, and began
     # at round before = 1 - |init|
-    init = np.ones(n, dtype=np.int64) if init is None else np.asarray(init)
-    if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
-        raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
+    init = np.ones(n, dtype=np.int64) if init is None else _init_states(init, n)
     lead, before = (init < 0)[:, None], 1 - np.abs(init.astype(np.int64))[:, None]
     b = np.empty((n, T), dtype=bool)
     b[:, :1] = lead
@@ -189,19 +195,23 @@ def run_planner(
     to ``instance`` at the actual states, which start from ``init_states``
     (all +1 when omitted).
 
-    Virtual states, candidates, plays and virtual payoffs repeat with each
-    run's joint period P_s, the lcm of its cycle lengths, computed in exact
-    Python ints and capped at T + 1. They are computed over a window of W =
-    max_s min(P_s, T) rounds, budget check included, and round t of run s
-    reads window column t mod P_s; when W == T no copy is made. Actual
-    states, actual payoffs and domination are per cell. The result
-    is bit-identical to computing every (run, arm, round) cell.
+    Plays repeat with each run's joint period P_s, the lcm of its cycle
+    lengths, computed in exact Python ints and capped at T + 1. An arm that
+    plays at all switches in every P_s columns from column 2 on, so its
+    actual states repeat from column P_s + 1 on. When P = max_s P_s < T,
+    every per-cell quantity (virtual states, candidates, plays, the budget
+    check, actual states, both payoffs and the domination check) is computed
+    over the first W = min(T, max(2P + 1, tau_max + P)) columns only, which
+    hold a whole period past column max(P_s, tau_max - 1); ``_repeat`` then
+    copies them out to T columns. The result is bit-identical to computing
+    every (run, arm, round) cell.
 
-    Raises ModelError, before allocating, unless T is an integer >= 0 and
-    the plan has the instance's arm count, interval bounds u up to tau_max
-    and at most _MAX_CELLS cells over T rounds; raises PlannerError unless
-    every round plays at most k arms and, for runs that start at +1, the
-    actual state dominates the virtual one from round tau_max on.
+    Raises ModelError, before allocating, unless T is an integer >= 0, the
+    plan has the instance's arm count, interval bounds u up to tau_max and at
+    most _MAX_CELLS cells over T rounds, and ``init_states``, when given,
+    holds n nonzero integers; raises PlannerError unless every round plays
+    at most k arms and, for runs that start at +1, the actual state
+    dominates the virtual one from round tau_max on.
     """
     require_int("T", T, least=0)
     S, n = plan.u.shape
@@ -216,9 +226,12 @@ def run_planner(
         raise ModelError(
             f"{S} x {n} x {T} (run, arm, round) cells exceed the planner's cap of {_MAX_CELLS}"
         )
+    init = None if init_states is None else np.tile(_init_states(init_states, n), S)
     L = np.maximum(plan.u - plan.l, 1)  # 1 for arms without an interval
     period = [_joint_period(row, T) for row in L.tolist()]
     W = min(max(period, default=T), T)
+    if W < T:  # a whole period of repeating actual states, past tau_max - 1
+        W = min(T, max(2 * W + 1, instance.tau_max + W))
     active = (plan.u > 0)[..., None]
     pos = (plan.offsets[..., None] + np.arange(1, W + 1)) % L[..., None]
     state, play = cycle_phase(plan.u[..., None], L[..., None], pos)
@@ -237,22 +250,15 @@ def run_planner(
     most = int(played.sum(axis=1).max(initial=0))
     if most > instance.k:
         raise PlannerError(f"{most} arms played in a round, budget is {instance.k}")
-    virtual_payoff = np.where(played, selp, 0.0).sum(axis=1)
-    if W < T:  # every period fits the window
-        col = np.arange(T) % np.array(period)[:, None]  # (S, T)
-        virtual_payoff = virtual_payoff.ravel().take(col + W * np.arange(S)[:, None])
-        cell = col[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
-        virtual, cand, played = (a.ravel().take(cell) for a in (virtual, cand, played))
 
-    init = None if init_states is None else np.tile(np.asarray(init_states), S)
-    actual = states_from_actions(played.reshape(S * n, T), init).reshape(S, n, T)
+    actual = states_from_actions(played.reshape(S * n, W), init).reshape(S, n, W)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
     runs = PlannerRuns(
         virtual=virtual,
         candidates=cand,
         played=played,
         actual_states=actual,
-        virtual_payoff=virtual_payoff,
+        virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
     )
     if init is None or (init == 1).all():
@@ -261,7 +267,25 @@ def run_planner(
             raise PlannerError(
                 f"actual state {-margin} below virtual state after round {instance.tau_max}"
             )
-    return runs
+    return runs if W == T else _repeat(runs, period, T)
+
+
+def _repeat(runs: PlannerRuns, period: list[int], T: int) -> PlannerRuns:
+    """The W columns of ``runs`` stretched to T > W rounds, where W - P_s >
+    max(P_s, tau_max - 1) for every run s: column t >= W of run s copies
+    column W - P_s + (t - W) mod P_s, except the actual state of an arm that
+    never plays: it grows by 1 a round from column W - 1 on."""
+    S, n, W = runs.played.shape
+    P = np.array(period)[:, None]
+    t = np.arange(T)
+    col = np.where(t < W, t, W - P + (t - W) % P)  # (S, T)
+    cell = col[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
+    row = col + W * np.arange(S)[:, None]
+    out = PlannerRuns(*(a.ravel().take(cell if a.ndim == 3 else row) for a in vars(runs).values()))
+    idle = ~runs.played.any(axis=2)
+    if idle.any():
+        out.actual_states[idle, W:] = runs.actual_states[idle, W - 1:] + np.arange(1, T - W + 1)
+    return out
 
 
 def planner_runs(

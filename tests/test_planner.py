@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -27,7 +28,9 @@ from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.lp import LpSolution, build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, transition
 from mlsd.planner import (
+    Plan,
     PlannerError,
+    PlannerRuns,
     domination_margin,
     plan_from_dict,
     planner_runs,
@@ -243,6 +246,18 @@ def test_run_planner_rejects_invalid_init_states(init):
         run_planner(inst, plan_of([RecurrentInterval(u=1, l=-2)], [0]), 5, init_states=init)
 
 
+@pytest.mark.parametrize("init, given", [([1, 2], r"\[1, 2\]"),
+                                         ([[1], [1], [1]], r"\[\[1\], \[1\], \[1\]\]")])
+def test_planner_runs_check_init_states_against_arms_before_tiling(monkeypatch, init, given):
+    # four seeds of a 3-arm instance: the error names the 3 arms and the list
+    # as given, not its 12 tiled copies, and comes before any window work
+    inst = draw_instance(5, n_range=(3, 3))
+    sol = solve_lp(build_lp(inst, -2))
+    monkeypatch.setattr(planner, "cycle_phase", lambda *args: pytest.fail("window work first"))
+    with pytest.raises(ModelError, match=rf"^init states must be 3 nonzero integers, got {given}$"):
+        list(planner_runs(inst, sol, 10, range(4), init_states=init))
+
+
 def test_candidate_marginals_match_occupancies():
     inst = make_step_instance()
     sol = _step_solution()
@@ -418,6 +433,105 @@ def test_window_matches_twin_on_cycles_near_2_62(T):
     # without the long cycles the joint period is 6 rounds, a window for T = 7, 40
     short = plan_of([RecurrentInterval(u=1, l=-1), RecurrentInterval(u=1, l=-2)] * 2, [1, 2, 0, 1])
     _assert_same_trace(run_planner(inst, short, T), reference.run_planner(inst, *plan_lists(short), T))
+
+
+def _plan_rows(*runs) -> Plan:
+    """One Plan of several runs, each an (intervals, offsets) pair."""
+    plans = [plan_of(*run) for run in runs]
+    return Plan(*(np.vstack([getattr(p, f) for p in plans]) for f in ("u", "l", "offsets")))
+
+
+def _kernel_window(plan: Plan, tau_max: int) -> tuple[int, int]:
+    """The largest joint period W of ``plan``'s runs and the width max(2W +
+    1, tau_max + W) that run_planner computes when it is below T."""
+    W = max(math.lcm(*(max(u - l, 1) for u, l in zip(us, ls)))
+            for us, ls in zip(plan.u.tolist(), plan.l.tolist()))
+    return W, max(2 * W + 1, tau_max + W)
+
+
+_I = RecurrentInterval
+_BOUNDARY_CASES = {
+    # joint periods 6 and 30: 2W + 1 = 61 sets the width
+    "periods": (
+        Instance(k=1, tau_min=-3, tau_max=2, means=[[0.1, 0.2, 0.3, 0.5, 0.6],
+                                                    [0.0, 0.25, 0.5, 0.75, 1.0],
+                                                    [0.2, 0.2, 0.4, 0.4, 0.9]]),
+        _plan_rows(([_I(1, -1), _I(2, -1), None], [0, 2, 0]),
+                   ([_I(2, -3), _I(1, -1), _I(1, -2)], [4, 1, 0])),
+    ),
+    # tau_max = 12 > W + 1 = 5: tau_max + W = 16 sets the width
+    "tau_max": (
+        Instance(k=2, tau_min=-2, tau_max=12, means=np.linspace([0.0, 0.1], [0.9, 1.0], 14).T),
+        _plan_rows(([_I(1, -1), _I(3, -1)], [1, 2]), ([_I(2, -1), _I(1, -2)], [0, 2])),
+    ),
+    # arms 0 and 1 are candidates in the same rounds and arm 1 always loses
+    # the one play; the second run has no interval at all
+    "starved": (
+        Instance(k=1, tau_min=-2, tau_max=1, means=[[0.5, 0.6, 0.7], [0.1, 0.2, 0.3],
+                                                    [0.0, 0.0, 1.0]]),
+        _plan_rows(([_I(1, -1), _I(1, -1), None], [0, 0, 0]), ([None] * 3, [0] * 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES))
+@pytest.mark.parametrize("init", [None, "ones", "negative", "large"])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_window_edges_match_scalar_twin(case, init, perturb):
+    # T just below, at and past the kernel's width, a period past it, and 500
+    inst, plan = _BOUNDARY_CASES[case]
+    n = inst.n
+    init = {None: None, "ones": [1] * n, "negative": [-1, -3, -2][:n],
+            "large": [10**6, -(10**6), 999_983][:n]}[init]
+    selection = None
+    if perturb:  # non-monotone, so the ranking differs from the instance's
+        noise = stream(n, "perturb").uniform(-0.3, 0.3, inst.means.shape)
+        selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
+                                means=np.clip(inst.means + noise, 0.0, 1.0))
+    W, W2 = _kernel_window(plan, inst.tau_max)
+    if case == "tau_max":
+        assert inst.tau_max > W + 1 and W2 == inst.tau_max + W
+    for T in (W2 - 1, W2, W2 + 1, W2 + W, 500):
+        runs = run_planner(inst, plan, T, selection=selection, init_states=init)
+        for s in range(plan.u.shape[0]):
+            ivs, offs = plan_lists(plan, s)
+            want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
+            _assert_same_trace(PlannerRuns(*(getattr(runs, f.name)[s:s + 1]
+                                             for f in dataclasses.fields(runs))), want)
+        if case == "starved" and not perturb:
+            assert not runs.played[0, 1].any() and runs.candidates[0, 1].any()
+
+
+@pytest.mark.parametrize("case", ["periods", "tau_max"])
+def test_kernel_tracks_and_checks_exactly_its_window(monkeypatch, case):
+    # k = n plays every candidate, so from the first rest on each sampled
+    # arm's actual state equals its virtual one, a margin of 0
+    inst, plan = _BOUNDARY_CASES[case]
+    inst = Instance(k=inst.n, tau_min=inst.tau_min, tau_max=inst.tau_max, means=inst.means)
+    plan = Plan(u=plan.u[1:], l=plan.l[1:], offsets=plan.offsets[1:])  # one run, period W
+    W, W2 = _kernel_window(plan, inst.tau_max)
+    T = W2 + 3 * W
+    real = planner.states_from_actions
+    widths = []
+
+    def spy(played, init=None):
+        widths.append(played.shape[1])
+        return real(played, init)
+
+    monkeypatch.setattr(planner, "states_from_actions", spy)
+    runs = run_planner(inst, plan, T)
+    assert widths == [W2]
+    margin = (runs.actual_states - runs.virtual)[0, :, W2 - W:W2]
+    assert (margin.min(axis=0) == 0).all()
+    for c in range(W2 - W, W2):  # the last period of the window, one column at a time
+        def lowered(played, init=None, c=c):
+            states = real(played, init)
+            states[:, c] -= 1
+            return states
+
+        monkeypatch.setattr(planner, "states_from_actions", lowered)
+        with pytest.raises(PlannerError, match="actual state 1 below virtual state"):
+            run_planner(inst, plan, T)
 
 
 def test_rounding_refuses_too_many_seeds_before_drawing(no_alloc, monkeypatch):
