@@ -98,7 +98,8 @@ _BLOCK_CELLS = 2**14  # (arm, round) cells the trace writer formats at a time
 
 def _write_trace(path, runs: planner.PlannerRuns) -> None:
     """Run 0 as CSV, one row per round, formatted column-wise in blocks of
-    rounds; ``nu_i`` is blank for an arm without an interval (state 0)."""
+    rounds read one at a time with ``runs.columns``; ``nu_i`` is blank for
+    an arm without an interval (state 0)."""
     n, T = runs.n, runs.T
     header = ["t"] + [f"nu_{i}" for i in range(n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
@@ -108,11 +109,12 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
         f.write(",".join(header) + "\n")
         for a in range(0, T, step):
             b = min(a + step, T)
+            virtual, candidates, played, _ = runs.columns(a, b)
             cells = np.empty((b - a, n + 5), dtype=object)
             cells[:, 0] = [str(t) for t in range(a + 1, b + 1)]
-            cells[:, 1:-4] = _labels(runs.virtual[0, :, a:b], lambda nu: str(nu) if nu else "").T
-            cells[:, -4] = _arm_sets(runs.candidates[0, :, a:b])
-            cells[:, -3] = _arm_sets(runs.played[0, :, a:b])
+            cells[:, 1:-4] = _labels(virtual[0], lambda nu: str(nu) if nu else "").T
+            cells[:, -4] = _arm_sets(candidates[0])
+            cells[:, -3] = _arm_sets(played[0])
             cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)
             cells[:, -1] = _labels(runs.actual_payoff[0, a:b], _fmt)
             f.write("".join([",".join(row) + "\n" for row in cells.tolist()]))

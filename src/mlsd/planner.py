@@ -12,7 +12,8 @@ different payoff model (e.g. estimates) than the environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -104,10 +105,14 @@ def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
 
 def _init_states(init, n: int) -> np.ndarray:
     """``init`` as an array, or ModelError unless it holds n nonzero integers."""
-    init = np.asarray(init)
-    if init.shape != (n,) or init.dtype.kind not in "iu" or not init.all():
-        raise ModelError(f"init states must be {n} nonzero integers, got {init.tolist()}")
-    return init
+    try:
+        states = np.asarray(init)
+    except ValueError:  # ragged: no array holds it
+        states = None
+    if states is None or states.shape != (n,) or states.dtype.kind not in "iu" or not states.all():
+        got = init if states is None else states.tolist()
+        raise ModelError(f"init states must be {n} nonzero integers, got {got}")
+    return states
 
 
 def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
@@ -134,28 +139,91 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
+_FIELDS = ("virtual", "candidates", "played", "actual_states")  # PlannerRuns.window's order
+
+
+def _window_columns(period: np.ndarray, W: int, a: int, b: int) -> np.ndarray:
+    """The window column of rounds a+1..b of each run, (S, b - a): column t
+    below W, and W - P_s + (t - W) mod P_s past it."""
+    P = period[:, None]
+    t = np.arange(a, b)
+    return np.where(t < W, t, W - P + (t - W) % P)
+
+
 @dataclass(frozen=True)
 class PlannerRuns:
-    """S planner runs as (S, n, T) arrays, round t in column t-1; the
+    """S planner runs of T rounds. ``virtual``, ``candidates``, ``played``
+    and ``actual_states`` are (S, n, T) arrays, round t in column t-1; the
     payoff series are (S, T). ``virtual`` holds 0 for arms that received no
     interval (0 is not a valid state, so it cannot collide).
     ``virtual_payoff`` is scored by the selection table, so an ETC commit run
-    scores it by the estimates."""
+    scores it by the estimates.
 
-    virtual: np.ndarray
-    candidates: np.ndarray
-    played: np.ndarray
-    actual_states: np.ndarray
+    The four (S, n, T) arrays are kept as the kernel computed them:
+    ``window`` holds their first W columns, in that order. Past column W,
+    run s repeats its window with period ``period[s]``: column t copies
+    column W - P_s + (t - W) mod P_s, except the actual state of an arm that
+    never plays, which grows by 1 a round from column W - 1 on. Each array
+    is built from the window on its first read and then kept, and the four
+    share one copy-out index; ``columns`` reads a block of rounds straight
+    from the window. With W == T the arrays are the window's, and
+    ``period`` is not read."""
+
+    window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    period: np.ndarray  # (S,) int64, each run's P_s
+    T: int
     virtual_payoff: np.ndarray
     actual_payoff: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.virtual.shape[1]
+        return self.window[0].shape[1]
 
-    @property
-    def T(self) -> int:
-        return self.virtual.shape[2]
+    virtual = cached_property(lambda self: self._full(0))
+    candidates = cached_property(lambda self: self._full(1))
+    played = cached_property(lambda self: self._full(2))
+    actual_states = cached_property(lambda self: self._full(3))
+
+    def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
+        """``virtual``, ``candidates``, ``played`` and ``actual_states`` at
+        rounds a+1..b (0 <= a <= b <= T), (S, n, b - a) each, gathered from
+        the window without the (S, n, T) arrays."""
+        if b <= self.window[0].shape[2]:
+            return tuple(w[..., a:b] for w in self.window)
+        cells = self._cells(a, b)
+        return tuple(self._copy_out(i, a, b, cells) for i in range(4))
+
+    def _full(self, i: int) -> np.ndarray:
+        """Window array i over all T rounds. The copy-out index is built on
+        the first of the four reads and dropped on the last, so a result
+        that keeps all four arrays keeps no index as well."""
+        if self.window[i].shape[2] == self.T:
+            return self.window[i]
+        cache = self.__dict__  # where cached_property keeps the four
+        if "_all_cells" not in cache:
+            cache["_all_cells"] = self._cells(0, self.T)
+        out = self._copy_out(i, 0, self.T, cache["_all_cells"])
+        if sum(name in cache for name in _FIELDS) == 3:
+            del cache["_all_cells"]
+        return out
+
+    def _cells(self, a: int, b: int) -> np.ndarray:
+        """The flat window index of every (run, arm) of rounds a+1..b."""
+        S, n, W = self.window[0].shape
+        cols = _window_columns(self.period, W, a, b)
+        return cols[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
+
+    def _copy_out(self, i: int, a: int, b: int, cells: np.ndarray) -> np.ndarray:
+        """Window array i at rounds a+1..b, b > W, by the index ``cells``."""
+        window = self.window[i]
+        out = window.ravel().take(cells)
+        if i == 3:  # actual states: an arm that never plays rests on
+            W = window.shape[2]
+            idle = ~self.window[2].any(axis=2)
+            if idle.any():
+                lo = max(a, W)
+                out[idle, lo - a:] = window[idle, W - 1:] + np.arange(lo - W + 1, b - W + 1)
+        return out
 
 
 def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
@@ -203,8 +271,9 @@ def run_planner(
     check, actual states, both payoffs and the domination check) is computed
     over the first W = min(T, max(2P + 1, tau_max + P)) columns only, which
     hold a whole period past column max(P_s, tau_max - 1); ``_repeat`` then
-    copies them out to T columns. The result is bit-identical to computing
-    every (run, arm, round) cell.
+    copies the payoff series out to T columns and leaves the (S, n, T)
+    arrays to be built when read (see ``PlannerRuns``). The result is
+    bit-identical to computing every (run, arm, round) cell.
 
     Raises ModelError, before allocating, unless T is an integer >= 0, the
     plan has the instance's arm count, interval bounds u up to tau_max and at
@@ -254,10 +323,9 @@ def run_planner(
     actual = states_from_actions(played.reshape(S * n, W), init).reshape(S, n, W)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
     runs = PlannerRuns(
-        virtual=virtual,
-        candidates=cand,
-        played=played,
-        actual_states=actual,
+        window=(virtual, cand, played, actual),
+        period=np.array(period),
+        T=W,
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
     )
@@ -267,25 +335,18 @@ def run_planner(
             raise PlannerError(
                 f"actual state {-margin} below virtual state after round {instance.tau_max}"
             )
-    return runs if W == T else _repeat(runs, period, T)
+    return runs if W == T else _repeat(runs, T)
 
 
-def _repeat(runs: PlannerRuns, period: list[int], T: int) -> PlannerRuns:
-    """The W columns of ``runs`` stretched to T > W rounds, where W - P_s >
-    max(P_s, tau_max - 1) for every run s: column t >= W of run s copies
-    column W - P_s + (t - W) mod P_s, except the actual state of an arm that
-    never plays: it grows by 1 a round from column W - 1 on."""
-    S, n, W = runs.played.shape
-    P = np.array(period)[:, None]
-    t = np.arange(T)
-    col = np.where(t < W, t, W - P + (t - W) % P)  # (S, T)
-    cell = col[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
-    row = col + W * np.arange(S)[:, None]
-    out = PlannerRuns(*(a.ravel().take(cell if a.ndim == 3 else row) for a in vars(runs).values()))
-    idle = ~runs.played.any(axis=2)
-    if idle.any():
-        out.actual_states[idle, W:] = runs.actual_states[idle, W - 1:] + np.arange(1, T - W + 1)
-    return out
+def _repeat(runs: PlannerRuns, T: int) -> PlannerRuns:
+    """``runs`` of W rounds stretched to T > W rounds, where W - P_s >
+    max(P_s, tau_max - 1) for every run s: the payoff series are copied out
+    here, column t >= W of run s from column W - P_s + (t - W) mod P_s, and
+    the four (S, n, T) arrays are built from the same window when read."""
+    S, W = runs.virtual_payoff.shape
+    row = _window_columns(runs.period, W, 0, T) + W * np.arange(S)[:, None]
+    return replace(runs, T=T, virtual_payoff=runs.virtual_payoff.ravel().take(row),
+                   actual_payoff=runs.actual_payoff.ravel().take(row))
 
 
 def planner_runs(

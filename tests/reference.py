@@ -440,10 +440,9 @@ def run_planner(
     actual = step_states(played, [1] * n if init_states is None else init_states)
     actual_p = np.array([[instance.payoff(i, int(s)) for s in actual[i]] for i in range(n)])
     return PlannerRuns(
-        virtual=virtual[None],
-        candidates=cand[None],
-        played=played[None],
-        actual_states=actual[None],
+        window=(virtual[None], cand[None], played[None], actual[None]),
+        period=np.array([T]),
+        T=T,
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=0)[None],
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0)[None],
     )

@@ -1,5 +1,6 @@
-import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,11 +27,10 @@ from mlsd import planner
 from mlsd.analysis import make_step_instance
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.lp import LpSolution, build_lp, solve_lp
-from mlsd.model import Instance, ModelError, PayoffTable, transition
+from mlsd.model import Instance, ModelError, PayoffTable, random_instance, transition
 from mlsd.planner import (
     Plan,
     PlannerError,
-    PlannerRuns,
     domination_margin,
     plan_from_dict,
     planner_runs,
@@ -258,6 +258,20 @@ def test_planner_runs_check_init_states_against_arms_before_tiling(monkeypatch, 
         list(planner_runs(inst, sol, 10, range(4), init_states=init))
 
 
+@pytest.mark.parametrize("n, call", [
+    (1, lambda init: run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]),
+                                 5, init_states=init)),
+    (1, lambda init: list(planner_runs(make_step_instance(), _step_solution(), 5, range(2),
+                                       init_states=init))),
+    (2, lambda init: states_from_actions(np.zeros((2, 5), dtype=bool), init)),
+], ids=["run_planner", "planner_runs", "states_from_actions"])
+def test_ragged_init_states_are_refused_as_model_errors(n, call):
+    # no array holds a ragged list, so it fails before any shape check
+    with pytest.raises(ModelError,
+                       match=rf"^init states must be {n} nonzero integers, got \[\[1\], \[1, 2\]\]$"):
+        call([[1], [1, 2]])
+
+
 def test_candidate_marginals_match_occupancies():
     inst = make_step_instance()
     sol = _step_solution()
@@ -336,6 +350,10 @@ def test_per_arm_triples_mutually_exclusive():
 
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
+
+
+_SIX_FIELDS = ("virtual", "candidates", "played", "actual_states", "virtual_payoff",
+               "actual_payoff")
 
 
 def _assert_same_trace(got, want):
@@ -496,8 +514,8 @@ def test_window_edges_match_scalar_twin(case, init, perturb):
         for s in range(plan.u.shape[0]):
             ivs, offs = plan_lists(plan, s)
             want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
-            _assert_same_trace(PlannerRuns(*(getattr(runs, f.name)[s:s + 1]
-                                             for f in dataclasses.fields(runs))), want)
+            _assert_same_trace(SimpleNamespace(**{f: getattr(runs, f)[s:s + 1]
+                                                  for f in _SIX_FIELDS}), want)
         if case == "starved" and not perturb:
             assert not runs.played[0, 1].any() and runs.candidates[0, 1].any()
 
@@ -532,6 +550,82 @@ def test_kernel_tracks_and_checks_exactly_its_window(monkeypatch, case):
         monkeypatch.setattr(planner, "states_from_actions", lowered)
         with pytest.raises(PlannerError, match="actual state 1 below virtual state"):
             run_planner(inst, plan, T)
+
+
+def _same_bits(got, want, name):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.one_of(st.sampled_from(sorted(_BOUNDARY_CASES)), st.integers(0, 10**6)),
+    init=st.sampled_from([None, "ones", "negative", "large"]),
+    perturb=st.booleans(),
+    T=st.integers(0, 130),
+    cuts=st.lists(st.integers(0, 130), max_size=6),
+)
+def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
+    # the boundary cases (arms with no interval, a starved arm, windows set
+    # by 2P + 1 or tau_max + P) or a random 1-4 arm instance at half its
+    # selection mass; blocks split T at random cuts, plus one that straddles
+    # the kernel's width W; every block of the four (S, n, T) arrays is read
+    # before and after the six full fields, which must match the scalar twin
+    # bit for bit
+    if isinstance(source, str):
+        inst, plan = _BOUNDARY_CASES[source]
+    else:
+        inst = draw_instance(source, n_range=(1, 4), allow_k_equal_n=True)
+        sol = solve_lp(build_lp(inst, -2))
+        thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+        plan = round_intervals(thin, range(source, source + 3))
+    n = inst.n
+    rng = stream(n * 1000 + T, "misc")
+    init = {None: None, "ones": [1] * n,
+            "negative": [-int(x) for x in rng.integers(1, 4, n)],
+            "large": [int(x) for x in rng.choice([-1, 1], n) * rng.integers(1, 10**6, n)]}[init]
+    selection = None
+    if perturb:  # non-monotone, so the ranking differs from the instance's
+        noise = rng.uniform(-0.3, 0.3, inst.means.shape)
+        selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
+                                means=np.clip(inst.means + noise, 0.0, 1.0))
+    runs = run_planner(inst, plan, T, selection=selection, init_states=init)
+    W = runs.window[0].shape[2]
+    bounds = sorted({0, T, *(c for c in cuts if c <= T)})
+    blocks = [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))]
+    before = [runs.columns(a, b) for a, b in blocks]
+    for s in range(plan.u.shape[0]):
+        ivs, offs = plan_lists(plan, s)
+        want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
+        for name in _SIX_FIELDS:
+            _same_bits(getattr(runs, name)[s:s + 1], getattr(want, name), name)
+    for (a, b), first in zip(blocks, before):
+        again = runs.columns(a, b)
+        for name, got, got_again in zip(_SIX_FIELDS[:4], first, again, strict=True):
+            whole = getattr(runs, name)[..., a:b]
+            _same_bits(got, whole, name)
+            _same_bits(got_again, whole, name)
+
+
+def test_payoff_reads_build_no_full_array():
+    # 8 arms with cycles of at most 4 rounds (tau_max 2, tau_min -2): a
+    # window of a few dozen rounds against T = 2^17, one seed per chunk;
+    # reading the payoff series alone stays below one (S, n, T) int64 array
+    inst = random_instance(8, 2, 2, -2, np.random.default_rng(5))
+    sol = solve_lp(build_lp(inst, -2))
+    T = 2**17
+    full = 8 * inst.n * T
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (runs,) = planner_runs(inst, sol, T, [3])
+        totals = runs.virtual_payoff.sum(), runs.actual_payoff.sum()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < full, f"payoff reads peaked at {peak / 2**20:.1f} MiB"
+    assert runs.window[0].shape[:2] == (1, inst.n) and runs.window[0].shape[2] < 100
+    assert min(totals) > 0
 
 
 def test_rounding_refuses_too_many_seeds_before_drawing(no_alloc, monkeypatch):

@@ -34,10 +34,9 @@ def random_runs(seed: int, n: int, T: int, k: int) -> planner.PlannerRuns:
     played &= np.cumsum(played, axis=0) <= k
     pay = PAYOFFS[rng.integers(0, PAYOFFS.size, size=(2, n, T))]
     return planner.PlannerRuns(
-        virtual=virtual[None],
-        candidates=candidates[None],
-        played=played[None],
-        actual_states=np.zeros((1, n, T), dtype=np.int64),
+        window=(virtual[None], candidates[None], played[None], np.zeros((1, n, T), dtype=np.int64)),
+        period=np.array([T]),
+        T=T,
         virtual_payoff=np.where(played, pay[0], 0.0).sum(axis=0)[None],
         actual_payoff=np.where(played, pay[1], 0.0).sum(axis=0)[None],
     )
