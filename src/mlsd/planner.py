@@ -24,7 +24,8 @@ from .model import Instance, ModelError, PayoffTable, require_int, require_keys,
 from .rng import streams
 
 _MASS_TOL = 1e-9
-_CHUNK_CELLS = 2**14  # (seed, arm, round) cells per array pass of planner_runs
+_CHUNK_CELLS = 2**14  # (seed, arm, window column) cells of one planner_runs chunk
+_CHUNK_ROUNDS = 2**17  # (seed, arm, round) cells over T rounds of one planner_runs chunk
 _ROUND_CELLS = 2**18  # (seed, arm, interval) comparisons per block of round_intervals
 _MAX_ROUNDED = 2**23  # (seed, arm) pairs of one round_intervals call, ~40 B each
 _MAX_CELLS = 2**23  # (run, arm, round) cells of one simulation, ~74 B each
@@ -139,15 +140,18 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-_FIELDS = ("virtual", "candidates", "played", "actual_states")  # PlannerRuns.window's order
-
-
 def _window_columns(period: np.ndarray, W: int, a: int, b: int) -> np.ndarray:
-    """The window column of rounds a+1..b of each run, (S, b - a): column t
-    below W, and W - P_s + (t - W) mod P_s past it."""
-    P = period[:, None]
-    t = np.arange(a, b)
-    return np.where(t < W, t, W - P + (t - W) % P)
+    """The window column of rounds a+1..b of each run, (S, b - a) int32:
+    column t below W, and W - P_s + (t - W) mod P_s past it. A windowed
+    result has T <= _MAX_CELLS = 2^23 rounds and every P_s < T, so all of
+    these fit in 32 bits; the remainder is taken over the tail only."""
+    cols = np.empty((len(period), b - a), dtype=np.int32)
+    head = max(0, min(W, b) - a)
+    cols[:, :head] = np.arange(a, a + head, dtype=np.int32)
+    P, tail = period.astype(np.int32)[:, None], cols[:, head:]
+    np.remainder(np.arange(a + head - W, b - W, dtype=np.int32), P, out=tail)
+    tail += W - P
+    return cols
 
 
 @dataclass(frozen=True)
@@ -164,10 +168,12 @@ class PlannerRuns:
     run s repeats its window with period ``period[s]``: column t copies
     column W - P_s + (t - W) mod P_s, except the actual state of an arm that
     never plays, which grows by 1 a round from column W - 1 on. Each array
-    is built from the window on its first read and then kept, and the four
-    share one copy-out index; ``columns`` reads a block of rounds straight
-    from the window. With W == T the arrays are the window's, and
-    ``period`` is not read."""
+    is built from the window on its first read and then kept. The four
+    share one (S, T) int32 column index, and each gathers run s's rows by
+    its row s, one take per run, so no read builds an (S, n, T) index.
+    ``columns`` reads a block of rounds straight from the window. With
+    W == T the arrays are the window's, and ``period`` is not read. No two
+    fields share memory."""
 
     window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     period: np.ndarray  # (S,) int64, each run's P_s
@@ -188,41 +194,37 @@ class PlannerRuns:
         """``virtual``, ``candidates``, ``played`` and ``actual_states`` at
         rounds a+1..b (0 <= a <= b <= T), (S, n, b - a) each, gathered from
         the window without the (S, n, T) arrays."""
-        if b <= self.window[0].shape[2]:
+        W = self.window[0].shape[2]
+        if b <= W:
             return tuple(w[..., a:b] for w in self.window)
-        cells = self._cells(a, b)
-        return tuple(self._copy_out(i, a, b, cells) for i in range(4))
+        cols = _window_columns(self.period, W, a, b)
+        return tuple(self._copy_out(i, a, b, cols) for i in range(4))
 
     def _full(self, i: int) -> np.ndarray:
-        """Window array i over all T rounds. The copy-out index is built on
-        the first of the four reads and dropped on the last, so a result
-        that keeps all four arrays keeps no index as well."""
+        """Window array i over all T rounds."""
         if self.window[i].shape[2] == self.T:
             return self.window[i]
-        cache = self.__dict__  # where cached_property keeps the four
-        if "_all_cells" not in cache:
-            cache["_all_cells"] = self._cells(0, self.T)
-        out = self._copy_out(i, 0, self.T, cache["_all_cells"])
-        if sum(name in cache for name in _FIELDS) == 3:
-            del cache["_all_cells"]
-        return out
+        return self._copy_out(i, 0, self.T, self._all_columns)
 
-    def _cells(self, a: int, b: int) -> np.ndarray:
-        """The flat window index of every (run, arm) of rounds a+1..b."""
-        S, n, W = self.window[0].shape
-        cols = _window_columns(self.period, W, a, b)
-        return cols[:, None, :] + W * np.arange(S * n).reshape(S, n, 1)
+    @cached_property
+    def _all_columns(self) -> np.ndarray:
+        """The (S, T) int32 window columns that the full reads share."""
+        return _window_columns(self.period, self.window[0].shape[2], 0, self.T)
 
-    def _copy_out(self, i: int, a: int, b: int, cells: np.ndarray) -> np.ndarray:
-        """Window array i at rounds a+1..b, b > W, by the index ``cells``."""
+    def _copy_out(self, i: int, a: int, b: int, cols: np.ndarray) -> np.ndarray:
+        """Window array i at rounds a+1..b, b > W, by the (S, b - a) window
+        columns ``cols``."""
         window = self.window[i]
-        out = window.ravel().take(cells)
-        if i == 3:  # actual states: an arm that never plays rests on
+        out = np.empty(window.shape[:2] + cols.shape[1:], dtype=window.dtype)
+        for run, c, o in zip(window, cols, out):  # one take per run, no (S, n, T) index
+            run.take(c, axis=1, out=o, mode="clip")  # in range; "raise" would buffer ``out``
+        if i == 3:  # actual states: an arm that never plays rests on, run by run
             W = window.shape[2]
+            lo = max(a, W)
+            rest = np.arange(lo - W + 1, b - W + 1)
             idle = ~self.window[2].any(axis=2)
-            if idle.any():
-                lo = max(a, W)
-                out[idle, lo - a:] = window[idle, W - 1:] + np.arange(lo - W + 1, b - W + 1)
+            for s in np.flatnonzero(idle.any(axis=1)):
+                out[s, idle[s], lo - a:] = window[s, idle[s], W - 1:] + rest
         return out
 
 
@@ -237,14 +239,22 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     return int((runs.actual_states - runs.virtual)[..., tau_max - 1:].min(initial=0))
 
 
-def _joint_period(lengths: list[int], T: int) -> int:
-    """The lcm of ``lengths`` in exact Python ints, or T + 1 once it passes T."""
-    period = 1
-    for length in set(lengths):
-        period = math.lcm(period, length)
-        if period > T:
-            return T + 1
-    return period
+def _joint_periods(plan: Plan, T: int) -> list[int]:
+    """Each run's joint period P_s, the lcm of its cycle lengths (1 for an
+    arm without an interval) in exact Python ints, capped at T + 1. A run
+    with a cycle past T takes no lcm, so the ints stay small."""
+    return [T + 1 if max(row, default=1) > T else min(math.lcm(*row), T + 1)
+            for row in np.maximum(plan.u - plan.l, 1).tolist()]
+
+
+def _window_width(period: int, T: int, tau_max: int) -> int:
+    """The columns run_planner computes for runs of largest joint period
+    ``period``: all T, or min(T, max(2P + 1, tau_max + P)) when P < T, which
+    hold a whole period past column max(P, tau_max - 1). Never decreases
+    with ``period``."""
+    if period >= T:
+        return T
+    return min(T, max(2 * period + 1, tau_max + period))
 
 
 def run_planner(
@@ -297,10 +307,8 @@ def run_planner(
         )
     init = None if init_states is None else np.tile(_init_states(init_states, n), S)
     L = np.maximum(plan.u - plan.l, 1)  # 1 for arms without an interval
-    period = [_joint_period(row, T) for row in L.tolist()]
-    W = min(max(period, default=T), T)
-    if W < T:  # a whole period of repeating actual states, past tau_max - 1
-        W = min(T, max(2 * W + 1, instance.tau_max + W))
+    period = _joint_periods(plan, T)
+    W = _window_width(max(period, default=T), T, instance.tau_max)
     active = (plan.u > 0)[..., None]
     pos = (plan.offsets[..., None] + np.arange(1, W + 1)) % L[..., None]
     state, play = cycle_phase(plan.u[..., None], L[..., None], pos)
@@ -310,12 +318,13 @@ def run_planner(
     arm = np.arange(n)[:, None]
     sel = instance if selection is None else selection
     selp = sel.means[arm, state_column(virtual, sel.tau_min, sel.tau_max)]
-    played = cand
-    if instance.k < n:  # else every candidate fits the budget
+    if instance.k < n:
         order = np.argsort(-np.where(cand, selp, -1.0), axis=1, kind="stable")
         played = np.zeros_like(cand)  # top k, ties to the lowest arm
         np.put_along_axis(played, order[:, :instance.k], True, axis=1)
         played &= cand
+    else:  # every candidate fits the budget; a copy, so no two fields share memory
+        played = cand.copy()
     most = int(played.sum(axis=1).max(initial=0))
     if most > instance.k:
         raise PlannerError(f"{most} arms played in a round, budget is {instance.k}")
@@ -359,15 +368,26 @@ def planner_runs(
     init_states: Optional[Sequence[int]] = None,
 ) -> Iterator[PlannerRuns]:
     """Rounding, offsets and T online rounds for every seed (see ``run_planner``
-    for the options): one plan, run in chunks of about _CHUNK_CELLS (seed,
-    arm, round) cells. Run s of the chunks is ``seeds[s]``'s run."""
+    for the options): one plan, run in chunks of consecutive seeds. A chunk
+    of more than one seed keeps both S_c n W <= _CHUNK_CELLS, W the window
+    ``run_planner`` computes for it, and S_c n T <= _CHUNK_ROUNDS, which caps
+    its payoff rows and the full arrays a caller reads. Run s of the chunks
+    is ``seeds[s]``'s run."""
     require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)
-    per = max(1, _CHUNK_CELLS // max(1, solution.n * T))
-    for lo in range(0, len(seeds), per):
-        rows = slice(lo, lo + per)
-        chunk = Plan(u=plan.u[rows], l=plan.l[rows], offsets=plan.offsets[rows])
+    widths = [_window_width(p, T, instance.tau_max) for p in _joint_periods(plan, T)]
+    lo = 0
+    while lo < len(seeds):
+        hi, W = lo + 1, widths[lo]
+        while hi < len(seeds):
+            rows = (hi + 1 - lo) * solution.n  # (seed, arm) rows with seed hi added
+            if rows * T > _CHUNK_ROUNDS or rows * max(W, widths[hi]) > _CHUNK_CELLS:
+                break
+            W = max(W, widths[hi])
+            hi += 1
+        chunk = Plan(u=plan.u[lo:hi], l=plan.l[lo:hi], offsets=plan.offsets[lo:hi])
         yield run_planner(instance, chunk, T, selection=selection, init_states=init_states)
+        lo = hi
 
 
 def simulate_planner(

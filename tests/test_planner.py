@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from reference import (
 )
 
 from mlsd import planner
-from mlsd.analysis import make_step_instance
+from mlsd.analysis import make_step_instance, tightness_experiment
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.lp import LpSolution, build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, random_instance, transition
@@ -386,7 +387,8 @@ def test_closed_form_cycle_matches_transition(u, l):
     perturb=st.booleans(),
 )
 def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb):
-    # chunks of max(1, cells // (n T)) seeds, so S is often not a multiple;
+    # chunks of consecutive seeds within cells (seed, arm, window column)
+    # cells and 8 cells (seed, arm, round) cells, so S is often not a multiple;
     # cycles are at most 6 rounds long, so a joint period is at most 60: T
     # from 61 on always takes the window of run_planner, small T often the
     # full width; rounding blocks of max(1, cells // (n intervals)) seeds
@@ -405,6 +407,7 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb
                                 means=np.clip(inst.means + noise, 0.0, 1.0))
     seeds = range(seed, seed + S)
     with mock.patch.object(planner, "_CHUNK_CELLS", cells), \
+            mock.patch.object(planner, "_CHUNK_ROUNDS", 8 * cells), \
             mock.patch.object(planner, "_ROUND_CELLS", cells):
         chunks = list(planner_runs(inst, sol, T, seeds, selection=selection, init_states=init))
     want = reference.simulate_seeds(inst, sol, T, seeds, selection=selection, init_states=init)
@@ -696,6 +699,132 @@ def test_kernel_rejects_interval_beyond_tau_max():
 def test_run_planner_rejects_plan_of_other_size():
     with pytest.raises(ModelError, match="plan has 2 arms"):
         run_planner(make_step_instance(), plan_of([None, None], [0, 0]), 5)
+
+
+def test_full_reads_hold_no_per_cell_index():
+    # a windowed 50-seed result of 4 arms over T = 500: reading the four
+    # (S, n, T) arrays allocates them and at most one (S, T) int64 index
+    # besides, not an (S, n, T) one
+    inst = random_instance(4, 2, 2, -2, np.random.default_rng(5))
+    plan = round_intervals(solve_lp(build_lp(inst, -2)), range(50))
+    runs = run_planner(inst, plan, 500)
+    S, n, W = runs.window[0].shape
+    assert W < 100
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fields = [runs.virtual, runs.candidates, runs.played, runs.actual_states]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(f.nbytes for f in fields)
+    assert peak <= held + 8 * S * runs.T, f"peaked {peak - held} B past the {held} B read"
+
+
+@pytest.mark.parametrize("T", [3, 40])
+def test_fields_share_no_memory(T):
+    # k = n plays every candidate; the one-arm run of period 3 computes all
+    # of T = 3 rounds, and 7 columns of T = 40
+    runs = run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]), T)
+    assert runs.window[0].shape[2] == {3: 3, 40: 7}[T]
+    fields = [getattr(runs, name) for name in _SIX_FIELDS]
+    for (i, a), (j, b) in itertools.combinations(enumerate(fields), 2):
+        assert not np.shares_memory(a, b), (_SIX_FIELDS[i], _SIX_FIELDS[j])
+    candidates = runs.candidates.copy()
+    assert np.array_equal(runs.played, candidates)
+    runs.played[...] = ~runs.played
+    block = runs.columns(0, 2)
+    block[2][...] = ~block[2]
+    assert np.array_equal(runs.candidates, candidates)
+    assert np.array_equal(runs.columns(0, 2)[1], candidates[..., :2])
+
+
+def _spy_chunks(monkeypatch) -> list:
+    """Every (plan, T, result) that planner_runs hands to run_planner."""
+    calls = []
+    real = planner.run_planner
+
+    def spy(instance, plan, T, **kwargs):
+        runs = real(instance, plan, T, **kwargs)
+        calls.append((plan, T, runs))
+        return runs
+
+    monkeypatch.setattr(planner, "run_planner", spy)
+    return calls
+
+
+def _width(plan: Plan, s: int, T: int, tau_max: int) -> int:
+    """The columns run_planner computes for run s of ``plan`` alone."""
+    P = math.lcm(*(max(u - l, 1) for u, l in zip(plan.u[s].tolist(), plan.l[s].tolist())))
+    return T if P >= T else min(T, max(2 * P + 1, tau_max + P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(0, 300), S=st.integers(1, 40),
+       cells=st.integers(1, 3000), rounds=st.integers(1, 30000), thin=st.booleans())
+def test_chunks_keep_both_bounds_and_take_every_seed_that_fits(seed, T, S, cells, rounds, thin):
+    # chunks are consecutive seeds; a chunk of more than one seed keeps
+    # S_c n W <= _CHUNK_CELLS, W the window its run computes, and S_c n T <=
+    # _CHUNK_ROUNDS, and a chunk ends only where the next seed would break one
+    inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -1 - seed % 3))
+    if thin:  # half the selection mass: many arms draw no interval
+        sol = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    seeds = range(seed, seed + S)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_chunks(patch)
+        patch.setattr(planner, "_CHUNK_CELLS", cells)
+        patch.setattr(planner, "_CHUNK_ROUNDS", rounds)
+        list(planner_runs(inst, sol, T, seeds))
+    plan = round_intervals(sol, seeds)
+    widths = [_width(plan, s, T, inst.tau_max) for s in range(S)]
+    n, lo = inst.n, 0
+    for chunk, t, runs in calls:
+        S_c = chunk.u.shape[0]
+        hi = lo + S_c
+        assert t == T and runs.T == T
+        for f in ("u", "l", "offsets"):
+            assert np.array_equal(getattr(chunk, f), getattr(plan, f)[lo:hi])
+        W = runs.window[0].shape[2]
+        assert W == max(widths[lo:hi])
+        if S_c > 1:
+            assert S_c * n * W <= cells and S_c * n * T <= rounds
+        if hi < S:
+            assert (S_c + 1) * n * max(W, widths[hi]) > cells or (S_c + 1) * n * T > rounds
+        lo = hi
+    assert lo == S
+
+
+@pytest.mark.parametrize("cells, rounds, calls", [(14, 1000, 1), (13, 1000, 2), (14, 999, 2)])
+def test_chunk_bounds_are_inclusive(monkeypatch, cells, rounds, calls):
+    # the step instance's one arm cycles every 3 rounds: two seeds at T =
+    # 500 make 2 x 7 window cells and 2 x 500 cells over T
+    chunks = _spy_chunks(monkeypatch)
+    monkeypatch.setattr(planner, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(planner, "_CHUNK_ROUNDS", rounds)
+    list(planner_runs(make_step_instance(), _step_solution(), 500, range(2)))
+    assert [runs.window[0].shape for _, _, runs in chunks] == (
+        [(2, 1, 7)] if calls == 1 else [(1, 1, 7)] * 2)
+
+def test_short_periods_take_one_or_two_kernel_calls(monkeypatch):
+    # 4 arms with cycles of at most 4 rounds: joint periods up to 12 and
+    # windows up to 25 columns, so 50 seeds fit 2^14 window cells
+    inst = random_instance(4, 2, 2, -2, np.random.default_rng(7))
+    calls = _spy_chunks(monkeypatch)
+    chunks = list(planner_runs(inst, solve_lp(build_lp(inst, -2)), 500, range(50)))
+    assert 1 <= len(calls) <= 2
+    assert sum(c.virtual_payoff.shape[0] for c in chunks) == 50
+
+
+def test_long_horizons_keep_one_seed_a_chunk(monkeypatch):
+    # one arm at T = 10^5 keeps a window of a few rounds: bounded by window
+    # cells alone, 100 seeds would form one chunk of 10^7 cells over T,
+    # past the kernel's cap of 2^23
+    calls = _spy_chunks(monkeypatch)
+    result = tightness_experiment(k=1, m=1, T=10**5, n_seeds=100, seed=0)
+    assert len(calls) == 100 and all(plan.u.shape == (1, 1) for plan, _, _ in calls)
+    assert max(runs.window[0].shape[2] for _, _, runs in calls) < 10
+    assert (result.coverage, result.ratio) == (0.5, 1.0)  # the one arm is a candidate every other round
 
 
 @pytest.mark.parametrize("plan, key", [
