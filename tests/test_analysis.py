@@ -217,11 +217,12 @@ EXPERIMENTS = {
 
 @pytest.fixture
 def no_streams(monkeypatch):
-    """Make every stream start in the experiments fail."""
+    """Make every stream start and batched stream read in the experiments fail."""
     def refuse(*args, **kwargs):
         pytest.fail("a stream was started")
 
     monkeypatch.setattr(planner, "streams", refuse)
+    monkeypatch.setattr(planner, "outputs", refuse)
     monkeypatch.setattr(learning, "stream", refuse)
 
 

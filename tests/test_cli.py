@@ -150,6 +150,7 @@ def test_tightness_refuses_a_million_seeds_before_rounding(tmp_path, capsys, mon
     # without the cap, the rounding's comparisons alone took about 3.3 KB a
     # seed at n = 50, 3.3 GB for a million seeds
     monkeypatch.setattr(planner, "streams", lambda keys: pytest.fail("drew past a size guard"))
+    monkeypatch.setattr(planner, "outputs", lambda *args: pytest.fail("drew past a size guard"))
     tracemalloc.start()
     try:
         code = run(["experiment", "tightness", "--seeds", "1000000",

@@ -636,6 +636,7 @@ def test_rounding_refuses_too_many_seeds_before_drawing(no_alloc, monkeypatch):
     # comparisons in one block, and still 0.2 GB of plan rows in small ones
     solution = LpSolution(x=np.full((50, 50, 1), 1 / 51 / 50), objective=0.0, tau_L=-1)
     monkeypatch.setattr(planner, "streams", lambda keys: pytest.fail("drew past a size guard"))
+    monkeypatch.setattr(planner, "outputs", lambda *args: pytest.fail("drew past a size guard"))
     with pytest.raises(ModelError, match=r"167773 x 50 \(seed, arm\) pairs exceed the "
                                          r"rounding's cap of 8388608"):
         round_intervals(solution, range(2**23 // 50 + 1))
@@ -874,3 +875,71 @@ def test_planner_runs_refuse_fractional_horizon():
                 lambda: list(planner_runs(make_step_instance(), _step_solution(), 1.5, [0]))):
         with pytest.raises(ModelError, match="T must be an integer, got 1.5"):
             run()
+
+
+def test_domination_margin_holds_one_block_of_runs(monkeypatch):
+    # a windowed 50-seed result of 4 arms over T = 500, its fields already
+    # read: the margin's temporaries stay within one block of _CHUNK_CELLS
+    # (run, arm, round) cells and numpy's reduction buffer, far below one
+    # full field
+    inst = random_instance(4, 2, 2, -2, np.random.default_rng(5))
+    runs = run_planner(inst, round_intervals(solve_lp(build_lp(inst, -2)), range(50)), 500)
+    assert runs.window[0].shape[2] < 100
+    full = runs.actual_states.nbytes + runs.virtual.nbytes  # read, so kept
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert domination_margin(runs, inst.tau_max) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block = 8 * (planner._CHUNK_CELLS + np.getbufsize())
+    assert peak <= block + 2**12 < full // 4, f"peaked at {peak} B"
+    # blocks of one run still reach the last run, arm and round
+    runs.actual_states[49, 3, 499] = runs.virtual[49, 3, 499] - 3
+    monkeypatch.setattr(planner, "_CHUNK_CELLS", 4 * 500)
+    assert domination_margin(runs, inst.tau_max) == -3
+
+
+def test_rounding_batches_from_the_threshold(monkeypatch):
+    # fewer than _BATCH_SEEDS seeds draw from one generator a key, from
+    # there on from one rng.outputs pass; both give the reference
+    # draws, here across the seed where a key grows a third entropy word
+    reads = []
+    real = planner.outputs
+    monkeypatch.setattr(planner, "outputs", lambda *args: reads.append(args) or real(*args))
+    inst = random_instance(4, 2, 3, -2, np.random.default_rng(11))
+    sol = solve_lp(build_lp(inst, -2))
+    thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    first = planner._BATCH_SEEDS  # the fewest seeds that take the batch
+    for solution in (sol, thin):
+        for S in (first - 1, first, first + 1):
+            seeds = range(2**32 - 2, 2**32 - 2 + S)
+            reads.clear()
+            plan = round_intervals(solution, seeds)
+            assert len(reads) == (S >= first), S
+            for s, seed in enumerate(seeds):
+                ivs, offs = plan_lists(plan, s)
+                assert ivs == reference.round_intervals(solution, stream(seed, "rounding"))
+                assert offs == draw_offsets(ivs, stream(seed, "offsets"))
+
+
+def test_rounding_redraws_the_offsets_bounded_cannot_vouch_for(monkeypatch):
+    # a seed whose Lemire words numpy may have rejected takes its offsets
+    # from its own generator, whatever rng.bounded returned for it
+    real = planner.bounded
+
+    def doubt(out, highs):
+        values, exact = real(out, highs)
+        exact[::3], values[::3] = False, -1
+        return values, exact
+
+    monkeypatch.setattr(planner, "bounded", doubt)
+    inst = random_instance(3, 1, 3, -2, np.random.default_rng(12))
+    sol = solve_lp(build_lp(inst, -2))
+    seeds = range(2**64 - 12, 2**64)
+    plan = round_intervals(sol, seeds)
+    for s, seed in enumerate(seeds):
+        ivs, offs = plan_lists(plan, s)
+        assert ivs == reference.round_intervals(sol, stream(seed, "rounding"))
+        assert offs == draw_offsets(ivs, stream(seed, "offsets"))
