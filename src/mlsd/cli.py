@@ -34,6 +34,19 @@ def _labels(values: np.ndarray, label) -> np.ndarray:
     return table[np.searchsorted(distinct, values)]
 
 
+def _state_labels(states: np.ndarray) -> np.ndarray:
+    """The ``nu_i`` label of each state, blank for state 0: from one table
+    over ``lo..hi`` when ``hi - lo`` is less than the number of states,
+    else from ``_labels`` (a plan file's states may reach -2**62)."""
+    def label(nu: int) -> str:
+        return str(nu) if nu else ""
+
+    lo, hi = int(states.min()), int(states.max())
+    if hi - lo >= states.size:
+        return _labels(states, label)
+    return np.array([label(nu) for nu in range(lo, hi + 1)], dtype=object)[states - lo]
+
+
 def _arm_sets(members: np.ndarray) -> list[str]:
     """Each round's arms in an (n, T) play matrix, semicolon-joined."""
     arms = np.nonzero(members.T)[1]
@@ -112,7 +125,7 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
             virtual, candidates, played, _ = runs.columns(a, b)
             cells = np.empty((b - a, n + 5), dtype=object)
             cells[:, 0] = [str(t) for t in range(a + 1, b + 1)]
-            cells[:, 1:-4] = _labels(virtual[0], lambda nu: str(nu) if nu else "").T
+            cells[:, 1:-4] = _state_labels(virtual[0]).T
             cells[:, -4] = _arm_sets(candidates[0])
             cells[:, -3] = _arm_sets(played[0])
             cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)

@@ -112,9 +112,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     interval of arm i is a point (w, v) = (-l, q) / (u - l): its budget and
     payoff per unit of y = (u - l) * x. The greedy
 
-    1. builds each arm's upper concave hull from the null point (0, 0)
-       through its points in increasing w, and keeps the hull's increments
-       of positive slope;
+    1. builds the rising part of each arm's upper concave hull from the
+       null point (0, 0) through its points in increasing w: its
+       increments, all of positive slope;
     2. sorts all increments by slope, highest first, equal slopes by
        (arm, step);
     3. takes whole increments while they fit in the budget k and the first
@@ -123,6 +123,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     So every arm sits on one interval with y = 1 or on none, except at most
     one arm that splits its unit between two neighbouring hull points.
+
+    The hull walk skips every point whose v is at most the highest v before
+    it in w order, the null point's 0 included. This is exact: the highest
+    point M so far is always on the stack, with a positive slope into it. A
+    skipped point could only pop or join the tail of non-positive slopes
+    after M, and the next point above M pops that whole tail and then meets
+    M with the same float operands as without the skip. So the rising part,
+    every increment's (slope, arm, step) and the greedy are unchanged.
 
     Ties: of points with equal w only the highest v is kept, the first in
     variable order among equal ones. A point is dropped from the hull unless
@@ -140,11 +148,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     increments = []  # (-slope, arm, step, column, previous column or -1)
     for arm, values in enumerate(v):
         hull = [(0.0, 0.0, -1, np.inf)]  # (w, v, column, slope into it)
+        best = 0.0  # the highest v so far, the null point's included
         for j in by_weight:
-            wj, vj = w[j], values[j]
+            vj = values[j]
+            if vj <= best:
+                continue  # dominated: off the hull's rising part
+            best, wj = vj, w[j]
             if wj == hull[-1][0]:
-                if vj <= hull[-1][1]:
-                    continue
                 hull.pop()
             while True:
                 w0, v0, _, slope_in = hull[-1]
@@ -154,8 +164,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 hull.pop()
             hull.append((wj, vj, j, slope))
         for step, (_, _, j, slope) in enumerate(hull[1:]):
-            if slope <= 0.0:
-                break
             increments.append((-slope, arm, step, j, hull[step][2]))
     increments.sort()
 

@@ -26,7 +26,8 @@ from .rng import bounded, outputs, streams, uniforms
 _MASS_TOL = 1e-9
 _CHUNK_CELLS = 2**14  # (seed, arm, window column) cells of one planner_runs chunk
 _CHUNK_ROUNDS = 2**17  # (seed, arm, round) cells over T rounds of one planner_runs chunk
-_ROUND_CELLS = 2**18  # (seed, arm, interval) comparisons per block of round_intervals
+_ROUND_CELLS = 2**18  # comparisons and draw words of one round_intervals block
+_DRAW_WORDS = 16  # about the uint64 temporaries rng.outputs holds per (seed, arm) pair
 _MAX_ROUNDED = 2**23  # (seed, arm) pairs of one round_intervals call, ~40 B each
 _MAX_CELLS = 2**23  # (run, arm, round) cells of one simulation, ~74 B each
 # Seeds from which a round_intervals block reads one rng.outputs pass instead
@@ -83,12 +84,14 @@ def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
     arms, then a uniform phase offset drawn from the seed's ``"offsets"``
     stream in arm order for the arms that picked an interval.
 
-    Seeds go in blocks of about _ROUND_CELLS (seed, arm, interval)
-    comparisons. A block of fewer than _BATCH_SEEDS seeds draws from one
-    ``rng.streams`` generator a key. A larger one reads the first n
-    outputs of all its keys from one ``rng.outputs`` pass and turns them
-    into the same uniforms and offsets; only a seed where numpy may have
-    rejected an offset word draws its offsets again from its generator.
+    Seeds go in blocks of about _ROUND_CELLS cells, n (intervals +
+    _DRAW_WORDS) a seed: its (seed, arm, interval) comparisons and the
+    draw words of its (seed, arm) pairs. A block of fewer than
+    _BATCH_SEEDS seeds draws from one ``rng.streams`` generator a key. A
+    larger one reads the first n outputs of all its keys from one
+    ``rng.outputs`` pass and turns them into the same uniforms and offsets;
+    only a seed where numpy may have rejected an offset word draws its
+    offsets again from its generator.
     Raises ModelError, before drawing, past _MAX_ROUNDED (seed, arm) pairs.
     """
     S, n = len(seeds), solution.n
@@ -100,7 +103,7 @@ def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
     u, l = np.append(u, 0), np.append(l, 0)  # index u.size - 1: picked none
     plan = Plan(u=np.empty((S, n), dtype=np.int64), l=np.empty((S, n), dtype=np.int64),
                 offsets=np.empty((S, n), dtype=np.int64))
-    per = max(1, _ROUND_CELLS // max(1, cum.size))
+    per = max(1, _ROUND_CELLS // max(1, n * (cum.shape[1] + _DRAW_WORDS)))
     for lo in range(0, S, per):
         block = seeds[lo:lo + per]
         batched = len(block) >= _BATCH_SEEDS

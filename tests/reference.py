@@ -1,17 +1,19 @@
 """Scalar reference twins of vectorized library code, the HiGHS reference
 solver of the relaxation, the Monte Carlo candidate-triple sampler of
 criterion 4, the brute-force oracle of criterion 2 and the schedule
-normalization and decomposition of criterion 10; used only by tests."""
+normalization and decomposition of criterion 10, and the full-hull twin of
+the greedy relaxation solver; used only by tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mlsd.intervals import RecurrentInterval, cycle_phase
+from mlsd.intervals import RecurrentInterval, cycle_phase, interval_grid
 from mlsd.learning import ExplorationResult
 from mlsd.lp import LpProblem, LpSolution
 from mlsd.model import (
@@ -186,6 +188,64 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise HighsError(f"HiGHS status {res.status}: {res.message}")
     x = np.asarray(res.x).reshape(problem.n, problem.tau_max, problem.depth)
     return LpSolution(x=x, objective=float(-res.fun), tau_L=problem.tau_L)
+
+
+def greedy_lp(problem: LpProblem) -> LpSolution:
+    """The greedy of ``lp.solve_lp`` over each arm's whole upper concave
+    hull: every point enters the stack walk, dominated ones included, and
+    only the increments of positive slope are kept afterwards. The twin of
+    ``lp.solve_lp``'s skip of dominated points."""
+    n = problem.n
+    u, l = interval_grid(problem.tau_max, problem.depth)
+    length = u - l
+    w = (-l / length).tolist()
+    v = (problem.objective.reshape(n, -1) / length).tolist()
+    by_weight = sorted(range(len(w)), key=w.__getitem__)
+
+    increments = []  # (-slope, arm, step, column, previous column or -1)
+    for arm, values in enumerate(v):
+        hull = [(0.0, 0.0, -1, np.inf)]  # (w, v, column, slope into it)
+        for j in by_weight:
+            wj, vj = w[j], values[j]
+            if wj == hull[-1][0]:
+                if vj <= hull[-1][1]:
+                    continue
+                hull.pop()
+            while True:
+                w0, v0, _, slope_in = hull[-1]
+                slope = (vj - v0) / (wj - w0)
+                if slope < slope_in:
+                    break
+                hull.pop()
+            hull.append((wj, vj, j, slope))
+        for step, (_, _, j, slope) in enumerate(hull[1:]):
+            if slope <= 0.0:
+                break
+            increments.append((-slope, arm, step, j, hull[step][2]))
+    increments.sort()
+
+    plays, cycle = (-l).tolist() + [0], length.tolist() + [1]
+    y = np.zeros((n, len(w)))
+    room, scale = problem.k, 1
+    for _, arm, _, j, j0 in increments:
+        c, c0 = cycle[j], cycle[j0]
+        if scale % c or scale % c0:
+            grown = math.lcm(scale, c, c0)
+            room, scale = room * (grown // scale), grown
+        dw = plays[j] * (scale // c) - plays[j0] * (scale // c0)
+        t = 1.0 if dw <= room else room / dw
+        y[arm, j] = t
+        if j0 >= 0:
+            y[arm, j0] = 1.0 - t
+        if dw > room:
+            break
+        room -= dw
+    x = y / length
+    return LpSolution(
+        x=x.reshape(n, problem.tau_max, problem.depth),
+        objective=float(problem.objective @ x.ravel()),
+        tau_L=problem.tau_L,
+    )
 
 
 def step_states(played: np.ndarray, init) -> np.ndarray:

@@ -173,6 +173,22 @@ def test_tau_L_from_epsilon():
         tau_L_from_epsilon(0.0)
 
 
+def payoff_table(seed: int, n: int, tau_max: int, tau_min: int, kind: str, monotone: bool):
+    """A random table whose payoffs are uniform floats, 0/1 or quarter steps."""
+    rng = np.random.default_rng(seed)
+    shape = (n, tau_max - tau_min)
+    means = {
+        "random": lambda: rng.uniform(size=shape),
+        "binary": lambda: rng.integers(0, 2, size=shape).astype(float),
+        "quarter": lambda: rng.integers(0, 5, size=shape) / 4,
+    }[kind]()
+    k = int(rng.integers(1, n + 1))
+    if monotone:
+        return Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=np.sort(means))
+    # non-monotone, as estimated and perturbed tables are
+    return PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -183,13 +199,7 @@ def test_tau_L_from_epsilon():
     monotone=st.booleans(),
 )
 def test_build_lp_matches_scalar_twin(seed, n, tau_max, tau_min, tau_L, monotone):
-    rng = np.random.default_rng(seed)
-    means = rng.uniform(size=(n, tau_max - tau_min))
-    k = int(rng.integers(1, n + 1))
-    if monotone:
-        table = Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=np.sort(means))
-    else:  # estimated and perturbed tables
-        table = PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
+    table = payoff_table(seed, n, tau_max, tau_min, "random", monotone)
     fast, slow = build_lp(table, tau_L), reference.build_lp(table, tau_L)
     assert (fast.n, fast.k, fast.tau_max, fast.tau_L) == (slow.n, slow.k, slow.tau_max, slow.tau_L)
     assert [x.hex() for x in fast.objective.tolist()] == [x.hex() for x in slow.objective.tolist()]
@@ -221,13 +231,7 @@ def test_solver_failure_names_highs_status():
     monotone=st.booleans(),
 )
 def test_greedy_matches_highs_reference(seed, n, tau_max, tau_min, tau_L, monotone):
-    rng = np.random.default_rng(seed)
-    means = rng.uniform(size=(n, tau_max - tau_min))
-    k = int(rng.integers(1, n + 1))
-    if monotone:
-        table = Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=np.sort(means))
-    else:  # estimated and perturbed tables
-        table = PayoffTable(k=k, tau_min=tau_min, tau_max=tau_max, means=means)
+    table = payoff_table(seed, n, tau_max, tau_min, "random", monotone)
     prob = build_lp(table, tau_L)
     sol = solve_lp(prob)
     highs = reference.solve_lp(reference.build_lp(table, tau_L))
@@ -239,6 +243,45 @@ def test_greedy_matches_highs_reference(seed, n, tau_max, tau_min, tau_L, monoto
     again = solve_lp(dataclasses.replace(prob, a_ub=None, b_ub=None))
     assert again.x.tobytes() == sol.x.tobytes()
     assert again.objective == sol.objective
+
+
+def assert_same_bits(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.objective.hex() == b.objective.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    tau_max=st.integers(1, 8),
+    tau_min=st.integers(-4, -1),
+    tau_L=st.integers(-9, -1),
+    kind=st.sampled_from(["random", "binary", "quarter"]),
+    monotone=st.booleans(),
+)
+def test_greedy_skip_matches_full_hull_twin(seed, n, tau_max, tau_min, tau_L, kind, monotone):
+    # skipping the points no higher than an earlier one leaves every
+    # increment, and so every bit of the solution, as the full hull gives it
+    prob = build_lp(payoff_table(seed, n, tau_max, tau_min, kind, monotone), tau_L)
+    assert_same_bits(solve_lp(prob), reference.greedy_lp(prob))
+
+
+def test_greedy_skip_keeps_ties_and_collinear_points():
+    # Below tau_min = -1 every state reads the payoff at -1, so each arm's
+    # points (w, v) = (-l, q) / (u - l) fall on few lines: arm 0's on one
+    # line through the null point, repeated at equal w (I(1, -1) and
+    # I(2, -2), say); arm 2's all at v = 0, tied with the null point.
+    inst = Instance(k=2, tau_min=-1, tau_max=3, means=[
+        [0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.25, 0.75, 0.75, 1.0],
+    ])
+    for tau_L in range(-1, -10, -1):
+        prob = build_lp(inst, tau_L)
+        u, l = interval_grid(inst.tau_max, -tau_L)
+        v = prob.objective.reshape(inst.n, -1) / (u - l)
+        if tau_L <= -2:
+            assert np.unique(np.c_[-l / (u - l), v[0]], axis=0).shape[0] < u.size
+        assert_same_bits(solve_lp(prob), reference.greedy_lp(prob))
 
 
 def test_import_loads_no_scipy():

@@ -391,7 +391,7 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb
     # cells and 8 cells (seed, arm, round) cells, so S is often not a multiple;
     # cycles are at most 6 rounds long, so a joint period is at most 60: T
     # from 61 on always takes the window of run_planner, small T often the
-    # full width; rounding blocks of max(1, cells // (n intervals)) seeds
+    # full width; rounding blocks of max(1, cells // (n (intervals + 16))) seeds
     inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -1 - seed % 3))
     if thin:  # half the selection mass: many arms draw no interval
@@ -922,6 +922,33 @@ def test_rounding_batches_from_the_threshold(monkeypatch):
                 ivs, offs = plan_lists(plan, s)
                 assert ivs == reference.round_intervals(solution, stream(seed, "rounding"))
                 assert offs == draw_offsets(ivs, stream(seed, "offsets"))
+
+
+def test_rounding_memory_counts_the_draw_words(monkeypatch):
+    # One arm with one interval: a block holds few comparisons but every
+    # seed's draws. 2^16 seeds peaked at 24 MiB when only the comparisons
+    # sized the blocks, against 1.5 MiB of plan rows.
+    S = 2**16
+    solution = LpSolution(x=np.full((1, 1, 1), 0.5), objective=0.5, tau_L=-1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = round_intervals(solution, range(S))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = 3 * plan.u.nbytes
+    block = 32 * planner._ROUND_CELLS  # one block's temporaries, about 22 B a cell
+    assert peak < rows + block, f"rounding peaked at {peak / 2**20:.1f} MiB"
+    assert (plan.u == 1).all() and set(plan.offsets[:, 0].tolist()) == {0, 1}
+    # the largest approximation-experiment relaxation (4 arms, 12
+    # intervals) still rounds its 50 seeds in one block
+    reads = []
+    real = planner.outputs
+    monkeypatch.setattr(planner, "outputs", lambda *args: reads.append(args) or real(*args))
+    inst = random_instance(4, 2, 3, -2, np.random.default_rng(11))
+    round_intervals(solve_lp(build_lp(inst, -4)), range(50))
+    assert len(reads) == 1
 
 
 def test_rounding_redraws_the_offsets_bounded_cannot_vouch_for(monkeypatch):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsd import cli, lp, model, planner
@@ -20,15 +20,25 @@ import reference as ref
 PAYOFFS = np.array([-0.0, 0.0, 0.1, 1 / 3, 0.7, 1.0, 2.5e-13])
 
 
-def random_runs(seed: int, n: int, T: int, k: int) -> planner.PlannerRuns:
+def random_runs(seed: int, n: int, T: int, k: int, ramp=None) -> planner.PlannerRuns:
     """One run whose arms have no interval (state 0), small states, or
     states near -2**62, as a plan file's ``l`` allows; at most k plays per
-    round, each a candidate; payoffs summed as the planner sums them."""
+    round, each a candidate; payoffs summed as the planner sums them.
+
+    ``ramp = (rounds, extra)`` gives the first ``rounds`` rounds' c = n *
+    rounds cells c distinct states, 0 among them, over a range of c + extra
+    states (of c when c = 1)."""
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 3, size=(n, 1))
     small = rng.choice([-6, -5, -2, -1, 1, 2, 10], size=(n, T))
     huge = -(2**62) + 1 + rng.integers(0, 2 * T, size=(n, T))
     virtual = np.where(kind == 0, 0, np.where(kind == 1, small, huge))
+    if ramp is not None:
+        rounds, extra = ramp
+        states = np.arange(n * rounds) - n * rounds // 2
+        if states.size > 1:
+            states[-1] += extra
+        virtual[:, :rounds] = rng.permutation(states).reshape(n, rounds)
     candidates = (rng.random((n, T)) < rng.random()) & (kind > 0)
     played = candidates & (rng.random((n, T)) < 0.7)
     played &= np.cumsum(played, axis=0) <= k
@@ -54,10 +64,16 @@ def written(writer, path, runs) -> bytes:
     T=st.integers(1, 300),
     k_frac=st.floats(0.0, 1.0),
     block=st.sampled_from([1, 7, 64, 2**16]),
+    extra=st.sampled_from([None, 0, 1]),
 )
-def test_writer_matches_row_wise_twin(tmp_path_factory, seed, n, T, k_frac, block):
+# the first block's states span as many states as it has cells, or one more:
+# the two sides of the writer's choice between one table and ``_labels``
+@example(seed=3, n=3, T=50, k_frac=0.5, block=64, extra=0)
+@example(seed=3, n=3, T=50, k_frac=0.5, block=64, extra=1)
+def test_writer_matches_row_wise_twin(tmp_path_factory, seed, n, T, k_frac, block, extra):
     k = 1 + int(k_frac * (n - 1))
-    runs = random_runs(seed, n, T, k)
+    ramp = None if extra is None else (min(T, max(1, block // n)), extra)
+    runs = random_runs(seed, n, T, k, ramp)
     d = tmp_path_factory.mktemp("trace")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_CELLS", block)
