@@ -12,7 +12,7 @@ from .learning import etc_run
 from .lp import build_lp, check_lp_size, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, require_int
 from .oracle import dp_optimal
-from .planner import planner_runs
+from .planner import planner_runs, stretch
 from .rng import seed_range
 
 _MAX_TIGHT_CELLS = 2**20  # payoff cells make_tight_instance may build, M*k x (M+1)
@@ -86,8 +86,8 @@ def tightness_experiment(
     check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
-    rates = np.concatenate([
-        np.minimum(runs.candidates.sum(axis=1), k).mean(axis=1)
+    rates = np.concatenate([  # counts from the window: no (S, n, T) array is built
+        np.minimum(stretch(runs.period, T, runs.window[1].sum(axis=1))[0], k).mean(axis=1)
         for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n)
     ])
     # the long-run optimal rate: a productive play needs m idle rounds after

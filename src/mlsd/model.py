@@ -207,7 +207,12 @@ def random_instance(
     rng: np.random.Generator,
 ) -> Instance:
     """Random monotone instance: each row is a sorted vector of uniforms.
-    Raises ModelError, before drawing, past _MAX_RANDOM_CELLS payoff cells."""
+    Raises ModelError, before drawing, unless n >= 1 and tau_min < 0 <
+    tau_max, or past _MAX_RANDOM_CELLS payoff cells."""
+    if not (tau_min < 0 < tau_max):  # else the cell count below is <= 0
+        raise ModelError(f"need tau_min < 0 < tau_max, got [{tau_min}, {tau_max}]")
+    if n < 1:
+        raise ModelError("instance needs at least one arm")
     if n * (tau_max - tau_min) > _MAX_RANDOM_CELLS:
         raise ModelError(
             f"a random {n} x {tau_max - tau_min} payoff table has more than "

@@ -12,7 +12,7 @@ different payoff model (e.g. estimates) than the environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -177,6 +177,14 @@ def _window_columns(period: np.ndarray, W: int, a: int, b: int) -> np.ndarray:
     return cols
 
 
+def stretch(period: np.ndarray, T: int, *series: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-round (S, W) series of a window out to T >= W rounds, (S, T)
+    each, repeated as ``PlannerRuns`` repeats its window."""
+    S, W = series[0].shape
+    row = _window_columns(period, W, 0, T) + W * np.arange(S)[:, None]
+    return tuple(s.ravel().take(row) for s in series)
+
+
 @dataclass(frozen=True)
 class PlannerRuns:
     """S planner runs of T rounds. ``virtual``, ``candidates``, ``played``
@@ -190,18 +198,16 @@ class PlannerRuns:
     ``window`` holds their first W columns, in that order. Past column W,
     run s repeats its window with period ``period[s]``: column t copies
     column W - P_s + (t - W) mod P_s, except the actual state of an arm that
-    never plays, which grows by 1 a round from column W - 1 on. Each array
-    is built from the window on its first read and then kept. The four
-    share one (S, T) int32 column index, and each gathers run s's rows by
-    its row s, one take per run, so no read builds an (S, n, T) index.
-    ``columns`` reads a block of rounds straight from the window. With
-    W == T the arrays are the window's, and ``period`` is not read. No two
-    fields share memory.
+    never plays, which grows by 1 a round from column W - 1 on. The first
+    read of any of the four gathers all of them from the window and keeps
+    them, one take per run by one (S, T) int32 column index, so no read
+    builds an (S, n, T) index. ``columns`` reads a block of rounds straight
+    from the window. With W == T the arrays are the window's, and
+    ``period`` is not read.
 
-    A result is read-only by contract. Whether a write into it shows in a
-    later read depends on W: a full field of a W == T result and a
-    ``columns`` block with b <= W are views of the window, so a write into
-    one changes later reads, while reads past W are copies."""
+    Every array a result hands out is read-only: the six fields, the window,
+    ``period`` and every ``columns`` block. Fields may share memory (with k >= n,
+    ``played`` is ``candidates``)."""
 
     window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     period: np.ndarray  # (S,) int64, each run's P_s
@@ -213,10 +219,14 @@ class PlannerRuns:
     def n(self) -> int:
         return self.window[0].shape[1]
 
-    virtual = cached_property(lambda self: self._full(0))
-    candidates = cached_property(lambda self: self._full(1))
-    played = cached_property(lambda self: self._full(2))
-    actual_states = cached_property(lambda self: self._full(3))
+    @cached_property
+    def _fields(self) -> tuple[np.ndarray, ...]:
+        return self.columns(0, self.T)
+
+    virtual = property(lambda self: self._fields[0])
+    candidates = property(lambda self: self._fields[1])
+    played = property(lambda self: self._fields[2])
+    actual_states = property(lambda self: self._fields[3])
 
     def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
         """``virtual``, ``candidates``, ``played`` and ``actual_states`` at
@@ -227,17 +237,6 @@ class PlannerRuns:
             return tuple(w[..., a:b] for w in self.window)
         cols = _window_columns(self.period, W, a, b)
         return tuple(self._copy_out(i, a, b, cols) for i in range(4))
-
-    def _full(self, i: int) -> np.ndarray:
-        """Window array i over all T rounds."""
-        if self.window[i].shape[2] == self.T:
-            return self.window[i]
-        return self._copy_out(i, 0, self.T, self._all_columns)
-
-    @cached_property
-    def _all_columns(self) -> np.ndarray:
-        """The (S, T) int32 window columns that the full reads share."""
-        return _window_columns(self.period, self.window[0].shape[2], 0, self.T)
 
     def _copy_out(self, i: int, a: int, b: int, cols: np.ndarray) -> np.ndarray:
         """Window array i at rounds a+1..b, b > W, by the (S, b - a) window
@@ -253,6 +252,7 @@ class PlannerRuns:
             idle = ~self.window[2].any(axis=2)
             for s in np.flatnonzero(idle.any(axis=1)):
                 out[s, idle[s], lo - a:] = window[s, idle[s], W - 1:] + rest
+        out.flags.writeable = False
         return out
 
 
@@ -264,16 +264,19 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     at +1: there an arm without an interval holds nu = 0 below its positive
     actual state, so it never counts.
 
-    Runs go in blocks of about _CHUNK_CELLS (run, arm, round) cells, so the
-    difference is never built for all runs at once; a ``planner_runs``
-    chunk's window is one block.
+    It reads ``runs.window`` alone, for ``tau_max`` up to the one of the
+    instance the runs were computed for: past column W, run s copies
+    columns from W - P_s >= tau_max on, and an arm that never plays only
+    grows its actual state. Runs go in blocks of about _CHUNK_CELLS (run,
+    arm, window column) cells, and a ``planner_runs`` chunk is one block.
     """
-    S, n = runs.window[0].shape[:2]
-    per = max(1, _CHUNK_CELLS // max(1, n * runs.T))
+    virtual, actual = runs.window[0], runs.window[3]
+    S, n, W = virtual.shape
+    per = max(1, _CHUNK_CELLS // max(1, n * W))
     margin = 0
     for lo in range(0, S, per):
-        gap = runs.actual_states[lo:lo + per] - runs.virtual[lo:lo + per]
-        margin = min(margin, int(gap[..., tau_max - 1:].min(initial=0)))
+        gap = actual[lo:lo + per, :, tau_max - 1:] - virtual[lo:lo + per, :, tau_max - 1:]
+        margin = min(margin, int(gap.min(initial=0)))
         del gap  # before the next block's
     return margin
 
@@ -319,10 +322,11 @@ def run_planner(
     every per-cell quantity (virtual states, candidates, plays, the budget
     check, actual states, both payoffs and the domination check) is computed
     over the first W = min(T, max(2P + 1, tau_max + P)) columns only, which
-    hold a whole period past column max(P_s, tau_max - 1); ``_repeat`` then
-    copies the payoff series out to T columns and leaves the (S, n, T)
-    arrays to be built when read (see ``PlannerRuns``). The result is
-    bit-identical to computing every (run, arm, round) cell.
+    hold a whole period past column max(P_s, tau_max - 1). The payoff series
+    are then copied out to T columns here, and the (S, n, T) arrays are
+    built from the window when read (see ``PlannerRuns``). The result is
+    bit-identical to computing every (run, arm, round) cell, and every
+    array in it is read-only.
 
     Raises ModelError, before allocating, unless T is an integer >= 0, the
     plan has the instance's arm count, interval bounds u up to tau_max and at
@@ -362,39 +366,29 @@ def run_planner(
         played = np.zeros_like(cand)  # top k, ties to the lowest arm
         np.put_along_axis(played, order[:, :instance.k], True, axis=1)
         played &= cand
-    else:  # every candidate fits the budget; a copy, so no two fields share memory
-        played = cand.copy()
+    else:  # every candidate fits the budget
+        played = cand
     most = int(played.sum(axis=1).max(initial=0))
     if most > instance.k:
         raise PlannerError(f"{most} arms played in a round, budget is {instance.k}")
 
     actual = states_from_actions(played.reshape(S * n, W), init).reshape(S, n, W)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
-    runs = PlannerRuns(
-        window=(virtual, cand, played, actual),
-        period=np.array(period),
-        T=W,
-        virtual_payoff=np.where(played, selp, 0.0).sum(axis=1),
-        actual_payoff=np.where(played, actual_p, 0.0).sum(axis=1),
-    )
+    payoffs = np.where(played, selp, 0.0).sum(axis=1), np.where(played, actual_p, 0.0).sum(axis=1)
+    period = np.array(period)
+    if W < T:
+        payoffs = stretch(period, T, *payoffs)
+    for a in (virtual, cand, played, actual, period, *payoffs):
+        a.flags.writeable = False
+    runs = PlannerRuns(window=(virtual, cand, played, actual), period=period, T=T,
+                       virtual_payoff=payoffs[0], actual_payoff=payoffs[1])
     if init is None or (init == 1).all():
         margin = domination_margin(runs, instance.tau_max)
         if margin < 0:
             raise PlannerError(
                 f"actual state {-margin} below virtual state after round {instance.tau_max}"
             )
-    return runs if W == T else _repeat(runs, T)
-
-
-def _repeat(runs: PlannerRuns, T: int) -> PlannerRuns:
-    """``runs`` of W rounds stretched to T > W rounds, where W - P_s >
-    max(P_s, tau_max - 1) for every run s: the payoff series are copied out
-    here, column t >= W of run s from column W - P_s + (t - W) mod P_s, and
-    the four (S, n, T) arrays are built from the same window when read."""
-    S, W = runs.virtual_payoff.shape
-    row = _window_columns(runs.period, W, 0, T) + W * np.arange(S)[:, None]
-    return replace(runs, T=T, virtual_payoff=runs.virtual_payoff.ravel().take(row),
-                   actual_payoff=runs.actual_payoff.ravel().take(row))
+    return runs
 
 
 def planner_runs(

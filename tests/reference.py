@@ -377,6 +377,13 @@ def write_trace(path, runs: PlannerRuns) -> None:
             f.write(",".join(row) + "\n")
 
 
+def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
+    """min(0, min of tau - nu over the full (S, n, T) fields from round
+    tau_max >= 1 on)."""
+    gap = runs.actual_states[..., tau_max - 1:] - runs.virtual[..., tau_max - 1:]
+    return int(gap.min(initial=0))
+
+
 def step_planner(state: PlannerState, model) -> tuple[frozenset[int], PlannerState]:
     """Advance every virtual state one cycle step, then play the top-k
     candidates ranked by the model's payoff at the virtual state (ties to

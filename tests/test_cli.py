@@ -506,6 +506,27 @@ def test_gen_refuses_oversized_random_instance(tmp_path, capsys, monkeypatch, no
     assert not (tmp_path / "i.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "4000000", "--tau-max", "3", "--tau-min", "3"],
+     "need tau_min < 0 < tau_max, got [3, 3]"),
+    (["--tau-max", "2", "--tau-min", "3"], "need tau_min < 0 < tau_max, got [3, 2]"),
+    (["--n", "0"], "instance needs at least one arm"),
+])
+def test_gen_random_refuses_bad_shape_before_building_rows(tmp_path, capsys, flags, message):
+    # tau_max <= tau_min makes the cell count 0 or negative: unchecked, the
+    # first case built 4 million rows (10 s, 677 MB) before Instance refused
+    # them, and the second failed inside numpy
+    tracemalloc.start()
+    try:
+        code = run(["gen", "random", *flags, "--out", str(tmp_path / "i.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert _stderr_lines(capsys) == [f"error: {message}"]
+    assert not (tmp_path / "i.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["gen", "random"],
     ["plan", "--instance", "{inst}"],

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -32,6 +32,7 @@ from mlsd.model import Instance, ModelError, PayoffTable, random_instance, trans
 from mlsd.planner import (
     Plan,
     PlannerError,
+    PlannerRuns,
     domination_margin,
     plan_from_dict,
     planner_runs,
@@ -39,6 +40,7 @@ from mlsd.planner import (
     run_planner,
     simulate_planner,
     states_from_actions,
+    stretch,
 )
 from mlsd.rng import stream
 
@@ -574,7 +576,7 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
     # selection mass; blocks split T at random cuts, plus one that straddles
     # the kernel's width W; every block of the four (S, n, T) arrays is read
     # before and after the six full fields, which must match the scalar twin
-    # bit for bit
+    # bit for bit, and so must the stretched per-round counts
     if isinstance(source, str):
         inst, plan = _BOUNDARY_CASES[source]
     else:
@@ -608,6 +610,10 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
             whole = getattr(runs, name)[..., a:b]
             _same_bits(got, whole, name)
             _same_bits(got_again, whole, name)
+    # per-round counts of the window, stretched out to T as the fields are
+    stretched = stretch(runs.period, T, *(w.sum(axis=1) for w in runs.window[1:3]))
+    for name, got in zip(("candidates", "played"), stretched, strict=True):
+        _same_bits(got, getattr(runs, name).sum(axis=1), name)
 
 
 def test_payoff_reads_build_no_full_array():
@@ -723,21 +729,19 @@ def test_full_reads_hold_no_per_cell_index():
 
 
 @pytest.mark.parametrize("T", [3, 40])
-def test_fields_share_no_memory(T):
+def test_fields_are_read_only(T):
     # k = n plays every candidate; the one-arm run of period 3 computes all
-    # of T = 3 rounds, and 7 columns of T = 40
+    # of T = 3 rounds, and 7 columns of T = 40; a block inside the window is
+    # a view of it, one past it a copy, and neither takes a write
     runs = run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]), T)
-    assert runs.window[0].shape[2] == {3: 3, 40: 7}[T]
-    fields = [getattr(runs, name) for name in _SIX_FIELDS]
-    for (i, a), (j, b) in itertools.combinations(enumerate(fields), 2):
-        assert not np.shares_memory(a, b), (_SIX_FIELDS[i], _SIX_FIELDS[j])
-    candidates = runs.candidates.copy()
-    assert np.array_equal(runs.played, candidates)
-    runs.played[...] = ~runs.played
-    block = runs.columns(0, 2)
-    block[2][...] = ~block[2]
-    assert np.array_equal(runs.candidates, candidates)
-    assert np.array_equal(runs.columns(0, 2)[1], candidates[..., :2])
+    W = runs.window[0].shape[2]
+    assert W == {3: 3, 40: 7}[T]
+    blocks = [*runs.columns(0, 2), *runs.columns(W - 1, T)]
+    arrays = [getattr(runs, name) for name in _SIX_FIELDS] + [*runs.window, runs.period, *blocks]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., :1] = 0
+    assert np.array_equal(runs.played, runs.candidates)
 
 
 def _spy_chunks(monkeypatch) -> list:
@@ -845,9 +849,39 @@ def test_domination_margin_spans_every_run_and_ignores_unsampled_arms():
     idle = runs.virtual == 0  # arms without an interval
     assert idle.any() and (runs.actual_states[idle] > 0).all()
     assert domination_margin(runs, inst.tau_max) == 0
-    runs.actual_states[3, 2, 19] = runs.virtual[3, 2, 19] - 2  # last run, arm and round
-    assert domination_margin(runs, inst.tau_max) == -2
-    assert domination_margin(runs, 21) == 0  # no round from tau_max on
+    W = runs.window[0].shape[2]
+    lowered = _lowered(runs, (3, 2, W - 1), 2)  # last run and arm, last window column
+    assert domination_margin(lowered, inst.tau_max) == -2
+    assert domination_margin(lowered, 21) == 0  # no round from tau_max on
+
+
+def _lowered(runs: PlannerRuns, cell: tuple, by: int) -> PlannerRuns:
+    """``runs`` with the actual state at (run, arm, window column) ``cell``
+    set ``by`` below its virtual state, from a writable copy of the window."""
+    window = [w.copy() for w in runs.window]
+    window[3][cell] = window[0][cell] - by
+    return dataclasses.replace(runs, window=tuple(window))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(1, 120), S=st.integers(1, 4),
+       signed=st.booleans())
+def test_window_margin_matches_full_fields(seed, T, S, signed):
+    # random 1-4 arm instances at half their selection mass, so some arms
+    # draw no interval; signed init states let the margin go negative. The
+    # margin read from the window equals the one over the full fields for
+    # every round up to tau_max, or every round when the window is all T
+    inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -1 - seed % 3))
+    thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    rng = stream(seed, "misc")
+    init = None
+    if signed:
+        init = [int(x) for x in rng.choice([-1, 1], inst.n) * rng.integers(1, 6, inst.n)]
+    runs = run_planner(inst, round_intervals(thin, range(seed, seed + S)), T, init_states=init)
+    last = T + 1 if runs.window[0].shape[2] == T else inst.tau_max
+    for t in range(1, last + 1):
+        assert domination_margin(runs, t) == reference.domination_margin(runs, t), t
 
 
 def test_run_size_cap_boundary(monkeypatch):
@@ -895,10 +929,10 @@ def test_domination_margin_holds_one_block_of_runs(monkeypatch):
         tracemalloc.stop()
     block = 8 * (planner._CHUNK_CELLS + np.getbufsize())
     assert peak <= block + 2**12 < full // 4, f"peaked at {peak} B"
-    # blocks of one run still reach the last run, arm and round
-    runs.actual_states[49, 3, 499] = runs.virtual[49, 3, 499] - 3
-    monkeypatch.setattr(planner, "_CHUNK_CELLS", 4 * 500)
-    assert domination_margin(runs, inst.tau_max) == -3
+    # blocks of one run still reach the last run, arm and window column
+    W = runs.window[0].shape[2]
+    monkeypatch.setattr(planner, "_CHUNK_CELLS", 4 * W)
+    assert domination_margin(_lowered(runs, (49, 3, W - 1), 3), inst.tau_max) == -3
 
 
 def test_rounding_batches_from_the_threshold(monkeypatch):
