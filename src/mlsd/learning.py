@@ -178,16 +178,25 @@ def estimate_payoffs(
 
 @dataclass
 class EtcResult:
-    T: int
     config: EtcConfig
     exploration_length: int
     realized_total: float      # R(T): payoff actually collected
     mean_total: float          # same trajectory scored by true means
     planner_total: float       # full-information planner on the same streams
-    regret_vs_planner: float   # planner_total - realized_total
     benchmark_total: Optional[float] = None
-    regret: Optional[float] = None  # benchmark_total - realized_total
     min_sample_count: int = 0
+
+    @property
+    def T(self) -> int:
+        return self.config.T
+
+    @property
+    def regret_vs_planner(self) -> float:
+        return self.planner_total - self.realized_total
+
+    @property
+    def regret(self) -> Optional[float]:
+        return None if self.benchmark_total is None else self.benchmark_total - self.realized_total
 
 
 def etc_run(
@@ -233,20 +242,9 @@ def etc_run(
     full_info = solve_lp(build_lp(instance, cfg.tau_L))
     fi_trace = simulate_planner(instance, full_info, T, seed)
     planner_total = float(fi_trace.actual_payoff.sum())
-
-    regret = None if benchmark_total is None else benchmark_total - realized_total
-    return EtcResult(
-        T=T,
-        config=cfg,
-        exploration_length=rounds,
-        realized_total=realized_total,
-        mean_total=mean_total,
-        planner_total=planner_total,
-        regret_vs_planner=planner_total - realized_total,
-        benchmark_total=benchmark_total,
-        regret=regret,
-        min_sample_count=int(expl.counts.min()),
-    )
+    return EtcResult(config=cfg, exploration_length=rounds, realized_total=realized_total,
+                     mean_total=mean_total, planner_total=planner_total,
+                     benchmark_total=benchmark_total, min_sample_count=int(expl.counts.min()))
 
 
 @dataclass

@@ -23,23 +23,21 @@ import numpy as np
 from .intervals import aggregated_payoff, interval_grid
 from .model import ModelError, PayoffTable, require_int
 
-_MAX_CELLS = 2**27  # A_ub entries plus objective terms build_lp may hold at once
+_MAX_CELLS = 2**27  # a_ub entries plus objective terms one relaxation may take
 _FEASIBLE_TOL = 1e-8  # largest violation check_feasible accepts
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense description of the relaxation for one instance and cutoff tau_L,
-    its variables in ``interval_grid`` order within each arm. ``solve_lp``
-    reads the objective, not the dense rows ``a_ub`` and ``b_ub``."""
+    """The relaxation for one instance and cutoff tau_L: its shape and its
+    objective, the variables in ``interval_grid`` order within each arm. The
+    constraint rows follow from the shape; ``a_ub`` builds them on read."""
 
     n: int
     k: int
     tau_max: int
     tau_L: int
     objective: np.ndarray  # (num_vars,) per-cycle payoffs q_i(u, l)
-    a_ub: np.ndarray       # (1 + n, num_vars) budget row then per-arm rows
-    b_ub: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -48,6 +46,18 @@ class LpProblem:
     @property
     def num_vars(self) -> int:
         return self.n * self.tau_max * self.depth
+
+    @property
+    def a_ub(self) -> np.ndarray:
+        """The (1 + n, num_vars) rows, budget then per arm, built on each read
+        for the benchmark gate and the tests; ``solve_lp`` never reads them."""
+        n = self.n
+        u, l = interval_grid(self.tau_max, self.depth)
+        a = np.zeros((1 + n, n * u.size))
+        a[0] = np.tile(-l, n)  # plays per cycle
+        # arm i's packing row covers its own tau_max * depth variables only
+        a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = u - l  # cycle length
+        return a
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ def check_lp_size(n: int, tau_max: int, tau_L: int) -> None:
     relaxation of n arms up to tau_max holds at most _MAX_CELLS."""
     require_int("tau_L", tau_L, most=-1)
     num_vars = n * tau_max * -tau_L
-    # (1 + n) rows of A_ub plus up to depth terms per objective entry
+    # (1 + n) rows of a_ub plus up to depth terms per objective entry
     if num_vars * (1 + n - tau_L) > _MAX_CELLS:
         raise ModelError(
             f"the relaxation with n={n}, tau_max={tau_max}, tau_L={tau_L} has "
@@ -84,25 +94,16 @@ def check_lp_size(n: int, tau_max: int, tau_L: int) -> None:
 
 
 def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
-    """Assemble objective and constraint rows for ``table``.
+    """The shape and objective of ``table``'s relaxation; no rows are stored.
 
     True instances and estimated or perturbed tables all qualify; the
     latter may be non-monotone, which is fine here. Raises ModelError, before
     allocating anything, when the dense program is larger than _MAX_CELLS.
     """
-    n, tau_max = table.n, table.tau_max
-    check_lp_size(n, tau_max, tau_L)
-    u, l = interval_grid(tau_max, -tau_L)
-    a = np.zeros((1 + n, n * u.size))
-    a[0] = np.tile(-l, n)  # plays per cycle
-    # arm i's packing row covers its own tau_max * depth variables only
-    a[1:].reshape(n, n, -1)[np.arange(n), np.arange(n)] = u - l  # cycle length
-    b = np.ones(1 + n)
-    b[0] = table.k
-    return LpProblem(
-        n=n, k=table.k, tau_max=tau_max, tau_L=tau_L,
-        objective=aggregated_payoff(table, u, l).ravel(), a_ub=a, b_ub=b,
-    )
+    check_lp_size(table.n, table.tau_max, tau_L)
+    u, l = interval_grid(table.tau_max, -tau_L)
+    return LpProblem(n=table.n, k=table.k, tau_max=table.tau_max, tau_L=tau_L,
+                     objective=aggregated_payoff(table, u, l).ravel())
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

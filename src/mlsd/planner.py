@@ -270,6 +270,7 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     grows its actual state. Runs go in blocks of about _CHUNK_CELLS (run,
     arm, window column) cells, and a ``planner_runs`` chunk is one block.
     """
+    require_int("tau_max", tau_max, least=1)
     virtual, actual = runs.window[0], runs.window[3]
     S, n, W = virtual.shape
     per = max(1, _CHUNK_CELLS // max(1, n * W))

@@ -146,7 +146,25 @@ def aggregated_payoff(table: PayoffTable, arm: int, interval: RecurrentInterval)
     return total
 
 
-def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
+@dataclass(frozen=True)
+class DenseLp:
+    """The relaxation as a dense program: maximize objective . x subject to
+    a_ub x <= b_ub and x >= 0, the variables in ``interval_grid`` order."""
+
+    n: int
+    k: int
+    tau_max: int
+    tau_L: int
+    objective: np.ndarray
+    a_ub: np.ndarray  # (1 + n, num_vars) budget row then per-arm rows
+    b_ub: np.ndarray  # k, then 1 per arm
+
+    @property
+    def depth(self) -> int:
+        return -self.tau_L
+
+
+def build_lp(table: PayoffTable, tau_L: int) -> DenseLp:
     """The relaxation filled one variable at a time."""
     n, k, tau_max = table.n, table.k, table.tau_max
     depth = -tau_L
@@ -165,16 +183,14 @@ def build_lp(table: PayoffTable, tau_L: int) -> LpProblem:
                 a[0, idx] = -l
                 a[1 + i, idx] = u - l
                 idx += 1
-    return LpProblem(
-        n=n, k=k, tau_max=tau_max, tau_L=tau_L, objective=c, a_ub=a, b_ub=b
-    )
+    return DenseLp(n=n, k=k, tau_max=tau_max, tau_L=tau_L, objective=c, a_ub=a, b_ub=b)
 
 
 class HighsError(RuntimeError):
     """HiGHS ended without an optimal solution."""
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: DenseLp) -> LpSolution:
     """Maximize the dense program ``a_ub``, ``b_ub`` with HiGHS: the
     general-purpose twin of the greedy ``lp.solve_lp``."""
     res = linprog(

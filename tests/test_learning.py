@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,17 @@ def test_etc_literal_regret_negative_on_step_instance():
     bench = 0.75 * gamma_k(1) * opt
     res = etc_run(inst, T, 0.25, seed=4, benchmark_total=bench)
     assert res.regret is not None and res.regret < 0
+
+
+def test_etc_result_derives_T_and_regrets():
+    inst = make_step_instance()
+    res = etc_run(inst, 700, 0.25, seed=11, benchmark_total=300.0)
+    assert res.T == res.config.T == 700
+    assert res.regret_vs_planner == res.planner_total - res.realized_total
+    assert res.regret == 300.0 - res.realized_total
+    assert dataclasses.replace(res, benchmark_total=None).regret is None
+    with pytest.raises(AttributeError):
+        res.regret = 0.0
 
 
 def test_robustness_zero_eta_zero_gap():

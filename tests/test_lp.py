@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -204,7 +205,27 @@ def test_build_lp_matches_scalar_twin(seed, n, tau_max, tau_min, tau_L, monotone
     assert (fast.n, fast.k, fast.tau_max, fast.tau_L) == (slow.n, slow.k, slow.tau_max, slow.tau_L)
     assert [x.hex() for x in fast.objective.tolist()] == [x.hex() for x in slow.objective.tolist()]
     assert np.array_equal(fast.a_ub, slow.a_ub)
-    assert np.array_equal(fast.b_ub, slow.b_ub)
+
+
+def test_lp_problem_is_shape_and_objective():
+    assert [f.name for f in dataclasses.fields(lp.LpProblem)] == [
+        "n", "k", "tau_max", "tau_L", "objective"
+    ]
+
+
+def test_build_lp_stores_no_dense_rows():
+    # plan-sized: the (1 + n, num_vars) rows would take 101 * 4000 float64, 3.1 MiB
+    table = payoff_table(2701, 100, 10, -4, "random", True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prob = build_lp(table, -4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert prob.num_vars == 4000
+    assert peak < 2**20, f"build_lp peaked at {peak / 2**20:.2f} MiB"
+    assert prob.a_ub.shape == (101, 4000)  # derived on read
 
 
 def test_build_lp_makes_one_aggregated_payoff_call():
@@ -215,8 +236,8 @@ def test_build_lp_makes_one_aggregated_payoff_call():
 
 def test_solver_failure_names_highs_status():
     # nothing bounds x: the HiGHS reference solver reports the program unbounded
-    prob = lp.LpProblem(n=1, k=1, tau_max=1, tau_L=-1, objective=np.ones(1),
-                        a_ub=np.zeros((2, 1)), b_ub=np.ones(2))
+    prob = reference.DenseLp(n=1, k=1, tau_max=1, tau_L=-1, objective=np.ones(1),
+                             a_ub=np.zeros((2, 1)), b_ub=np.ones(2))
     with pytest.raises(reference.HighsError, match=r"^HiGHS status 3: .*unbounded"):
         reference.solve_lp(prob)
 
@@ -240,7 +261,11 @@ def test_greedy_matches_highs_reference(seed, n, tau_max, tau_min, tau_L, monoto
     spread = np.count_nonzero(sol.x.reshape(n, -1) > 0.0, axis=1)
     assert spread.max() <= 2 and np.count_nonzero(spread == 2) <= 1
     # deterministic, and blind to the dense rows
-    again = solve_lp(dataclasses.replace(prob, a_ub=None, b_ub=None))
+    def refuse(self):
+        raise AssertionError("solve_lp read a_ub")
+
+    with mock.patch.object(lp.LpProblem, "a_ub", property(refuse)):
+        again = solve_lp(prob)
     assert again.x.tobytes() == sol.x.tobytes()
     assert again.objective == sol.objective
 

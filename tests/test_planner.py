@@ -855,6 +855,16 @@ def test_domination_margin_spans_every_run_and_ignores_unsampled_arms():
     assert domination_margin(lowered, 21) == 0  # no round from tau_max on
 
 
+def test_domination_margin_refuses_rounds_before_the_first():
+    # gaps [-6, -5, -5, 0, 0, 0] over rounds 1..6; a tau_max below 1 names no round
+    inst = make_step_instance()
+    runs = simulate_planner(inst, solve_lp(build_lp(inst, -2)), 6, 0, init_states=[-5])
+    assert domination_margin(runs, 1) == -6
+    for tau_max in (0, -3):
+        with pytest.raises(ModelError, match=f"tau_max must be >= 1, got {tau_max}"):
+            domination_margin(runs, tau_max)
+
+
 def _lowered(runs: PlannerRuns, cell: tuple, by: int) -> PlannerRuns:
     """``runs`` with the actual state at (run, arm, window column) ``cell``
     set ``by`` below its virtual state, from a writable copy of the window."""
