@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -53,6 +54,14 @@ def _arm_sets(members: np.ndarray) -> list[str]:
     names = np.array([str(i) for i in range(members.shape[0])], dtype=object)[arms].tolist()
     ends = np.cumsum(np.count_nonzero(members, axis=0)).tolist()
     return [";".join(names[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+_BLOCK_CELLS = 2**14  # (arm, round) cells a CSV writer formats at a time
+
+
+def _numbered(a: int, rows: list[str]) -> str:
+    """CSV lines of rounds a+1, a+2, ...: each row led by its round."""
+    return "".join([f"{t},{row}\n" for t, row in enumerate(rows, a + 1)])
 
 
 def _write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -106,31 +115,48 @@ def cmd_plan(args) -> int:
     return 0
 
 
-_BLOCK_CELLS = 2**14  # (arm, round) cells the trace writer formats at a time
-
-
 def _write_trace(path, runs: planner.PlannerRuns) -> None:
-    """Run 0 as CSV, one row per round, formatted column-wise in blocks of
-    rounds read one at a time with ``runs.columns``; ``nu_i`` is blank for
-    an arm without an interval (state 0)."""
+    """Run 0 as CSV, one row per round; ``nu_i`` is blank for an arm
+    without an interval (state 0).
+
+    Rows are formatted column-wise in blocks of rounds read with
+    ``runs.columns``, over the window's W columns first, then over the
+    rest. Past the window, round t copies every printed field of window
+    column W - P + (t - W) mod P, P = ``runs.period[0]`` (the actual state
+    of an arm that never plays is not printed, and it pays 0). So when
+    P·n <= _BLOCK_CELLS the writer keeps the text of the window's last P
+    rows and writes each later row from it; a longer period formats its
+    tail block by block like the window."""
     n, T = runs.n, runs.T
+    W, P = runs.window[0].shape[2], int(runs.period[0])
     header = ["t"] + [f"nu_{i}" for i in range(n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
     step = max(1, _BLOCK_CELLS // n)
+    period = [] if W < T and P * n <= _BLOCK_CELLS else None  # rows W-P+1..W, no round
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for a in range(0, T, step):
-            b = min(a + step, T)
-            virtual, candidates, played, _ = runs.columns(a, b)
-            cells = np.empty((b - a, n + 5), dtype=object)
-            cells[:, 0] = [str(t) for t in range(a + 1, b + 1)]
-            cells[:, 1:-4] = _state_labels(virtual[0]).T
-            cells[:, -4] = _arm_sets(candidates[0])
-            cells[:, -3] = _arm_sets(played[0])
-            cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)
-            cells[:, -1] = _labels(runs.actual_payoff[0, a:b], _fmt)
-            f.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
+        for a in itertools.chain(range(0, W, step), range(W, T, step)):
+            b = min(a + step, W if a < W else T)
+            if period is not None and a >= W:
+                rows = [period[(c - W) % P] for c in range(a, b)]
+            else:
+                rows = _trace_rows(runs, a, b)
+                if period is not None:
+                    period += rows[max(0, W - P - a):]
+            f.write(_numbered(a, rows))
+
+
+def _trace_rows(runs: planner.PlannerRuns, a: int, b: int) -> list[str]:
+    """Run 0's rows at rounds a+1..b, without the round number."""
+    virtual, candidates, played, _ = runs.columns(a, b)
+    cells = np.empty((b - a, runs.n + 4), dtype=object)
+    cells[:, :-4] = _state_labels(virtual[0]).T
+    cells[:, -4] = _arm_sets(candidates[0])
+    cells[:, -3] = _arm_sets(played[0])
+    cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)
+    cells[:, -1] = _labels(runs.actual_payoff[0, a:b], _fmt)
+    return [",".join(row) for row in cells.tolist()]
 
 
 def cmd_simulate(args) -> int:
@@ -153,9 +179,12 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     instance = model.load_instance(args.instance)
     value, schedule = oracle.dp_optimal(instance, args.T, budget=args.budget)
-    if args.out:
-        rows = zip(map(str, range(1, args.T + 1)), _arm_sets(schedule))
-        _write_csv(args.out, ["t", "played"], rows)
+    if args.out:  # in blocks of rounds, like the trace
+        step = max(1, _BLOCK_CELLS // instance.n)
+        with open(args.out, "w") as f:
+            f.write("t,played\n")
+            for a in range(0, args.T, step):
+                f.write(_numbered(a, _arm_sets(schedule[:, a:a + step])))
     print(f"OPT={_fmt(value)}")
     return 0
 

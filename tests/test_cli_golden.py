@@ -42,6 +42,12 @@ COMMANDS = [
      "--out", "inst60.json"],
     ["simulate", "--instance", "inst60.json", "--epsilon", "0.25", "--T", "500",
      "--out", "trace-60.csv"],
+    # a windowed plan-sized run: 100 arms, W = 221 rounds of 2000 and joint
+    # period P = 110, whose P·n = 11,000 cells the writer formats once
+    ["gen", "random", "--n", "100", "--k", "5", "--tau-max", "10", "--tau-min", "-4",
+     "--out", "inst100.json"],
+    ["simulate", "--instance", "inst100.json", "--epsilon", "0.25", "--T", "2000",
+     "--out", "trace-100.csv"],
     ["oracle", "--instance", "inst.json", "--T", "8", "--out", "schedule.csv"],
     # 6 (action, state) cells, against inst.json's 500
     ["oracle", "--instance", "c2.json", "--T", "9", "--out", "schedule-c2.csv"],
@@ -73,6 +79,7 @@ GOLDEN = {
     "c1.json": "92c2776daa848bbd259f1d6da27a36fbb30f554641aae987c4895149419ebf17",
     "c2.json": "99300b3385b4bdad8fb7e99ce4000c3388efbcb33e07422ab76a35008e908b28",
     "inst.json": "07e0419365d787d52a262e229422cfa30f44f933eabfb269f4fc4e5cfeb137fd",
+    "inst100.json": "940beaf6712425a1ce0786f7d000cf05545284b9a3a217694c983372d89c4fd2",
     "inst60.json": "ebf9806ca0f6e24c1fb0e00416165eb8c46f668b46baa8426f94b915ed64927b",
     "inst8.json": "d748ef39c52e32a598dabc79c38c72570e3239ec765139de7bbee4a2aa01b854",
     "plan.json": "a6a15939c382107b94dd9933c1895a935e44379464824dc8ef168264836bf930",
@@ -90,6 +97,7 @@ GOLDEN = {
     "solution.json": "59a481ebd127e369a76d62a1a678cc10e71382028617d4df588473d23627ff24",
     "tightness.csv": "808078a101b842d3b03ab4d10bae0db274a84bd53533efa98a3928b078af1663",
     "tightness.json": "75902edbf23a8d13e0a75db0db8597ab19d009292c2b93aa626b349d8e81119b",
+    "trace-100.csv": "1874f935b75cf0ebe43b7c916d27be9d807769b297bc5345f622d1dd1f8b3a55",
     "trace-60.csv": "c465ffddce1005d005eade982cba0e488ee40f612f5efb0f840e22ecb42efdeb",
     "trace-edge.csv": "cc15cca32109516b0bc31e8894e66440b97685f53a41bbd35fbda6a0fc770ed7",
     "trace-plan.csv": "1acce1043b605bae98ba054e15d03c3ee84b4f4bf021a1d129f4e977398fd875",
@@ -107,6 +115,8 @@ STDOUT = {
     "trace-edge.csv": "T=300 mean_virtual=1.380732434 mean_actual=1.38137626763\n",
     "inst60.json": "wrote inst60.json (n=60, k=5, tau_max=10, tau_min=-4)\n",
     "trace-60.csv": "T=500 mean_virtual=4.14287585785 mean_actual=4.1198466264\n",
+    "inst100.json": "wrote inst100.json (n=100, k=5, tau_max=10, tau_min=-4)\n",
+    "trace-100.csv": "T=2000 mean_virtual=4.18009142625 mean_actual=4.17422760501\n",
     "schedule.csv": "OPT=5.99082093179\n",
     "schedule-c2.csv": "OPT=6\n",
     "schedule-c2-long.csv": "OPT=66667\n",

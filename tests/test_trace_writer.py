@@ -1,6 +1,8 @@
 """The column-wise trace writer of ``mlsd simulate`` against its row-wise
 twin in ``tests/reference.py``: the same bytes for any planner run, in any
-number of blocks, and a peak memory set by the block, not by the trace."""
+number of blocks, with or without rows past the planner's window, and a
+peak memory and formatting work set by the block and the window, not by
+the trace."""
 
 import contextlib
 import io
@@ -128,3 +130,69 @@ def test_writer_memory_is_set_by_the_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"writer peaked at {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 8),
+    k_frac=st.floats(0.0, 1.0),
+    tau_max=st.integers(1, 4),
+    tau_min=st.integers(-3, -1),
+    T=st.integers(1, 400),
+    block=st.sampled_from([1, 7, 64, 2**14]),
+    case=st.none(),
+)
+# W = 25, P = 12: rows past the window reuse its last period's text ...
+@example(seed=1, n=8, k_frac=0.5, tau_max=3, tau_min=-2, T=400, block=2**14, case="reuse")
+# ... or are formatted, when the period holds more cells than a block
+@example(seed=1, n=8, k_frac=0.5, tau_max=3, tau_min=-2, T=400, block=64, case="format")
+# blocks of 21 rounds: the window ends 4 rounds into its second block, and
+# the reused period's rows come from both
+@example(seed=5, n=3, k_frac=0.5, tau_max=3, tau_min=-2, T=200, block=64, case="mid-block")
+@example(seed=1, n=8, k_frac=0.5, tau_max=3, tau_min=-2, T=20, block=64, case="whole")
+def test_writer_matches_twin_on_windowed_runs(tmp_path_factory, seed, n, k_frac, tau_max,
+                                              tau_min, T, block, case):
+    # a real planner run, which keeps only its window of W columns when its
+    # joint period P is short enough
+    k = 1 + int(k_frac * (n - 1))
+    instance = model.random_instance(n, k, tau_max, tau_min, np.random.default_rng(seed))
+    solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(0.25)))
+    runs = planner.simulate_planner(instance, solution, T, seed)
+    W, P = runs.window[0].shape[2], int(runs.period[0])
+    if case == "whole":
+        assert W == T
+    elif case is not None:
+        assert W < T and (P * n <= block) == (case != "format")
+    if case == "mid-block":
+        step = block // n
+        assert W - P < W - W % step < W
+    d = tmp_path_factory.mktemp("trace")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_CELLS", block)
+        got = written(cli._write_trace, d / "new.csv", runs)
+    assert got == written(ref.write_trace, d / "ref.csv", runs)
+
+
+def test_formatting_work_is_set_by_the_window(tmp_path, monkeypatch):
+    # The memory test's run (W = 23, P = 11) formats its window once and
+    # writes every later round from its last period's text, whatever T is.
+    instance = model.random_instance(100, 5, 10, -4, np.random.default_rng(3))
+    solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(0.1)))
+    calls = []
+
+    def counted(members):
+        calls.append(members.shape[1])
+        return arm_sets(members)
+
+    arm_sets = cli._arm_sets
+    monkeypatch.setattr(cli, "_arm_sets", counted)
+    counts = []
+    for T in (20000, 80000):
+        runs = planner.simulate_planner(instance, solution, T, 7)
+        assert (runs.window[0].shape[2], int(runs.period[0])) == (23, 11)
+        calls.clear()
+        cli._write_trace(tmp_path / "trace.csv", runs)
+        assert sum(calls) == 2 * 23  # candidates and played, window columns only
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
