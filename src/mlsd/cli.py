@@ -122,8 +122,7 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
     Rows are formatted column-wise in blocks of rounds read with
     ``runs.columns``, over the window's W columns first, then over the
     rest. Past the window, round t copies every printed field of window
-    column W - P + (t - W) mod P, P = ``runs.period[0]`` (the actual state
-    of an arm that never plays is not printed, and it pays 0). So when
+    column W - P + (t - W) mod P, P = ``runs.period[0]``. So when
     P·n <= _BLOCK_CELLS the writer keeps the text of the window's last P
     rows and writes each later row from it; a longer period formats its
     tail block by block like the window."""
@@ -149,7 +148,7 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
 
 def _trace_rows(runs: planner.PlannerRuns, a: int, b: int) -> list[str]:
     """Run 0's rows at rounds a+1..b, without the round number."""
-    virtual, candidates, played, _ = runs.columns(a, b)
+    virtual, candidates, played = runs.columns(a, b)
     cells = np.empty((b - a, runs.n + 4), dtype=object)
     cells[:, :-4] = _state_labels(virtual[0]).T
     cells[:, -4] = _arm_sets(candidates[0])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
-from .planner import planner_runs, simulate_planner, states_from_actions
+from .planner import planner_runs, simulate_planner, states_from_actions, stretch
 from .rng import seed_range, stream
 
 
@@ -209,6 +209,11 @@ def etc_run(
     """Explore, estimate, and commit; also runs the full-information planner
     on the same random streams as a paired reference.
 
+    The reference, the larger planner run, goes first, so a horizon past the
+    planner's cap is refused before the exploration is built. The commit
+    draws one uniform per (arm, round) cell and is scored on its run's
+    window, without the run's full fields.
+
     ``benchmark_total`` is the scaled optimum (1-eps) * gamma_k * OPT(T) when
     the caller has it; the recorded regret is benchmark - R(T). Raises
     ModelError unless T is an integer >= 1.
@@ -219,6 +224,8 @@ def etc_run(
     rounds = exploration_length(*args)
     if rounds >= T:  # before the schedule's (n, rounds) matrix exists
         raise ExplorationTooLongError(T, rounds)
+    full_info = solve_lp(build_lp(instance, cfg.tau_L))
+    planner_total = float(simulate_planner(instance, full_info, T, seed).actual_payoff.sum())
     schedule = exploration_schedule(*args)
 
     noise = stream(seed, "noise")
@@ -230,18 +237,16 @@ def etc_run(
     solution = solve_lp(build_lp(estimates, cfg.tau_L))
     commit = simulate_planner(instance, solution, T - rounds, seed,
                               selection=estimates, init_states=expl.end_states)
-    # the commit phase's noise: one draw per (run, arm, round) cell, a hit
-    # where the arm played and the draw is below its mean at its actual state
-    draws = noise.random(size=commit.played.shape)
-    col = state_column(commit.actual_states, instance.tau_min, instance.tau_max)
-    means = instance.means[np.arange(instance.n)[:, None], col]
-    hits = np.count_nonzero(commit.played & (draws < means))
+    # a cell's hit threshold: the true mean at the arm's actual state where
+    # it played, -1 where it rested; past the window an arm that plays
+    # repeats its actual states, and one that never plays keeps -1
+    _, _, played, actual = (w[0] for w in commit.window)
+    col = state_column(actual, instance.tau_min, instance.tau_max)
+    threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
+    (threshold,) = stretch(np.repeat(commit.period, instance.n), T - rounds, threshold)
+    hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
     realized_total = expl.realized_total + float(hits)
     mean_total = expl.mean_total + float(commit.actual_payoff.sum())
-
-    full_info = solve_lp(build_lp(instance, cfg.tau_L))
-    fi_trace = simulate_planner(instance, full_info, T, seed)
-    planner_total = float(fi_trace.actual_payoff.sum())
     return EtcResult(config=cfg, exploration_length=rounds, realized_total=realized_total,
                      mean_total=mean_total, planner_total=planner_total,
                      benchmark_total=benchmark_total, min_sample_count=int(expl.counts.min()))

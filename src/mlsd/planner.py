@@ -187,25 +187,25 @@ def stretch(period: np.ndarray, T: int, *series: np.ndarray) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class PlannerRuns:
-    """S planner runs of T rounds. ``virtual``, ``candidates``, ``played``
-    and ``actual_states`` are (S, n, T) arrays, round t in column t-1; the
-    payoff series are (S, T). ``virtual`` holds 0 for arms that received no
+    """S planner runs of T rounds. ``virtual``, ``candidates`` and
+    ``played`` are (S, n, T) arrays, round t in column t-1; the payoff
+    series are (S, T). ``virtual`` holds 0 for arms that received no
     interval (0 is not a valid state, so it cannot collide).
     ``virtual_payoff`` is scored by the selection table, so an ETC commit run
-    scores it by the estimates.
+    scores it by the estimates. Run s's full actual states are
+    ``states_from_actions(played[s], init)``.
 
-    The four (S, n, T) arrays are kept as the kernel computed them:
-    ``window`` holds their first W columns, in that order. Past column W,
-    run s repeats its window with period ``period[s]``: column t copies
-    column W - P_s + (t - W) mod P_s, except the actual state of an arm that
-    never plays, which grows by 1 a round from column W - 1 on. The first
-    read of any of the four gathers all of them from the window and keeps
-    them, one take per run by one (S, T) int32 column index, so no read
-    builds an (S, n, T) index. ``columns`` reads a block of rounds straight
-    from the window. With W == T the arrays are the window's, and
-    ``period`` is not read.
+    ``window`` holds the first W columns of the three arrays and of the
+    actual states, in that order, as the kernel computed them. Past column
+    W, run s repeats its window with period ``period[s]``: column t of each
+    array copies window column W - P_s + (t - W) mod P_s. The first read of
+    any of the three gathers all of them from the window and keeps them,
+    one take per run by one (S, T) int32 column index, so no read builds an
+    (S, n, T) index. ``columns`` reads a block of rounds straight from the
+    window. With W == T the arrays are the window's, and ``period`` is not
+    read.
 
-    Every array a result hands out is read-only: the six fields, the window,
+    Every array a result hands out is read-only: the five fields, the window,
     ``period`` and every ``columns`` block. Fields may share memory (with k >= n,
     ``played`` is ``candidates``)."""
 
@@ -226,33 +226,20 @@ class PlannerRuns:
     virtual = property(lambda self: self._fields[0])
     candidates = property(lambda self: self._fields[1])
     played = property(lambda self: self._fields[2])
-    actual_states = property(lambda self: self._fields[3])
 
     def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """``virtual``, ``candidates``, ``played`` and ``actual_states`` at
-        rounds a+1..b (0 <= a <= b <= T), (S, n, b - a) each, gathered from
-        the window without the (S, n, T) arrays."""
+        """``virtual``, ``candidates`` and ``played`` at rounds a+1..b (0 <=
+        a <= b <= T), (S, n, b - a) each, gathered from the window without
+        the (S, n, T) arrays."""
         W = self.window[0].shape[2]
         if b <= W:
-            return tuple(w[..., a:b] for w in self.window)
+            return tuple(w[..., a:b] for w in self.window[:3])
         cols = _window_columns(self.period, W, a, b)
-        return tuple(self._copy_out(i, a, b, cols) for i in range(4))
-
-    def _copy_out(self, i: int, a: int, b: int, cols: np.ndarray) -> np.ndarray:
-        """Window array i at rounds a+1..b, b > W, by the (S, b - a) window
-        columns ``cols``."""
-        window = self.window[i]
-        out = np.empty(window.shape[:2] + cols.shape[1:], dtype=window.dtype)
-        for run, c, o in zip(window, cols, out):  # one take per run, no (S, n, T) index
-            run.take(c, axis=1, out=o, mode="clip")  # in range; "raise" would buffer ``out``
-        if i == 3:  # actual states: an arm that never plays rests on, run by run
-            W = window.shape[2]
-            lo = max(a, W)
-            rest = np.arange(lo - W + 1, b - W + 1)
-            idle = ~self.window[2].any(axis=2)
-            for s in np.flatnonzero(idle.any(axis=1)):
-                out[s, idle[s], lo - a:] = window[s, idle[s], W - 1:] + rest
-        out.flags.writeable = False
+        out = tuple(np.empty(w.shape[:2] + cols.shape[1:], dtype=w.dtype) for w in self.window[:3])
+        for window, field in zip(self.window, out):
+            for run, c, o in zip(window, cols, field):  # one take per run, no (S, n, T) index
+                run.take(c, axis=1, out=o, mode="clip")  # in range; "raise" would buffer ``o``
+            field.flags.writeable = False
         return out
 
 
@@ -330,9 +317,10 @@ def run_planner(
     array in it is read-only.
 
     Raises ModelError, before allocating, unless T is an integer >= 0, the
-    plan has the instance's arm count, interval bounds u up to tau_max and at
-    most _MAX_CELLS cells over T rounds, and ``init_states``, when given,
-    holds n nonzero integers; raises PlannerError unless every round plays
+    plan and ``selection``, when given, have the instance's arm count, the
+    plan has interval bounds u up to tau_max and at most _MAX_CELLS cells
+    over T rounds, and ``init_states``, when given, holds n nonzero
+    integers; raises PlannerError unless every round plays
     at most k arms and, for runs that start at +1, the actual state
     dominates the virtual one from round tau_max on.
     """
@@ -340,6 +328,8 @@ def run_planner(
     S, n = plan.u.shape
     if n != instance.n:
         raise ModelError(f"plan has {n} arms, instance has {instance.n}")
+    if selection is not None and selection.n != n:
+        raise ModelError(f"selection table has {selection.n} arms, instance has {n}")
     if (plan.u > instance.tau_max).any():
         run, arm = np.argwhere(plan.u > instance.tau_max)[0]
         raise ModelError(

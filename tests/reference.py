@@ -1,8 +1,10 @@
 """Scalar reference twins of vectorized library code, the HiGHS reference
 solver of the relaxation, the Monte Carlo candidate-triple sampler of
 criterion 4, the brute-force oracle of criterion 2 and the schedule
-normalization and decomposition of criterion 10, and the full-hull twin of
-the greedy relaxation solver; used only by tests."""
+normalization and decomposition of criterion 10, the full-hull twin of
+the greedy relaxation solver, and the full actual states of planner runs
+with the twin of ETC that scores its commit from them; used only by
+tests."""
 
 from __future__ import annotations
 
@@ -14,13 +16,16 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mlsd.intervals import RecurrentInterval, cycle_phase, interval_grid
-from mlsd.learning import ExplorationResult
-from mlsd.lp import LpProblem, LpSolution
+from mlsd.learning import (
+    ExplorationResult, estimate_payoffs, etc_config, exploration_length, exploration_schedule,
+)
+from mlsd.learning import simulate_exploration as library_exploration
+from mlsd.lp import LpProblem, LpSolution, build_lp as library_build_lp, solve_lp as library_solve_lp
 from mlsd.model import (
     Instance, ModelError, PayoffTable, column_state, require_int, state_column, transition,
 )
 from mlsd.oracle import OracleBudgetError, action_sets
-from mlsd.planner import Plan, PlannerRuns, _arm_distribution
+from mlsd.planner import Plan, PlannerRuns, _arm_distribution, simulate_planner, states_from_actions
 from mlsd.rng import stream
 
 
@@ -393,10 +398,32 @@ def write_trace(path, runs: PlannerRuns) -> None:
             f.write(",".join(row) + "\n")
 
 
-def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
+def actual_states(runs: PlannerRuns, init=None) -> np.ndarray:
+    """The full (S, n, T) actual states of ``runs`` from ``init`` (all +1
+    when omitted): ``states_from_actions`` on each run's ``played``."""
+    played = runs.played
+    states = [states_from_actions(run, init) for run in played]
+    return np.array(states, dtype=np.int64).reshape(played.shape)
+
+
+def copied_fields(runs: PlannerRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``virtual``, ``candidates`` and ``played`` filled one (run, round)
+    column at a time from the window: round t copies window column t below
+    W and W - P_s + (t - W) mod P_s past it."""
+    S, n, W = runs.window[0].shape
+    out = tuple(np.empty((S, n, runs.T), dtype=w.dtype) for w in runs.window[:3])
+    for s, P in enumerate(runs.period.tolist()):
+        for t in range(runs.T):
+            c = t if t < W else W - P + (t - W) % P
+            for field, window in zip(out, runs.window):
+                field[s, :, t] = window[s, :, c]
+    return out
+
+
+def domination_margin(runs: PlannerRuns, tau_max: int, init=None) -> int:
     """min(0, min of tau - nu over the full (S, n, T) fields from round
-    tau_max >= 1 on)."""
-    gap = runs.actual_states[..., tau_max - 1:] - runs.virtual[..., tau_max - 1:]
+    tau_max >= 1 on), the runs started from ``init``."""
+    gap = actual_states(runs, init)[..., tau_max - 1:] - runs.virtual[..., tau_max - 1:]
     return int(gap.min(initial=0))
 
 
@@ -657,3 +684,26 @@ def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float
         return top
 
     return float(best((1,) * n, 0))
+
+
+def etc_totals(instance: Instance, T: int, epsilon: float, seed: int) -> tuple[float, float, float]:
+    """``etc_run``'s realized, mean and planner totals, the commit scored
+    from its full (n, T - rounds) fields: exploration, estimates and commit
+    first, then the full-information reference."""
+    cfg = etc_config(instance, T, epsilon)
+    args = instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
+    rounds = exploration_length(*args)
+    noise = stream(seed, "noise")
+    expl = library_exploration(instance, exploration_schedule(*args), cfg.tau_L, noise)
+    estimates = estimate_payoffs(instance.k, instance.tau_max, cfg.tau_L, expl.counts, expl.sums)
+    solution = library_solve_lp(library_build_lp(estimates, cfg.tau_L))
+    commit = simulate_planner(instance, solution, T - rounds, seed,
+                              selection=estimates, init_states=expl.end_states)
+    draws = noise.random(size=commit.played.shape)
+    col = state_column(actual_states(commit, expl.end_states), instance.tau_min, instance.tau_max)
+    means = instance.means[np.arange(instance.n)[:, None], col]
+    hits = np.count_nonzero(commit.played & (draws < means))
+    full_info = library_solve_lp(library_build_lp(instance, cfg.tau_L))
+    planner_total = float(simulate_planner(instance, full_info, T, seed).actual_payoff.sum())
+    return (expl.realized_total + float(hits),
+            expl.mean_total + float(commit.actual_payoff.sum()), planner_total)

@@ -222,6 +222,29 @@ def test_learn_refuses_long_exploration_before_building_it(tmp_path, capsys, mon
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_learn_refuses_horizon_past_planner_cap_before_exploring(tmp_path, capsys):
+    # 20 arms over 2 * 10^6 rounds: the full-information reference's 4 * 10^7
+    # (run, arm, round) cells are past the planner's cap, refused before the
+    # (20, rounds) exploration is built, which peaked at 98.7 MiB
+    inst, out = tmp_path / "inst20.json", tmp_path / "r.csv"
+    run(["gen", "random", "--n", "20", "--k", "2", "--tau-max", "5", "--tau-min", "-3",
+         "--out", str(inst)])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = run(["learn", "--instance", str(inst), "--T", "2000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 8 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert _stderr_lines(capsys) == [
+        "error: 1 x 20 x 2000000 (run, arm, round) cells exceed the planner's cap of 8388608"
+    ]
+    assert not out.exists()
+
+
 def test_gen_refuses_oversized_tight_instance(tmp_path, capsys):
     out = tmp_path / "c1.json"
     assert run(["gen", "appendix-c1", "--k", "1", "--m", "20000", "--out", str(out)]) == 1

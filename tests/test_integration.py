@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_instance, vertex_optimal
+import reference
 from reference import candidate_marginals, marginal_expectations
 
 from mlsd.analysis import make_step_instance
@@ -89,7 +90,8 @@ def test_etc_commit_continues_from_exploration_states():
             inst, round_intervals(sol, [seed]), T - sched.shape[1],
             selection=est, init_states=expl.end_states,
         )
-        assert tuple(trace.actual_states[0, :, 0].tolist()) == expl.end_states
+        assert tuple(trace.window[3][0, :, 0].tolist()) == expl.end_states
+        actual = reference.actual_states(trace, expl.end_states)
         # the commit's payoffs continue the same noise stream: one draw per
         # (arm, round) cell, a hit where the arm played below its true mean
         draws = noise.random(size=trace.played.shape)[0]
@@ -97,7 +99,7 @@ def test_etc_commit_continues_from_exploration_states():
         for arm in range(inst.n):
             for t in range(trace.T):
                 if trace.played[0, arm, t]:
-                    tau = int(trace.actual_states[0, arm, t])
+                    tau = int(actual[0, arm, t])
                     hits += bool(draws[arm, t] < inst.payoff(arm, tau))
         want = expl.realized_total + hits
         assert etc_run(inst, T, eps, seed).realized_total.hex() == want.hex()

@@ -24,7 +24,7 @@ from mlsd.learning import (
 )
 from mlsd.lp import build_lp, solve_lp
 from mlsd.model import Instance, ModelError, PayoffTable, random_instance
-from mlsd.planner import round_intervals, run_planner
+from mlsd.planner import PlannerRuns, round_intervals, run_planner
 from mlsd.rng import stream
 
 
@@ -162,6 +162,36 @@ def _exploration_mean(inst, cfg, seed):
     sched = exploration_schedule(inst.n, inst.k, inst.tau_max, cfg.tau_L, cfg.m)
     res = simulate_exploration(inst, sched, cfg.tau_L, stream(seed, "noise"))
     return res.mean_total
+
+
+def test_etc_run_reads_no_full_planner_field(monkeypatch):
+    # the commit is scored on its window, and the reference reads only its
+    # payoff series, so no (1, n, T) field is gathered
+    cases = [(make_step_instance(), 400, 3), (make_step_instance(), 5000, 8),
+             (draw_instance(42, n_range=(3, 4)), 3000, 2)]
+    want = [reference.etc_totals(inst, T, 0.5, seed) for inst, T, seed in cases]
+
+    def gather(runs):
+        raise AssertionError("a full planner field was read")
+
+    monkeypatch.setattr(PlannerRuns, "_fields", property(gather))
+    for (inst, T, seed), totals in zip(cases, want):
+        res = etc_run(inst, T, 0.5, seed)
+        assert (res.realized_total, res.mean_total, res.planner_total) == totals
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(500, 6000), epsilon=st.sampled_from([0.25, 0.5]),
+       step=st.booleans())
+def test_etc_run_matches_full_field_twin(seed, T, epsilon, step):
+    # bit for bit against the twin that scores the commit from its full
+    # fields and runs the full-information reference last
+    inst = make_step_instance() if step else draw_instance(seed, n_range=(2, 4),
+                                                           allow_k_equal_n=True)
+    res = etc_run(inst, T, epsilon, seed)
+    want = reference.etc_totals(inst, T, epsilon, seed)
+    got = res.realized_total, res.mean_total, res.planner_total
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_etc_refuses_small_horizon():

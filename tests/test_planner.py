@@ -24,7 +24,7 @@ from reference import (
     virtual_state,
 )
 
-from mlsd import planner
+from mlsd import learning, planner
 from mlsd.analysis import make_step_instance, tightness_experiment
 from mlsd.intervals import RecurrentInterval, cycle_phase
 from mlsd.lp import LpSolution, build_lp, solve_lp
@@ -238,8 +238,11 @@ def test_run_planner_tracks_states_from_init(seed, T, lift):
     rng = stream(seed, "misc")
     init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
     trace = run_planner(inst, plan, T, init_states=init)
-    assert trace.actual_states.shape == (1, inst.n, T)
-    assert np.array_equal(trace.actual_states[0], step_states(trace.played[0], init))
+    want = step_states(trace.played[0], init)
+    assert reference.actual_states(trace, init).shape == (1, inst.n, T)
+    assert np.array_equal(reference.actual_states(trace, init)[0], want)
+    W = trace.window[3].shape[2]
+    assert np.array_equal(trace.window[3][0], want[:, :W])
 
 
 @pytest.mark.parametrize("init", [[0], [1, 1], [2, 0], [1.5]])
@@ -355,13 +358,33 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-_SIX_FIELDS = ("virtual", "candidates", "played", "actual_states", "virtual_payoff",
-               "actual_payoff")
+_FIELDS = ("virtual", "candidates", "played")  # the (S, n, T) fields
+_FIVE_FIELDS = (*_FIELDS, "virtual_payoff", "actual_payoff")
+_SIX_FIELDS = (*_FIELDS, "actual_states", "virtual_payoff", "actual_payoff")
 
 
-def _assert_same_trace(got, want):
-    for name in ("virtual", "candidates", "played", "actual_states"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+def _six(runs, init=None) -> dict:
+    """The six quantities of ``runs`` by name, the full actual states from
+    ``reference.actual_states``."""
+    return {name: reference.actual_states(runs, init) if name == "actual_states"
+            else getattr(runs, name) for name in _SIX_FIELDS}
+
+
+def _twin_six(twin) -> dict:
+    """The six quantities of a scalar twin by name; its window is all T
+    rounds and holds its stepped actual states."""
+    return {name: twin.window[3] if name == "actual_states" else getattr(twin, name)
+            for name in _SIX_FIELDS}
+
+
+def _assert_same_trace(got, want, init=None):
+    """``got`` matches the scalar twin ``want`` in all six quantities, and
+    its window's actual states match the twin's first W columns."""
+    got_six, want_six = _six(got, init), _twin_six(want)
+    for name in _FIELDS + ("actual_states",):
+        assert np.array_equal(got_six[name], want_six[name]), name
+    W = got.window[3].shape[2]
+    assert np.array_equal(got.window[3], want.window[3][..., :W])
     assert _hex(got.virtual_payoff) == _hex(want.virtual_payoff)
     assert _hex(got.actual_payoff) == _hex(want.actual_payoff)
 
@@ -416,8 +439,9 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb
     rows = [(c, r) for c in chunks for r in range(c.played.shape[0])]
     assert len(rows) == S
     for (c, r), trace in zip(rows, want):
-        for name in ("virtual", "candidates", "played", "actual_states"):
-            assert np.array_equal(getattr(c, name)[r], getattr(trace, name)[0]), name
+        got, twin = _six(c, init), _twin_six(trace)
+        for name in _FIELDS + ("actual_states",):
+            assert np.array_equal(got[name][r], twin[name][0]), name
         assert _hex(c.virtual_payoff[r]) == _hex(trace.virtual_payoff)
         assert _hex(c.actual_payoff[r]) == _hex(trace.actual_payoff)
 
@@ -519,8 +543,9 @@ def test_window_edges_match_scalar_twin(case, init, perturb):
         for s in range(plan.u.shape[0]):
             ivs, offs = plan_lists(plan, s)
             want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
-            _assert_same_trace(SimpleNamespace(**{f: getattr(runs, f)[s:s + 1]
-                                                  for f in _SIX_FIELDS}), want)
+            run = SimpleNamespace(window=tuple(w[s:s + 1] for w in runs.window),
+                                  **{f: getattr(runs, f)[s:s + 1] for f in _FIVE_FIELDS})
+            _assert_same_trace(run, want, init)
         if case == "starved" and not perturb:
             assert not runs.played[0, 1].any() and runs.candidates[0, 1].any()
 
@@ -544,7 +569,7 @@ def test_kernel_tracks_and_checks_exactly_its_window(monkeypatch, case):
     monkeypatch.setattr(planner, "states_from_actions", spy)
     runs = run_planner(inst, plan, T)
     assert widths == [W2]
-    margin = (runs.actual_states - runs.virtual)[0, :, W2 - W:W2]
+    margin = (reference.actual_states(runs) - runs.virtual)[0, :, W2 - W:W2]
     assert (margin.min(axis=0) == 0).all()
     for c in range(W2 - W, W2):  # the last period of the window, one column at a time
         def lowered(played, init=None, c=c):
@@ -574,9 +599,10 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
     # the boundary cases (arms with no interval, a starved arm, windows set
     # by 2P + 1 or tau_max + P) or a random 1-4 arm instance at half its
     # selection mass; blocks split T at random cuts, plus one that straddles
-    # the kernel's width W; every block of the four (S, n, T) arrays is read
-    # before and after the six full fields, which must match the scalar twin
-    # bit for bit, and so must the stretched per-round counts
+    # the kernel's width W; every block of the three (S, n, T) fields is
+    # read before and after the five fields and the full actual states,
+    # which must match the scalar twin bit for bit, and so must the
+    # stretched per-round counts
     if isinstance(source, str):
         inst, plan = _BOUNDARY_CASES[source]
     else:
@@ -599,21 +625,83 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
     bounds = sorted({0, T, *(c for c in cuts if c <= T)})
     blocks = [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))]
     before = [runs.columns(a, b) for a, b in blocks]
+    full = _six(runs, init)
     for s in range(plan.u.shape[0]):
         ivs, offs = plan_lists(plan, s)
-        want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
+        want = _twin_six(reference.run_planner(inst, ivs, offs, T, selection=selection,
+                                               init_states=init))
         for name in _SIX_FIELDS:
-            _same_bits(getattr(runs, name)[s:s + 1], getattr(want, name), name)
+            _same_bits(full[name][s:s + 1], want[name], name)
     for (a, b), first in zip(blocks, before):
         again = runs.columns(a, b)
-        for name, got, got_again in zip(_SIX_FIELDS[:4], first, again, strict=True):
-            whole = getattr(runs, name)[..., a:b]
+        for name, got, got_again in zip(_FIELDS, first, again, strict=True):
+            whole = full[name][..., a:b]
             _same_bits(got, whole, name)
             _same_bits(got_again, whole, name)
     # per-round counts of the window, stretched out to T as the fields are
     stretched = stretch(runs.period, T, *(w.sum(axis=1) for w in runs.window[1:3]))
     for name, got in zip(("candidates", "played"), stretched, strict=True):
         _same_bits(got, getattr(runs, name).sum(axis=1), name)
+
+
+def _assert_copies_window(runs: PlannerRuns, blocks) -> None:
+    """Every array ``runs`` hands out, each ``columns`` block of ``blocks``
+    and the three full fields, is its window columns under the copy rule."""
+    got = [runs.columns(a, b) for a, b in blocks]
+    want = reference.copied_fields(runs)
+    for (a, b), fields in zip(blocks, got):
+        for name, block, field in zip(_FIELDS, fields, want, strict=True):
+            _same_bits(block, field[..., a:b], name)
+    for name, field in zip(_FIELDS, want):
+        _same_bits(getattr(runs, name), field, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(0, 150), S=st.integers(1, 4),
+       lift=st.one_of(st.none(), st.integers(0, 5)), perturb=st.booleans(),
+       cuts=st.lists(st.integers(0, 150), max_size=4))
+def test_every_handed_out_column_copies_its_window_column(seed, T, S, lift, perturb, cuts):
+    # random 1-4 arm instances at half their selection mass, so some arms
+    # never play; init states and a perturbed selection table make a run
+    # like an ETC commit phase; blocks split T at random cuts, plus one that
+    # straddles the window's width W
+    inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
+    sol = solve_lp(build_lp(inst, -1 - seed % 3))
+    thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+    rng = stream(seed, "misc")
+    init = None
+    if lift is not None:
+        init = [int(s) for s in rng.choice([-1, 1], inst.n) * (rng.integers(1, 3, inst.n) + lift)]
+    selection = None
+    if perturb:
+        noise = rng.uniform(-0.3, 0.3, inst.means.shape)
+        selection = PayoffTable(k=inst.k, tau_min=inst.tau_min, tau_max=inst.tau_max,
+                                means=np.clip(inst.means + noise, 0.0, 1.0))
+    plan = round_intervals(thin, range(seed, seed + S))
+    runs = run_planner(inst, plan, T, selection=selection, init_states=init)
+    W = runs.window[0].shape[2]
+    bounds = sorted({0, T, *(c for c in cuts if c <= T)})
+    _assert_copies_window(runs, [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))])
+
+
+@pytest.mark.parametrize("source, T", [("step", 400), ("step", 5000), (7, 3000), (42, 3000)])
+def test_etc_commit_runs_copy_their_window(monkeypatch, source, T):
+    # the commit phase of etc_run, from the exploration's end states and
+    # ranked by the estimates, and its full-information reference
+    inst = make_step_instance() if source == "step" else draw_instance(source, n_range=(3, 4))
+    runs = []
+    real = learning.simulate_planner
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(learning, "simulate_planner", spy)
+    learning.etc_run(inst, T, 0.5, source if source != "step" else 3)
+    assert len(runs) == 2 and runs[1].window[0].shape[2] < runs[1].T
+    for r in runs:
+        W = r.window[0].shape[2]
+        _assert_copies_window(r, [(0, r.T), (W - 1, r.T), (max(W - 5, 0), W)])
 
 
 def test_payoff_reads_build_no_full_array():
@@ -703,14 +791,26 @@ def test_kernel_rejects_interval_beyond_tau_max():
     assert run_planner(make_step_instance(), plan, 12).played[0, 0].sum() == 10
 
 
+@pytest.mark.parametrize("arms", [5, 2])
+def test_run_planner_rejects_selection_of_other_size(monkeypatch, arms):
+    # a 5-arm table once ranked a 3-arm instance's candidates by its first
+    # three rows, and a 2-arm one raised IndexError
+    inst = Instance(k=1, tau_min=-2, tau_max=2, means=[[0.1, 0.2, 0.3, 0.4]] * 3)
+    table = PayoffTable(k=1, tau_min=-2, tau_max=2, means=[[0.5, 0.2, 0.7, 0.4]] * arms)
+    plan = plan_of([RecurrentInterval(u=1, l=-1)] * 3, [0, 1, 0])
+    monkeypatch.setattr(planner, "cycle_phase", lambda *args: pytest.fail("ran past the check"))
+    with pytest.raises(ModelError, match=f"selection table has {arms} arms, instance has 3"):
+        run_planner(inst, plan, 5, selection=table)
+
+
 def test_run_planner_rejects_plan_of_other_size():
     with pytest.raises(ModelError, match="plan has 2 arms"):
         run_planner(make_step_instance(), plan_of([None, None], [0, 0]), 5)
 
 
 def test_full_reads_hold_no_per_cell_index():
-    # a windowed 50-seed result of 4 arms over T = 500: reading the four
-    # (S, n, T) arrays allocates them and at most one (S, T) int64 index
+    # a windowed 50-seed result of 4 arms over T = 500: reading the three
+    # (S, n, T) fields allocates them and at most one (S, T) int64 index
     # besides, not an (S, n, T) one
     inst = random_instance(4, 2, 2, -2, np.random.default_rng(5))
     plan = round_intervals(solve_lp(build_lp(inst, -2)), range(50))
@@ -720,7 +820,7 @@ def test_full_reads_hold_no_per_cell_index():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fields = [runs.virtual, runs.candidates, runs.played, runs.actual_states]
+        fields = [runs.virtual, runs.candidates, runs.played]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -737,7 +837,7 @@ def test_fields_are_read_only(T):
     W = runs.window[0].shape[2]
     assert W == {3: 3, 40: 7}[T]
     blocks = [*runs.columns(0, 2), *runs.columns(W - 1, T)]
-    arrays = [getattr(runs, name) for name in _SIX_FIELDS] + [*runs.window, runs.period, *blocks]
+    arrays = [getattr(runs, name) for name in _FIVE_FIELDS] + [*runs.window, runs.period, *blocks]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[..., :1] = 0
@@ -847,7 +947,7 @@ def test_domination_margin_spans_every_run_and_ignores_unsampled_arms():
     thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
     (runs,) = planner_runs(inst, thin, 20, range(4))
     idle = runs.virtual == 0  # arms without an interval
-    assert idle.any() and (runs.actual_states[idle] > 0).all()
+    assert idle.any() and (reference.actual_states(runs)[idle] > 0).all()
     assert domination_margin(runs, inst.tau_max) == 0
     W = runs.window[0].shape[2]
     lowered = _lowered(runs, (3, 2, W - 1), 2)  # last run and arm, last window column
@@ -891,7 +991,7 @@ def test_window_margin_matches_full_fields(seed, T, S, signed):
     runs = run_planner(inst, round_intervals(thin, range(seed, seed + S)), T, init_states=init)
     last = T + 1 if runs.window[0].shape[2] == T else inst.tau_max
     for t in range(1, last + 1):
-        assert domination_margin(runs, t) == reference.domination_margin(runs, t), t
+        assert domination_margin(runs, t) == reference.domination_margin(runs, t, init), t
 
 
 def test_run_size_cap_boundary(monkeypatch):
@@ -929,7 +1029,7 @@ def test_domination_margin_holds_one_block_of_runs(monkeypatch):
     inst = random_instance(4, 2, 2, -2, np.random.default_rng(5))
     runs = run_planner(inst, round_intervals(solve_lp(build_lp(inst, -2)), range(50)), 500)
     assert runs.window[0].shape[2] < 100
-    full = runs.actual_states.nbytes + runs.virtual.nbytes  # read, so kept
+    full = reference.actual_states(runs).nbytes + runs.virtual.nbytes  # virtual is kept
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
