@@ -122,27 +122,27 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
     Rows are formatted column-wise in blocks of rounds read with
     ``runs.columns``, over the window's W columns first, then over the
     rest. Past the window, round t copies every printed field of window
-    column W - P + (t - W) mod P, P = ``runs.period[0]``. So when
+    column W - P + (t - W) mod P, P = ``runs.period``. So when
     P·n <= _BLOCK_CELLS the writer keeps the text of the window's last P
     rows and writes each later row from it; a longer period formats its
     tail block by block like the window."""
     n, T = runs.n, runs.T
-    W, P = runs.window[0].shape[2], int(runs.period[0])
+    W, P = runs.window[0].shape[2], runs.period
     header = ["t"] + [f"nu_{i}" for i in range(n)] + [
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
     step = max(1, _BLOCK_CELLS // n)
-    period = [] if W < T and P * n <= _BLOCK_CELLS else None  # rows W-P+1..W, no round
+    last = [] if W < T and P * n <= _BLOCK_CELLS else None  # rows W-P+1..W, no round
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for a in itertools.chain(range(0, W, step), range(W, T, step)):
             b = min(a + step, W if a < W else T)
-            if period is not None and a >= W:
-                rows = [period[(c - W) % P] for c in range(a, b)]
+            if last is not None and a >= W:
+                rows = [last[(c - W) % P] for c in range(a, b)]
             else:
                 rows = _trace_rows(runs, a, b)
-                if period is not None:
-                    period += rows[max(0, W - P - a):]
+                if last is not None:
+                    last += rows[max(0, W - P - a):]
             f.write(_numbered(a, rows))
 
 

@@ -243,7 +243,7 @@ def etc_run(
     _, _, played, actual = (w[0] for w in commit.window)
     col = state_column(actual, instance.tau_min, instance.tau_max)
     threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
-    (threshold,) = stretch(np.repeat(commit.period, instance.n), T - rounds, threshold)
+    (threshold,) = stretch(commit.period, T - rounds, threshold)
     hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
     realized_total = expl.realized_total + float(hits)
     mean_total = expl.mean_total + float(commit.actual_payoff.sum())

@@ -163,26 +163,26 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-def _window_columns(period: np.ndarray, W: int, a: int, b: int) -> np.ndarray:
-    """The window column of rounds a+1..b of each run, (S, b - a) int32:
-    column t below W, and W - P_s + (t - W) mod P_s past it. A windowed
-    result has T <= _MAX_CELLS = 2^23 rounds and every P_s < T, so all of
-    these fit in 32 bits; the remainder is taken over the tail only."""
-    cols = np.empty((len(period), b - a), dtype=np.int32)
+def _window_columns(period: int, W: int, a: int, b: int) -> np.ndarray:
+    """The window column of rounds a+1..b, (b - a,) int32: column t below
+    W, and W - P + (t - W) mod P past it. A windowed result has T <=
+    _MAX_CELLS = 2^23 rounds and P < T, so all of these fit in 32 bits;
+    the remainder is taken over the tail only."""
+    cols = np.empty(b - a, dtype=np.int32)
     head = max(0, min(W, b) - a)
-    cols[:, :head] = np.arange(a, a + head, dtype=np.int32)
-    P, tail = period.astype(np.int32)[:, None], cols[:, head:]
-    np.remainder(np.arange(a + head - W, b - W, dtype=np.int32), P, out=tail)
-    tail += W - P
+    cols[:head] = np.arange(a, a + head, dtype=np.int32)
+    tail = cols[head:]
+    np.remainder(np.arange(a + head - W, b - W, dtype=np.int32), period, out=tail)
+    tail += W - period
     return cols
 
 
-def stretch(period: np.ndarray, T: int, *series: np.ndarray) -> tuple[np.ndarray, ...]:
+def stretch(period: int, T: int, *series: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-round (S, W) series of a window out to T >= W rounds, (S, T)
-    each, repeated as ``PlannerRuns`` repeats its window."""
-    S, W = series[0].shape
-    row = _window_columns(period, W, 0, T) + W * np.arange(S)[:, None]
-    return tuple(s.ravel().take(row) for s in series)
+    each in C order, repeated as ``PlannerRuns`` repeats its window: one
+    take by one (T,) column index."""
+    cols = _window_columns(period, series[0].shape[1], 0, T)
+    return tuple(s.take(cols, axis=1) for s in series)
 
 
 @dataclass(frozen=True)
@@ -197,20 +197,20 @@ class PlannerRuns:
 
     ``window`` holds the first W columns of the three arrays and of the
     actual states, in that order, as the kernel computed them. Past column
-    W, run s repeats its window with period ``period[s]``: column t of each
-    array copies window column W - P_s + (t - W) mod P_s. The first read of
-    any of the three gathers all of them from the window and keeps them,
-    one take per run by one (S, T) int32 column index, so no read builds an
-    (S, n, T) index. ``columns`` reads a block of rounds straight from the
-    window. With W == T the arrays are the window's, and ``period`` is not
+    W, every run repeats its window with the one joint period ``period``,
+    P: column t of each array copies window column W - P + (t - W) mod P.
+    ``columns`` gathers a block of rounds straight from the window by one
+    (b - a,) column index, so no read builds an (S, n, T) index; the first
+    read of any of the three full arrays gathers all of them and keeps
+    them. With W == T the arrays are the window's, and ``period`` is not
     read.
 
-    Every array a result hands out is read-only: the five fields, the window,
-    ``period`` and every ``columns`` block. Fields may share memory (with k >= n,
+    Every array a result hands out is read-only: the five fields, the window
+    and every ``columns`` block. Fields may share memory (with k >= n,
     ``played`` is ``candidates``)."""
 
     window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    period: np.ndarray  # (S,) int64, each run's P_s
+    period: int  # P, the lcm of every cycle length of the runs, capped at T + 1
     T: int
     virtual_payoff: np.ndarray
     actual_payoff: np.ndarray
@@ -228,17 +228,18 @@ class PlannerRuns:
     played = property(lambda self: self._fields[2])
 
     def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """``virtual``, ``candidates`` and ``played`` at rounds a+1..b (0 <=
-        a <= b <= T), (S, n, b - a) each, gathered from the window without
-        the (S, n, T) arrays."""
+        """``virtual``, ``candidates`` and ``played`` at rounds a+1..b,
+        (S, n, b - a) each, read from the window without the (S, n, T)
+        arrays: views of it when b <= W, C-ordered copies past it. Raises
+        ModelError unless 0 <= a <= b <= T."""
+        if not 0 <= a <= b <= self.T:
+            raise ModelError(f"columns({a}, {b}) needs 0 <= a <= b <= T = {self.T}")
         W = self.window[0].shape[2]
         if b <= W:
             return tuple(w[..., a:b] for w in self.window[:3])
         cols = _window_columns(self.period, W, a, b)
-        out = tuple(np.empty(w.shape[:2] + cols.shape[1:], dtype=w.dtype) for w in self.window[:3])
-        for window, field in zip(self.window, out):
-            for run, c, o in zip(window, cols, field):  # one take per run, no (S, n, T) index
-                run.take(c, axis=1, out=o, mode="clip")  # in range; "raise" would buffer ``o``
+        out = tuple(w.take(cols, axis=2) for w in self.window[:3])
+        for field in out:
             field.flags.writeable = False
         return out
 
@@ -252,8 +253,8 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     actual state, so it never counts.
 
     It reads ``runs.window`` alone, for ``tau_max`` up to the one of the
-    instance the runs were computed for: past column W, run s copies
-    columns from W - P_s >= tau_max on, and an arm that never plays only
+    instance the runs were computed for: past column W, every run copies
+    columns from W - P >= tau_max on, and an arm that never plays only
     grows its actual state. Runs go in blocks of about _CHUNK_CELLS (run,
     arm, window column) cells, and a ``planner_runs`` chunk is one block.
     """
@@ -269,16 +270,19 @@ def domination_margin(runs: PlannerRuns, tau_max: int) -> int:
     return margin
 
 
-def _joint_periods(plan: Plan, T: int) -> list[int]:
-    """Each run's joint period P_s, the lcm of its cycle lengths (1 for an
-    arm without an interval) in exact Python ints, capped at T + 1. A run
-    with a cycle past T takes no lcm, so the ints stay small."""
-    return [T + 1 if max(row, default=1) > T else min(math.lcm(*row), T + 1)
-            for row in np.maximum(plan.u - plan.l, 1).tolist()]
+def _joint_period(lengths, T: int, period: int = 1) -> int:
+    """The lcm of ``period`` and the cycle ``lengths`` (1 for an arm without
+    an interval) in exact Python ints, capped at T + 1. The lcm stops
+    growing at the cap, so the ints stay small."""
+    for length in lengths:
+        period = math.lcm(period, length)
+        if period > T:
+            return T + 1
+    return period
 
 
 def _window_width(period: int, T: int, tau_max: int) -> int:
-    """The columns run_planner computes for runs of largest joint period
+    """The columns run_planner computes for runs of joint period
     ``period``: all T, or min(T, max(2P + 1, tau_max + P)) when P < T, which
     hold a whole period past column max(P, tau_max - 1). Never decreases
     with ``period``."""
@@ -303,18 +307,19 @@ def run_planner(
     to ``instance`` at the actual states, which start from ``init_states``
     (all +1 when omitted).
 
-    Plays repeat with each run's joint period P_s, the lcm of its cycle
-    lengths, computed in exact Python ints and capped at T + 1. An arm that
-    plays at all switches in every P_s columns from column 2 on, so its
-    actual states repeat from column P_s + 1 on. When P = max_s P_s < T,
-    every per-cell quantity (virtual states, candidates, plays, the budget
-    check, actual states, both payoffs and the domination check) is computed
-    over the first W = min(T, max(2P + 1, tau_max + P)) columns only, which
-    hold a whole period past column max(P_s, tau_max - 1). The payoff series
-    are then copied out to T columns here, and the (S, n, T) arrays are
-    built from the window when read (see ``PlannerRuns``). The result is
-    bit-identical to computing every (run, arm, round) cell, and every
-    array in it is read-only.
+    Plays repeat with the plan's joint period P, the lcm of every cycle
+    length in it, computed once from the set of lengths in exact Python ints
+    and capped at T + 1. P is a multiple of each run's own period P_s. An
+    arm that plays at all switches in every P_s columns from column 2 on, so
+    its actual states repeat from column P_s + 1 on. When P < T, every
+    per-cell quantity (virtual states, candidates, plays, the budget check,
+    actual states, both payoffs and the domination check) is computed over
+    the first W = min(T, max(2P + 1, tau_max + P)) columns only, which hold
+    a whole period P past column max(P, tau_max - 1). The payoff series are
+    then copied out to T columns here by one (T,) column index, and the
+    (S, n, T) arrays are built from the window when read (see
+    ``PlannerRuns``). The result is bit-identical to computing every (run,
+    arm, round) cell, and every array in it is read-only.
 
     Raises ModelError, before allocating, unless T is an integer >= 0, the
     plan and ``selection``, when given, have the instance's arm count, the
@@ -341,13 +346,15 @@ def run_planner(
         )
     init = None if init_states is None else np.tile(_init_states(init_states, n), S)
     L = np.maximum(plan.u - plan.l, 1)  # 1 for arms without an interval
-    period = _joint_periods(plan, T)
-    W = _window_width(max(period, default=T), T, instance.tau_max)
+    period = _joint_period(set(L.ravel().tolist()), T)
+    W = _window_width(period, T, instance.tau_max)
     active = (plan.u > 0)[..., None]
-    pos = (plan.offsets[..., None] + np.arange(1, W + 1)) % L[..., None]
-    state, play = cycle_phase(plan.u[..., None], L[..., None], pos)
-    virtual = np.where(active, state, 0)
-    cand = active & play
+    pos = plan.offsets[..., None] + np.arange(1, W + 1)
+    pos %= L[..., None]
+    virtual, cand = cycle_phase(plan.u[..., None], L[..., None], pos)
+    del pos  # per-cell temporaries go once used: they set a chunk's peak memory
+    virtual *= active  # state 0 and no candidate for an arm without an interval
+    cand &= active
 
     arm = np.arange(n)[:, None]
     sel = instance if selection is None else selection
@@ -356,6 +363,7 @@ def run_planner(
         order = np.argsort(-np.where(cand, selp, -1.0), axis=1, kind="stable")
         played = np.zeros_like(cand)  # top k, ties to the lowest arm
         np.put_along_axis(played, order[:, :instance.k], True, axis=1)
+        del order
         played &= cand
     else:  # every candidate fits the budget
         played = cand
@@ -366,10 +374,9 @@ def run_planner(
     actual = states_from_actions(played.reshape(S * n, W), init).reshape(S, n, W)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
     payoffs = np.where(played, selp, 0.0).sum(axis=1), np.where(played, actual_p, 0.0).sum(axis=1)
-    period = np.array(period)
     if W < T:
         payoffs = stretch(period, T, *payoffs)
-    for a in (virtual, cand, played, actual, period, *payoffs):
+    for a in (virtual, cand, played, actual, *payoffs):
         a.flags.writeable = False
     runs = PlannerRuns(window=(virtual, cand, played, actual), period=period, T=T,
                        virtual_payoff=payoffs[0], actual_payoff=payoffs[1])
@@ -393,21 +400,25 @@ def planner_runs(
 ) -> Iterator[PlannerRuns]:
     """Rounding, offsets and T online rounds for every seed (see ``run_planner``
     for the options): one plan, run in chunks of consecutive seeds. A chunk
-    of more than one seed keeps both S_c n W <= _CHUNK_CELLS, W the window
-    ``run_planner`` computes for it, and S_c n T <= _CHUNK_ROUNDS, which caps
-    its payoff rows and the full arrays a caller reads. Run s of the chunks
-    is ``seeds[s]``'s run."""
+    runs with one joint period, the lcm of its seeds' cycle lengths, and
+    grows by the next seed while S_c n W <= _CHUNK_CELLS, W the window
+    ``run_planner`` computes for the lcm with that seed's cycles, and S_c n T
+    <= _CHUNK_ROUNDS, which caps its payoff rows and the full arrays a
+    caller reads. Run s of the chunks is ``seeds[s]``'s run."""
     require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)
-    widths = [_window_width(p, T, instance.tau_max) for p in _joint_periods(plan, T)]
+    lengths = np.maximum(plan.u - plan.l, 1).tolist()
     lo = 0
     while lo < len(seeds):
-        hi, W = lo + 1, widths[lo]
+        hi, period = lo + 1, _joint_period(set(lengths[lo]), T)
         while hi < len(seeds):
             rows = (hi + 1 - lo) * solution.n  # (seed, arm) rows with seed hi added
-            if rows * T > _CHUNK_ROUNDS or rows * max(W, widths[hi]) > _CHUNK_CELLS:
+            if rows * T > _CHUNK_ROUNDS:
                 break
-            W = max(W, widths[hi])
+            joint = _joint_period(set(lengths[hi]), T, period)
+            if rows * _window_width(joint, T, instance.tau_max) > _CHUNK_CELLS:
+                break
+            period = joint
             hi += 1
         chunk = Plan(u=plan.u[lo:hi], l=plan.l[lo:hi], offsets=plan.offsets[lo:hi])
         yield run_planner(instance, chunk, T, selection=selection, init_states=init_states)

@@ -409,10 +409,11 @@ def actual_states(runs: PlannerRuns, init=None) -> np.ndarray:
 def copied_fields(runs: PlannerRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``virtual``, ``candidates`` and ``played`` filled one (run, round)
     column at a time from the window: round t copies window column t below
-    W and W - P_s + (t - W) mod P_s past it."""
+    W and W - P + (t - W) mod P past it, P the runs' joint period."""
     S, n, W = runs.window[0].shape
     out = tuple(np.empty((S, n, runs.T), dtype=w.dtype) for w in runs.window[:3])
-    for s, P in enumerate(runs.period.tolist()):
+    P = runs.period
+    for s in range(S):
         for t in range(runs.T):
             c = t if t < W else W - P + (t - W) % P
             for field, window in zip(out, runs.window):
@@ -551,7 +552,7 @@ def run_planner(
     actual_p = np.array([[instance.payoff(i, int(s)) for s in actual[i]] for i in range(n)])
     return PlannerRuns(
         window=(virtual[None], cand[None], played[None], actual[None]),
-        period=np.array([T]),
+        period=T,
         T=T,
         virtual_payoff=np.where(played, selp, 0.0).sum(axis=0)[None],
         actual_payoff=np.where(played, actual_p, 0.0).sum(axis=0)[None],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BAD_SEEDS
+from conftest import BAD_SEEDS, draw_instance
 
 from mlsd.analysis import (
     approximation_experiment,
@@ -257,3 +257,53 @@ def test_regret_trend_checks_the_oracle_budget_before_any_run(monkeypatch):
     inst = random_instance(3, 2, 3, -2, stream(0, "instance"))
     with pytest.raises(OracleBudgetError, match=r"dp_optimal needs ~9.18e\+08 state-action"):
         regret_trend(inst, [2**10, 2**11, 2**20], 2, 0.25, 0)
+
+
+# Every float of approximation_experiment's report as float.hex, in to_dict
+# order (epsilon, lp_value, gamma, bound, mean_virtual, se_virtual,
+# mean_actual, se_actual), pinned from the planner that copied each run's
+# window out with the run's own period. The instances are the first six
+# draw_instance seeds (n 2-4, tau_max 1-3), each also the experiment's seed,
+# at epsilon 0.25, T = 500 and 50 seeds, the shape of the approx workload.
+# Seed 4's chunks hold runs of joint periods 20 and 60: one arm is split
+# between two intervals.
+_APPROX_BITS = {
+    0: ("0x1.0000000000000p-2", "0x1.ceadb327884c3p-1", "0x1.43a54e4e98864p-1", "0x1.2477f643294fbp-1",
+        "0x1.49795ddd19cb6p-1", "0x1.c42584169e0d7p-6", "0x1.49795ddd19cb6p-1", "0x1.c42584169e0d7p-6"),
+    1: ("0x1.0000000000000p-2", "0x1.ddfc0329dfb40p-1", "0x1.756aaae203f1ap-1", "0x1.5c9bad02561cdp-1",
+        "0x1.c9b698e709326p-1", "0x1.4ef3664ce9091p-8", "0x1.cb4c9111efb6cp-1", "0x1.33a5084eb53ffp-8"),
+    2: ("0x1.0000000000000p-2", "0x1.c81afb105948ap-1", "0x1.43a54e4e98864p-1", "0x1.205047d6d9537p-1",
+        "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e1p-6", "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e1p-6"),
+    3: ("0x1.0000000000000p-2", "0x1.c1ee4110f027bp-1", "0x1.43a54e4e98864p-1", "0x1.1c69122484b4ap-1",
+        "0x1.5743d894e2409p-1", "0x1.d47c1b4fdb89fp-6", "0x1.5743d894e2409p-1", "0x1.d47c1b4fdb89fp-6"),
+    4: ("0x1.0000000000000p-2", "0x1.55371cd843178p+0", "0x1.756aaae203f1ap-1", "0x1.f1b7799ce45ddp-1",
+        "0x1.2d1caa88105a6p+0", "0x1.95eceeeced9e7p-7", "0x1.3d089922ae233p+0", "0x1.dff1560459fdep-8"),
+    5: ("0x1.0000000000000p-2", "0x1.633ae5b041d7ep+0", "0x1.8d4a64665de50p-1", "0x1.13a4c844e444bp+0",
+        "0x1.503feb9465740p+0", "0x1.a14ea366d6f2ap-8", "0x1.5468fefe35763p+0", "0x1.46c20600eaa66p-8"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_APPROX_BITS))
+def test_approximation_reports_keep_their_bits(monkeypatch, seed):
+    chunks = []
+    real = planner.run_planner
+
+    def spy(instance, plan, T, **kwargs):
+        chunks.append((plan, real(instance, plan, T, **kwargs)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(planner, "run_planner", spy)
+    report = approximation_experiment(draw_instance(seed), 0.25, 500, 50, seed).to_dict()
+    bits = tuple(v.hex() for v in report.values() if isinstance(v, float))
+    assert bits == _APPROX_BITS[seed]
+    periods = [{math.lcm(*row) for row in np.maximum(plan.u - plan.l, 1).tolist()}
+               for plan, _ in chunks]
+    assert (seed == 4) == any(len(p) == 2 for p in periods)
+    # the report's row means keep their bits only on C-ordered series
+    for _, runs in chunks:
+        W, T = runs.window[0].shape[2], runs.T
+        assert W < T
+        counts = planner.stretch(runs.period, T, *(w.sum(axis=1) for w in runs.window[1:3]))
+        blocks = [runs.columns(a, b) for a, b in [(0, W), (0, T), (W - 1, T), (W + 3, T - 1)]]
+        for array in (runs.virtual_payoff, runs.actual_payoff, *counts, *sum(blocks, ())):
+            assert array.flags.c_contiguous

@@ -489,10 +489,10 @@ def _plan_rows(*runs) -> Plan:
 
 
 def _kernel_window(plan: Plan, tau_max: int) -> tuple[int, int]:
-    """The largest joint period W of ``plan``'s runs and the width max(2W +
-    1, tau_max + W) that run_planner computes when it is below T."""
-    W = max(math.lcm(*(max(u - l, 1) for u, l in zip(us, ls)))
-            for us, ls in zip(plan.u.tolist(), plan.l.tolist()))
+    """The joint period W of ``plan``, the lcm of all its cycle lengths, and
+    the width max(2W + 1, tau_max + W) that run_planner computes when it is
+    below T."""
+    W = math.lcm(*np.maximum(plan.u - plan.l, 1).ravel().tolist())
     return W, max(2 * W + 1, tau_max + W)
 
 
@@ -509,7 +509,7 @@ _BOUNDARY_CASES = {
     # tau_max = 12 > W + 1 = 5: tau_max + W = 16 sets the width
     "tau_max": (
         Instance(k=2, tau_min=-2, tau_max=12, means=np.linspace([0.0, 0.1], [0.9, 1.0], 14).T),
-        _plan_rows(([_I(1, -1), _I(3, -1)], [1, 2]), ([_I(2, -1), _I(1, -2)], [0, 2])),
+        _plan_rows(([_I(1, -1), _I(3, -1)], [1, 2]), ([_I(2, -2), _I(1, -1)], [3, 1])),
     ),
     # arms 0 and 1 are candidates in the same rounds and arm 1 always loses
     # the one play; the second run has no interval at all
@@ -837,11 +837,22 @@ def test_fields_are_read_only(T):
     W = runs.window[0].shape[2]
     assert W == {3: 3, 40: 7}[T]
     blocks = [*runs.columns(0, 2), *runs.columns(W - 1, T)]
-    arrays = [getattr(runs, name) for name in _FIVE_FIELDS] + [*runs.window, runs.period, *blocks]
+    arrays = [getattr(runs, name) for name in _FIVE_FIELDS] + [*runs.window, *blocks]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[..., :1] = 0
     assert np.array_equal(runs.played, runs.candidates)
+
+
+@pytest.mark.parametrize("a, b", [(0, 45), (0, 41), (-3, 2), (10, 5), (-1, -1), (41, 41)])
+def test_columns_refuse_rounds_outside_the_run(a, b):
+    # the one-arm run of period 3 keeps 7 of T = 40 columns; unchecked, (0,
+    # 45) read 45 rounds and (-3, 2) and (10, 5) empty blocks
+    runs = run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]), 40)
+    with pytest.raises(ModelError, match=rf"^columns\({a}, {b}\) needs 0 <= a <= b <= T = 40$"):
+        runs.columns(a, b)
+    assert [runs.columns(a, b)[0].shape for a, b in [(0, 0), (40, 40), (0, 40)]] == [
+        (1, 1, 0), (1, 1, 0), (1, 1, 40)]
 
 
 def _spy_chunks(monkeypatch) -> list:
@@ -858,9 +869,10 @@ def _spy_chunks(monkeypatch) -> list:
     return calls
 
 
-def _width(plan: Plan, s: int, T: int, tau_max: int) -> int:
-    """The columns run_planner computes for run s of ``plan`` alone."""
-    P = math.lcm(*(max(u - l, 1) for u, l in zip(plan.u[s].tolist(), plan.l[s].tolist())))
+def _width(plan: Plan, lo: int, hi: int, T: int, tau_max: int) -> int:
+    """The columns run_planner computes for runs lo..hi-1 of ``plan``: the
+    window of the lcm of all their cycle lengths."""
+    P = math.lcm(*np.maximum(plan.u[lo:hi] - plan.l[lo:hi], 1).ravel().tolist())
     return T if P >= T else min(T, max(2 * P + 1, tau_max + P))
 
 
@@ -869,8 +881,9 @@ def _width(plan: Plan, s: int, T: int, tau_max: int) -> int:
        cells=st.integers(1, 3000), rounds=st.integers(1, 30000), thin=st.booleans())
 def test_chunks_keep_both_bounds_and_take_every_seed_that_fits(seed, T, S, cells, rounds, thin):
     # chunks are consecutive seeds; a chunk of more than one seed keeps
-    # S_c n W <= _CHUNK_CELLS, W the window its run computes, and S_c n T <=
-    # _CHUNK_ROUNDS, and a chunk ends only where the next seed would break one
+    # S_c n W <= _CHUNK_CELLS, W the window of the lcm of its cycle lengths,
+    # and S_c n T <= _CHUNK_ROUNDS, and a chunk ends only where the next seed
+    # would break one
     inst = draw_instance(seed, n_range=(1, 5), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -1 - seed % 3))
     if thin:  # half the selection mass: many arms draw no interval
@@ -882,7 +895,6 @@ def test_chunks_keep_both_bounds_and_take_every_seed_that_fits(seed, T, S, cells
         patch.setattr(planner, "_CHUNK_ROUNDS", rounds)
         list(planner_runs(inst, sol, T, seeds))
     plan = round_intervals(sol, seeds)
-    widths = [_width(plan, s, T, inst.tau_max) for s in range(S)]
     n, lo = inst.n, 0
     for chunk, t, runs in calls:
         S_c = chunk.u.shape[0]
@@ -891,11 +903,12 @@ def test_chunks_keep_both_bounds_and_take_every_seed_that_fits(seed, T, S, cells
         for f in ("u", "l", "offsets"):
             assert np.array_equal(getattr(chunk, f), getattr(plan, f)[lo:hi])
         W = runs.window[0].shape[2]
-        assert W == max(widths[lo:hi])
+        assert W == _width(plan, lo, hi, T, inst.tau_max)
         if S_c > 1:
             assert S_c * n * W <= cells and S_c * n * T <= rounds
         if hi < S:
-            assert (S_c + 1) * n * max(W, widths[hi]) > cells or (S_c + 1) * n * T > rounds
+            wider = _width(plan, lo, hi + 1, T, inst.tau_max)
+            assert (S_c + 1) * n * wider > cells or (S_c + 1) * n * T > rounds
         lo = hi
     assert lo == S
 

@@ -47,7 +47,7 @@ def random_runs(seed: int, n: int, T: int, k: int, ramp=None) -> planner.Planner
     pay = PAYOFFS[rng.integers(0, PAYOFFS.size, size=(2, n, T))]
     return planner.PlannerRuns(
         window=(virtual[None], candidates[None], played[None], np.zeros((1, n, T), dtype=np.int64)),
-        period=np.array([T]),
+        period=T,
         T=T,
         virtual_payoff=np.where(played, pay[0], 0.0).sum(axis=0)[None],
         actual_payoff=np.where(played, pay[1], 0.0).sum(axis=0)[None],
@@ -159,7 +159,7 @@ def test_writer_matches_twin_on_windowed_runs(tmp_path_factory, seed, n, k_frac,
     instance = model.random_instance(n, k, tau_max, tau_min, np.random.default_rng(seed))
     solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(0.25)))
     runs = planner.simulate_planner(instance, solution, T, seed)
-    W, P = runs.window[0].shape[2], int(runs.period[0])
+    W, P = runs.window[0].shape[2], runs.period
     if case == "whole":
         assert W == T
     elif case is not None:
@@ -190,7 +190,7 @@ def test_formatting_work_is_set_by_the_window(tmp_path, monkeypatch):
     counts = []
     for T in (20000, 80000):
         runs = planner.simulate_planner(instance, solution, T, 7)
-        assert (runs.window[0].shape[2], int(runs.period[0])) == (23, 11)
+        assert (runs.window[0].shape[2], runs.period) == (23, 11)
         calls.clear()
         cli._write_trace(tmp_path / "trace.csv", runs)
         assert sum(calls) == 2 * 23  # candidates and played, window columns only
