@@ -86,10 +86,12 @@ def tightness_experiment(
     check_lp_size(m * k, m, tau_L=-1)  # before the (m k, m + 1) table exists
     instance = make_tight_instance(k, m)
     solution = solve_lp(build_lp(instance, tau_L=-1))
-    rates = np.concatenate([  # counts from the window: no (S, n, T) array is built
-        np.minimum(stretch(runs.period, T, runs.window[1].sum(axis=1))[0], k).mean(axis=1)
-        for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n)
-    ])
+    rates = []
+    for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n):
+        counts = runs.window[1].sum(axis=1)  # from the window: no (S, n, T) array is built
+        rates.append(np.minimum(stretch(runs.period, T, counts)[0], k).mean(axis=1))
+        del runs  # before the next chunk is computed
+    rates = np.concatenate(rates)
     # the long-run optimal rate: a productive play needs m idle rounds after
     # the previous play, so each of the m*k arms pays at most one unit per
     # m+1 rounds, and a rotating schedule achieves that
@@ -156,6 +158,7 @@ def approximation_experiment(
     for runs in planner_runs(instance, solution, T, seeds):
         virt.append(runs.virtual_payoff[:, start:].mean(axis=1))
         act.append(runs.actual_payoff[:, start:].mean(axis=1))
+        del runs  # before the next chunk is computed
     virt, act = np.concatenate(virt), np.concatenate(act)
     return ExperimentReport(
         descriptor=descriptor,

@@ -30,30 +30,53 @@ def _labels(values: np.ndarray, label) -> np.ndarray:
     """label(v) for each entry, as an object array of the same shape; label
     runs once per distinct value present."""
     ordered = np.sort(values, axis=None)  # np.unique is 3x slower here
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     table = np.array([label(v) for v in distinct.tolist()], dtype=object)
     return table[np.searchsorted(distinct, values)]
 
 
-def _state_labels(states: np.ndarray) -> np.ndarray:
-    """The ``nu_i`` label of each state, blank for state 0: from one table
-    over ``lo..hi`` when ``hi - lo`` is less than the number of states,
-    else from ``_labels`` (a plan file's states may reach -2**62)."""
+def _state_fields(states: np.ndarray) -> list[str]:
+    """Each round's ``nu_i`` fields in an (n, rounds) state block,
+    comma-joined, blank for state 0. The labels come from one table over
+    ``lo..hi`` when its R = hi - lo + 1 entries are no more than the
+    block's cells, else from ``_labels`` (a plan file's states may reach
+    -2**62). When R**2 is no more than the cells either, each pair of
+    neighbouring arms reads its text "a,b" from one table of R**2 strings
+    by the code (nu_2j - lo) R + (nu_2j+1 - lo); an odd last arm reads its
+    single label."""
     def label(nu: int) -> str:
         return str(nu) if nu else ""
 
-    lo, hi = int(states.min()), int(states.max())
-    if hi - lo >= states.size:
-        return _labels(states, label)
-    return np.array([label(nu) for nu in range(lo, hi + 1)], dtype=object)[states - lo]
+    n, lo, hi = states.shape[0], int(states.min()), int(states.max())
+    R = hi - lo + 1
+    if R > states.size:
+        fields = _labels(states.T, label)
+    else:
+        labels = [label(nu) for nu in range(lo, hi + 1)]
+        single = np.array(labels, dtype=object)
+        offsets = states.T - lo
+        if R * R > states.size:
+            fields = single[offsets]
+        else:
+            pairs = np.array([f"{x},{y}" for x in labels for y in labels], dtype=object)
+            fields = pairs[offsets[:, 0:n - 1:2] * R + offsets[:, 1::2]]
+            if n % 2:
+                fields = np.concatenate((fields, single[offsets[:, -1:]]), axis=1)
+    return [",".join(row) for row in fields.tolist()]
 
 
 def _arm_sets(members: np.ndarray) -> list[str]:
-    """Each round's arms in an (n, T) play matrix, semicolon-joined."""
-    arms = np.nonzero(members.T)[1]
-    names = np.array([str(i) for i in range(members.shape[0])], dtype=object)[arms].tolist()
-    ends = np.cumsum(np.count_nonzero(members, axis=0)).tolist()
-    return [";".join(names[a:b]) for a, b in zip([0] + ends, ends)]
+    """Each round's arms in an (n, T) play matrix, semicolon-joined: each
+    member's name ends with ";", or with a newline where it ends its round,
+    and a round without one holds a sentinel member n named by a newline
+    alone. So one join writes all rounds, split at the newlines."""
+    n = members.shape[0]
+    cells = np.flatnonzero(np.vstack((members, ~members.any(axis=0))).T)  # round by round
+    rounds, arms = np.divmod(cells, n + 1)
+    ends = np.append(rounds[1:] != rounds[:-1], True)
+    names = np.array([f"{i};" for i in range(n + 1)] + [f"{i}\n" for i in range(n)] + ["\n"],
+                     dtype=object)
+    return "".join(names[arms + (n + 1) * ends].tolist()).split("\n")[:-1]
 
 
 _BLOCK_CELLS = 2**14  # (arm, round) cells a CSV writer formats at a time
@@ -121,8 +144,10 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
 
     Rows are formatted column-wise in blocks of rounds read with
     ``runs.columns``, over the window's W columns first, then over the
-    rest. Past the window, round t copies every printed field of window
-    column W - P + (t - W) mod P, P = ``runs.period``. So when
+    rest: a block's state fields, arm sets and payoffs are each one list,
+    and each row one f-string of them (``_trace_rows``). Past the window,
+    round t copies every printed field of window column
+    W - P + (t - W) mod P, P = ``runs.period``. So when
     P·n <= _BLOCK_CELLS the writer keeps the text of the window's last P
     rows and writes each later row from it; a longer period formats its
     tail block by block like the window."""
@@ -138,24 +163,27 @@ def _write_trace(path, runs: planner.PlannerRuns) -> None:
         for a in itertools.chain(range(0, W, step), range(W, T, step)):
             b = min(a + step, W if a < W else T)
             if last is not None and a >= W:
-                rows = [last[(c - W) % P] for c in range(a, b)]
-            else:
-                rows = _trace_rows(runs, a, b)
-                if last is not None:
-                    last += rows[max(0, W - P - a):]
-            f.write(_numbered(a, rows))
+                f.write(_numbered(a, [last[(c - W) % P] for c in range(a, b)]))
+                continue
+            rows = _trace_rows(runs, a, b)
+            if last is not None:
+                last += [row[row.index(",") + 1:-1] for row in rows[max(0, W - P - a):]]
+            f.write("".join(rows))
 
 
 def _trace_rows(runs: planner.PlannerRuns, a: int, b: int) -> list[str]:
-    """Run 0's rows at rounds a+1..b, without the round number."""
+    """Run 0's CSV lines of rounds a+1..b, each led by its round; both
+    payoff columns take one ``_labels`` pass."""
     virtual, candidates, played = runs.columns(a, b)
-    cells = np.empty((b - a, runs.n + 4), dtype=object)
-    cells[:, :-4] = _state_labels(virtual[0]).T
-    cells[:, -4] = _arm_sets(candidates[0])
-    cells[:, -3] = _arm_sets(played[0])
-    cells[:, -2] = _labels(runs.virtual_payoff[0, a:b], _fmt)
-    cells[:, -1] = _labels(runs.actual_payoff[0, a:b], _fmt)
-    return [",".join(row) for row in cells.tolist()]
+    payoffs = np.concatenate((runs.virtual_payoff[0, a:b], runs.actual_payoff[0, a:b]))
+    payoffs = _labels(payoffs, _fmt).tolist()
+    return [
+        f"{t},{nu},{c},{p},{v},{w}\n"
+        for t, nu, c, p, v, w in zip(
+            itertools.count(a + 1), _state_fields(virtual[0]), _arm_sets(candidates[0]),
+            _arm_sets(played[0]), payoffs[:b - a], payoffs[b - a:],
+        )
+    ]
 
 
 def cmd_simulate(args) -> int:

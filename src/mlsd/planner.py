@@ -51,9 +51,11 @@ def _arm_distribution(solution: LpSolution):
     n, tau_max, depth = solution.x.shape
     u, l = interval_grid(tau_max, depth)
     p = (u - l) * solution.x.reshape(n, -1)
-    if (p < -_MASS_TOL).any():
-        arm, j = np.argwhere(p < -_MASS_TOL)[0]
-        raise ModelError(f"negative selection mass {p[arm, j]} for arm {arm}")
+    ok = p >= -_MASS_TOL  # NaN fails it too
+    if not ok.all():
+        arm, j = np.argwhere(~ok)[0]
+        what = "negative" if p[arm, j] < 0 else "undefined"
+        raise ModelError(f"{what} selection mass {p[arm, j]} for arm {arm}")
     p = np.maximum(p, 0.0)
     cum = np.cumsum(p, axis=1)  # left to right, as the sampler walks the list
     total = cum[:, -1:]

@@ -85,6 +85,13 @@ def test_rounding_rejects_negative_mass():
         round_intervals(sol, [0])
 
 
+def test_rounding_rejects_undefined_mass():
+    # all-NaN occupancies drew I(1, -1) on every arm, and the planner ran them
+    sol = LpSolution(x=np.full((2, 1, 2), np.nan), objective=0.0, tau_L=-2)
+    with pytest.raises(ModelError, match="^undefined selection mass nan for arm 0$"):
+        round_intervals(sol, [0, 1])
+
+
 def test_rounding_renormalizes_tiny_excess():
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 0.5 * (1 + 2e-10)  # mass 1 + 2e-10

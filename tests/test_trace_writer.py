@@ -1,11 +1,13 @@
 """The column-wise trace writer of ``mlsd simulate`` against its row-wise
 twin in ``tests/reference.py``: the same bytes for any planner run, in any
-number of blocks, with or without rows past the planner's window, and a
-peak memory and formatting work set by the block and the window, not by
-the trace."""
+number of blocks, with or without rows past the planner's window, with
+state labels by arm pairs or one by one, and a peak memory and formatting
+work set by the block and the window, not by the trace. Its arm sets, which
+``oracle --out`` writes too, against a per-round join."""
 
 import contextlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlsd import cli, lp, model, planner
+from mlsd import cli, lp, model, oracle, planner
 from mlsd.cli import main
 
 import reference as ref
@@ -22,14 +24,18 @@ import reference as ref
 PAYOFFS = np.array([-0.0, 0.0, 0.1, 1 / 3, 0.7, 1.0, 2.5e-13])
 
 
-def random_runs(seed: int, n: int, T: int, k: int, ramp=None) -> planner.PlannerRuns:
+def random_runs(seed: int, n: int, T: int, k: int, ramp=None, span=None,
+                idle=None) -> planner.PlannerRuns:
     """One run whose arms have no interval (state 0), small states, or
     states near -2**62, as a plan file's ``l`` allows; at most k plays per
     round, each a candidate; payoffs summed as the planner sums them.
 
     ``ramp = (rounds, extra)`` gives the first ``rounds`` rounds' c = n *
     rounds cells c distinct states, 0 among them, over a range of c + extra
-    states (of c when c = 1)."""
+    states (of c when c = 1). ``span = (rounds, R)`` draws the first
+    ``rounds`` rounds' states from R consecutive states around 0, both
+    ends among them. ``idle``, a (T,) bool mask, leaves its rounds with no
+    candidate."""
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 3, size=(n, 1))
     small = rng.choice([-6, -5, -2, -1, 1, 2, 10], size=(n, T))
@@ -45,6 +51,14 @@ def random_runs(seed: int, n: int, T: int, k: int, ramp=None) -> planner.Planner
     played = candidates & (rng.random((n, T)) < 0.7)
     played &= np.cumsum(played, axis=0) <= k
     pay = PAYOFFS[rng.integers(0, PAYOFFS.size, size=(2, n, T))]
+    if span is not None:
+        rounds, R = span
+        lo = -(R // 2)
+        states = lo + rng.integers(0, R, size=n * rounds)
+        states[-1], states[0] = lo + R - 1, lo
+        virtual[:, :rounds] = states.reshape(n, rounds)
+    if idle is not None:
+        candidates[:, idle] = played[:, idle] = False
     return planner.PlannerRuns(
         window=(virtual[None], candidates[None], played[None], np.zeros((1, n, T), dtype=np.int64)),
         period=T,
@@ -76,6 +90,56 @@ def test_writer_matches_row_wise_twin(tmp_path_factory, seed, n, T, k_frac, bloc
     k = 1 + int(k_frac * (n - 1))
     ramp = None if extra is None else (min(T, max(1, block // n)), extra)
     runs = random_runs(seed, n, T, k, ramp)
+    d = tmp_path_factory.mktemp("trace")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_CELLS", block)
+        got = written(cli._write_trace, d / "new.csv", runs)
+    assert got == written(ref.write_trace, d / "ref.csv", runs)
+
+
+IDLE = {  # rounds with no candidate, given the rounds and the block's rounds
+    "first": lambda t, step: t % step == 0,
+    "last": lambda t, step: (t % step == step - 1) | (t == t[-1]),
+    "every": lambda t, step: np.ones(t.size, dtype=bool),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    T=st.integers(1, 200),
+    k_frac=st.floats(0.0, 1.0),
+    block=st.sampled_from([1, 7, 64, 2**16]),
+    over=st.sampled_from([None, 0, 1]),
+    idle=st.sampled_from([None, "first", "last", "every"]),
+    case=st.none(),
+)
+# The first block's c cells span R = isqrt(c) + over states. R**2 equal to
+# c: the arm pairs read one table of R**2 strings ...
+@example(seed=4, n=4, T=50, k_frac=0.5, block=64, over=0, idle=None, case=0)
+@example(seed=4, n=7, T=50, k_frac=0.5, block=49, over=0, idle=None, case=0)
+@example(seed=4, n=1, T=100, k_frac=0.0, block=64, over=0, idle=None, case=0)
+# ... R**2 one more than c: every arm reads its single label
+@example(seed=4, n=7, T=50, k_frac=0.5, block=64, over=1, idle=None, case=1)
+@example(seed=4, n=1, T=100, k_frac=0.0, block=63, over=1, idle=None, case=1)
+# blocks of 12 rounds whose first or last round, or every round, has no
+# candidate
+@example(seed=6, n=5, T=50, k_frac=0.5, block=64, over=0, idle="first", case=None)
+@example(seed=6, n=5, T=50, k_frac=0.5, block=64, over=0, idle="last", case=None)
+@example(seed=6, n=5, T=50, k_frac=0.5, block=64, over=None, idle="every", case=None)
+def test_writer_matches_twin_on_arm_pairs(tmp_path_factory, seed, n, T, k_frac, block, over,
+                                          idle, case):
+    k = 1 + int(k_frac * (n - 1))
+    step = max(1, block // n)
+    rounds = min(T, step)
+    span = None
+    if over is not None:
+        span = (rounds, math.isqrt(n * rounds) + over)
+        if case is not None:
+            assert span[1] ** 2 - n * rounds == case
+    mask = None if idle is None else IDLE[idle](np.arange(T), step)
+    runs = random_runs(seed, n, T, k, span=span, idle=mask)
     d = tmp_path_factory.mktemp("trace")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_CELLS", block)
@@ -196,3 +260,51 @@ def test_formatting_work_is_set_by_the_window(tmp_path, monkeypatch):
         assert sum(calls) == 2 * 23  # candidates and played, window columns only
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    T=st.integers(0, 60),
+    density=st.floats(0.0, 1.0),
+    empty=st.lists(st.sampled_from(["start", "middle", "end", "all"]), max_size=3),
+)
+@example(seed=0, n=1, T=5, density=0.5, empty=[])
+@example(seed=0, n=1, T=5, density=1.0, empty=["start", "end"])
+@example(seed=0, n=4, T=7, density=0.6, empty=["start", "middle", "end"])
+@example(seed=0, n=4, T=7, density=0.6, empty=["all"])
+@example(seed=0, n=3, T=1, density=0.0, empty=[])
+def test_arm_sets_match_per_round_joins(seed, n, T, density, empty):
+    members = np.random.default_rng(seed).random((n, T)) < density
+    for where in empty:
+        members[:, {"start": slice(0, 2), "middle": slice(T // 2, T // 2 + 1),
+                    "end": slice(T - 2, T), "all": slice(None)}[where]] = False
+    assert cli._arm_sets(members) == [ref.set_str(members[:, t]) for t in range(T)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 4),
+    k_frac=st.floats(0.0, 1.0),
+    T=st.integers(1, 120),
+    block=st.sampled_from([1, 7, 16, 2**14]),
+)
+@example(seed=2, n=3, k_frac=0.5, T=51, block=16)  # blocks of 5 rounds, the last of 1
+def test_oracle_schedule_matches_twin_across_blocks(tmp_path_factory, seed, n, k_frac, T,
+                                                    block):
+    # ``oracle --out`` writes its schedule through ``_arm_sets`` in blocks of
+    # rounds, like the trace
+    k = 1 + int(k_frac * (n - 1))
+    instance = model.random_instance(n, k, 2, -2, np.random.default_rng(seed))
+    d = tmp_path_factory.mktemp("oracle")
+    model.save_instance(instance, d / "inst.json")
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "_BLOCK_CELLS", block)
+        assert main(["oracle", "--instance", str(d / "inst.json"), "--T", str(T),
+                     "--out", str(d / "schedule.csv")]) == 0
+    _, schedule = oracle.dp_optimal(model.load_instance(d / "inst.json"), T)
+    assert (d / "schedule.csv").read_text() == "t,played\n" + "".join(
+        f"{t + 1},{ref.set_str(schedule[:, t])}\n" for t in range(T)
+    )
