@@ -12,7 +12,7 @@ from .learning import etc_run
 from .lp import build_lp, check_lp_size, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, require_int
 from .oracle import dp_optimal
-from .planner import planner_runs, stretch
+from .planner import planner_runs
 from .rng import seed_range
 
 _MAX_TIGHT_CELLS = 2**20  # payoff cells make_tight_instance may build, M*k x (M+1)
@@ -89,7 +89,7 @@ def tightness_experiment(
     rates = []
     for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n):
         counts = runs.window[1].sum(axis=1)  # from the window: no (S, n, T) array is built
-        rates.append(np.minimum(stretch(runs.period, T, counts)[0], k).mean(axis=1))
+        rates.append(np.minimum(runs.stretch(counts)[0], k).mean(axis=1))
         del runs  # before the next chunk is computed
     rates = np.concatenate(rates)
     # the long-run optimal rate: a productive play needs m idle rounds after

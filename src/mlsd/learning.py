@@ -21,7 +21,7 @@ import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
-from .planner import planner_runs, simulate_planner, states_from_actions, stretch
+from .planner import planner_runs, simulate_planner, states_from_actions
 from .rng import seed_range, stream
 
 
@@ -240,10 +240,10 @@ def etc_run(
     # a cell's hit threshold: the true mean at the arm's actual state where
     # it played, -1 where it rested; past the window an arm that plays
     # repeats its actual states, and one that never plays keeps -1
-    _, _, played, actual = (w[0] for w in commit.window)
+    played, actual = commit.window[2][0], commit.window[3][0]
     col = state_column(actual, instance.tau_min, instance.tau_max)
     threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
-    (threshold,) = stretch(commit.period, T - rounds, threshold)
+    (threshold,) = commit.stretch(threshold)
     hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
     realized_total = expl.realized_total + float(hits)
     mean_total = expl.mean_total + float(commit.actual_payoff.sum())

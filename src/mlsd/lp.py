@@ -64,12 +64,18 @@ class LpProblem:
 class LpSolution:
     """Optimal occupancies as a dense (n, tau_max, depth) tensor.
 
-    x[i, u-1, -l-1] is the occupancy of arm i in interval I(u, l).
-    """
+    x[i, u-1, -l-1] is the occupancy of arm i in interval I(u, l). Raises
+    ModelError unless x is 3-d of depth -tau_L."""
 
     x: np.ndarray
     objective: float
     tau_L: int
+
+    def __post_init__(self):
+        shape = getattr(self.x, "shape", ())
+        if len(shape) != 3 or shape[2] != -self.tau_L:
+            raise ModelError(f"solution x must be (n, tau_max, {-self.tau_L}) for "
+                             f"tau_L={self.tau_L}, got shape {shape}")
 
     @property
     def n(self) -> int:

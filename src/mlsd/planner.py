@@ -73,11 +73,20 @@ class Plan:
     """The offline phase of S runs as (S, n) int64 arrays: each arm's
     interval I(u, l) and phase offset in [0, u - l). ``u == 0`` (with ``l``
     and offset 0) marks an arm that drew no interval, as ``virtual == 0``
-    does in ``PlannerRuns``."""
+    does in ``PlannerRuns``. Raises ModelError unless the three are 2-d
+    int64 arrays of one shape: narrower ints would wrap u - l."""
 
     u: np.ndarray
     l: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("u", "l", "offsets"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 2
+                    and a.shape == self.u.shape):
+                got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+                raise ModelError(f"plan {name} must be 2-d int64 of u's shape, got {got}")
 
 
 def round_intervals(solution: LpSolution, seeds: Sequence[int]) -> Plan:
@@ -165,69 +174,46 @@ def states_from_actions(played: np.ndarray, init=None) -> np.ndarray:
     return np.where(b, -run, run)
 
 
-def _window_columns(period: int, W: int, a: int, b: int) -> np.ndarray:
-    """The window column of rounds a+1..b, (b - a,) int32: column t below
-    W, and W - P + (t - W) mod P past it. A windowed result has T <=
-    _MAX_CELLS = 2^23 rounds and P < T, so all of these fit in 32 bits;
-    the remainder is taken over the tail only."""
-    cols = np.empty(b - a, dtype=np.int32)
-    head = max(0, min(W, b) - a)
-    cols[:head] = np.arange(a, a + head, dtype=np.int32)
-    tail = cols[head:]
-    np.remainder(np.arange(a + head - W, b - W, dtype=np.int32), period, out=tail)
-    tail += W - period
-    return cols
-
-
-def stretch(period: int, T: int, *series: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-round (S, W) series of a window out to T >= W rounds, (S, T)
-    each in C order, repeated as ``PlannerRuns`` repeats its window: one
-    take by one (T,) column index."""
-    cols = _window_columns(period, series[0].shape[1], 0, T)
-    return tuple(s.take(cols, axis=1) for s in series)
-
-
 @dataclass(frozen=True)
 class PlannerRuns:
-    """S planner runs of T rounds. ``virtual``, ``candidates`` and
-    ``played`` are (S, n, T) arrays, round t in column t-1; the payoff
-    series are (S, T). ``virtual`` holds 0 for arms that received no
-    interval (0 is not a valid state, so it cannot collide).
-    ``virtual_payoff`` is scored by the selection table, so an ETC commit run
-    scores it by the estimates. Run s's full actual states are
-    ``states_from_actions(played[s], init)``.
+    """S planner runs of T rounds, held as the window of W <= T columns the
+    kernel computed: the (S, n, W) virtual states, candidates, plays and
+    actual states, then the (S, W) virtual and actual payoff series; round
+    t is column t-1. An arm without an interval has virtual state 0, never
+    a valid state. The virtual payoff is scored by the selection table, so
+    an ETC commit scores it by its estimates.
 
-    ``window`` holds the first W columns of the three arrays and of the
-    actual states, in that order, as the kernel computed them. Past column
-    W, every run repeats its window with the one joint period ``period``,
-    P: column t of each array copies window column W - P + (t - W) mod P.
-    ``columns`` gathers a block of rounds straight from the window by one
-    (b - a,) column index, so no read builds an (S, n, T) index; the first
-    read of any of the three full arrays gathers all of them and keeps
-    them. With W == T the arrays are the window's, and ``period`` is not
-    read.
-
-    Every array a result hands out is read-only: the five fields, the window
-    and every ``columns`` block. Fields may share memory (with k >= n,
+    Past column W, every run repeats its window with the one joint period
+    ``period``, P: round t > W copies window column W - P + (t - W) mod P.
+    The record gathers by that rule, one column index a read:
+    ``stretch`` for per-round series of the window, ``columns`` for blocks
+    of the three arrays. ``virtual``, ``candidates`` and ``played`` (S, n,
+    T), gathered together, and ``virtual_payoff`` and ``actual_payoff`` (S,
+    T), each alone, are built on first read and kept. Run s's full actual
+    states are ``states_from_actions(played[s], init)``. Every array a
+    result hands out is read-only; arrays may share memory (with k >= n,
     ``played`` is ``candidates``)."""
 
-    window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    window: tuple[np.ndarray, ...]
     period: int  # P, the lcm of every cycle length of the runs, capped at T + 1
     T: int
-    virtual_payoff: np.ndarray
-    actual_payoff: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.window[0].shape[1]
+    n = property(lambda self: self.window[0].shape[1])
 
     @cached_property
     def _fields(self) -> tuple[np.ndarray, ...]:
-        return self.columns(0, self.T)
+        return self.stretch(*self.window[:3])
 
     virtual = property(lambda self: self._fields[0])
     candidates = property(lambda self: self._fields[1])
     played = property(lambda self: self._fields[2])
+    virtual_payoff = cached_property(lambda self: self.stretch(self.window[4])[0])
+    actual_payoff = cached_property(lambda self: self.stretch(self.window[5])[0])
+
+    def stretch(self, *series: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-round (..., W) series of the window out to T rounds: read-only
+        C-ordered copies, or whole views of ``series`` when W == T."""
+        return self._gather(0, self.T, series)
 
     def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
         """``virtual``, ``candidates`` and ``played`` at rounds a+1..b,
@@ -236,13 +222,22 @@ class PlannerRuns:
         ModelError unless 0 <= a <= b <= T."""
         if not 0 <= a <= b <= self.T:
             raise ModelError(f"columns({a}, {b}) needs 0 <= a <= b <= T = {self.T}")
+        return self._gather(a, b, self.window[:3])
+
+    def _gather(self, a: int, b: int, series) -> tuple[np.ndarray, ...]:
+        """Rounds a+1..b of window ``series``: views when b <= W, else
+        read-only C-ordered copies, one take each by the (b - a,) int32
+        window column index (T <= 2^23 and P < T)."""
         W = self.window[0].shape[2]
         if b <= W:
-            return tuple(w[..., a:b] for w in self.window[:3])
-        cols = _window_columns(self.period, W, a, b)
-        out = tuple(w.take(cols, axis=2) for w in self.window[:3])
-        for field in out:
-            field.flags.writeable = False
+            return tuple(s[..., a:b] for s in series)
+        cols = np.arange(a, b, dtype=np.int32)
+        tail = cols[max(0, W - a):]  # the rounds past the window
+        np.remainder(tail - W, self.period, out=tail)
+        tail += W - self.period
+        out = tuple(s.take(cols, axis=-1) for s in series)
+        for s in out:
+            s.flags.writeable = False
         return out
 
 
@@ -317,11 +312,10 @@ def run_planner(
     per-cell quantity (virtual states, candidates, plays, the budget check,
     actual states, both payoffs and the domination check) is computed over
     the first W = min(T, max(2P + 1, tau_max + P)) columns only, which hold
-    a whole period P past column max(P, tau_max - 1). The payoff series are
-    then copied out to T columns here by one (T,) column index, and the
-    (S, n, T) arrays are built from the window when read (see
-    ``PlannerRuns``). The result is bit-identical to computing every (run,
-    arm, round) cell, and every array in it is read-only.
+    a whole period P past column max(P, tau_max - 1). The result holds that
+    window alone, so nothing allocated here grows with T. What it hands out
+    (see ``PlannerRuns``) is read-only and bit-identical to computing every
+    (run, arm, round) cell.
 
     Raises ModelError, before allocating, unless T is an integer >= 0, the
     plan and ``selection``, when given, have the instance's arm count, the
@@ -375,13 +369,11 @@ def run_planner(
 
     actual = states_from_actions(played.reshape(S * n, W), init).reshape(S, n, W)
     actual_p = instance.means[arm, state_column(actual, instance.tau_min, instance.tau_max)]
-    payoffs = np.where(played, selp, 0.0).sum(axis=1), np.where(played, actual_p, 0.0).sum(axis=1)
-    if W < T:
-        payoffs = stretch(period, T, *payoffs)
-    for a in (virtual, cand, played, actual, *payoffs):
+    window = (virtual, cand, played, actual,
+              np.where(played, selp, 0.0).sum(axis=1), np.where(played, actual_p, 0.0).sum(axis=1))
+    for a in window:
         a.flags.writeable = False
-    runs = PlannerRuns(window=(virtual, cand, played, actual), period=period, T=T,
-                       virtual_payoff=payoffs[0], actual_payoff=payoffs[1])
+    runs = PlannerRuns(window=window, period=period, T=T)
     if init is None or (init == 1).all():
         margin = domination_margin(runs, instance.tau_max)
         if margin < 0:

@@ -329,7 +329,7 @@ def test_approximation_reports_keep_their_bits(monkeypatch, seed):
     for _, runs in chunks:
         W, T = runs.window[0].shape[2], runs.T
         assert W < T
-        counts = planner.stretch(runs.period, T, *(w.sum(axis=1) for w in runs.window[1:3]))
+        counts = runs.stretch(*(w.sum(axis=1) for w in runs.window[1:3]))
         blocks = [runs.columns(a, b) for a, b in [(0, W), (0, T), (W - 1, T), (W + 3, T - 1)]]
         for array in (runs.virtual_payoff, runs.actual_payoff, *counts, *sum(blocks, ())):
             assert array.flags.c_contiguous

@@ -57,11 +57,17 @@ COMMANDS = [
     ["oracle", "--instance", "c1.json", "--T", "20000", "--out", "schedule-c1-long.csv"],
     ["learn", "--instance", "c2.json", "--T", "512", "--epsilon", "0.25", "--seed", "1",
      "--seeds", "2", "--out", "regret.csv"],
+    # a long commit phase: W is far below T, so its scores come from the window
+    ["learn", "--instance", "c2.json", "--T", "100000", "--seeds", "2",
+     "--out", "regret-long.csv"],
     ["experiment", "approximation", "--instance", "inst.json", "--epsilon", "0.5",
      "--T", "40", "--seeds", "30", "--seed", "2", "--out", "approximation.json",
      "--csv", "approximation.csv"],
     ["experiment", "tightness", "--k", "2", "--m", "3", "--T", "50", "--seeds", "5",
      "--seed", "1", "--out", "tightness.json", "--csv", "tightness.csv"],
+    # n·T = 10^6 cells exceed a planner chunk's round cap: one seed a chunk
+    ["experiment", "tightness", "--k", "1", "--m", "10", "--T", "100000", "--seeds", "30",
+     "--out", "tightness-long.json", "--csv", "tightness-long.csv"],
     ["experiment", "regret-trend", "--instance", "c2.json", "--T-list", "512,1024",
      "--seeds", "2", "--seed", "4", "--out", "regret-trend.json", "--csv", "regret-trend.csv"],
     ["experiment", "robustness", "--instance", "inst.json", "--eta-list", "0.0,0.1",
@@ -84,6 +90,7 @@ GOLDEN = {
     "inst8.json": "d748ef39c52e32a598dabc79c38c72570e3239ec765139de7bbee4a2aa01b854",
     "plan.json": "a6a15939c382107b94dd9933c1895a935e44379464824dc8ef168264836bf930",
     "ratio-vs-m.csv": "2d27b5f2f2137a5b4faf980ed51c7b7f480ddfd50eff7b9c1a28f9aaca329483",
+    "regret-long.csv": "298b067e1645a4251038aea72efa4ba3a9e110c3a0f018941b3bf9a85fbb6d64",
     "regret-trend.csv": "60f9e03028eb6f58617cbf5d92c52a843e9b204eed4421db2b6ea13907f5aaec",
     "regret-trend.json": "95acc3b668e480b00bce8e1e49bbf41ba0b3fc9dd7c90f402413db1a252b3526",
     "regret-vs-T.csv": "47415e3eb87e6b9c063f1dd19fb61a69d889cc5eb309771247fde050ce97d590",
@@ -95,6 +102,8 @@ GOLDEN = {
     "schedule-c2.csv": "1142e1c2aa98870f051f4fedb21435ab9348bf8a502fc437c8e8d9956dbe9a86",
     "schedule.csv": "fbd81f7b9952b545d6123c6bf6caba55ed12da6f3c78a9950a76f75ca6d7f0ea",
     "solution.json": "59a481ebd127e369a76d62a1a678cc10e71382028617d4df588473d23627ff24",
+    "tightness-long.csv": "203c70f622e572b7e3fbc8637088016949ec5f3627efa3032b06ad460960c488",
+    "tightness-long.json": "845577a59cf246b576e4af6391df17e2552f33d0356b52581a2f9e5f19f4b77f",
     "tightness.csv": "808078a101b842d3b03ab4d10bae0db274a84bd53533efa98a3928b078af1663",
     "tightness.json": "75902edbf23a8d13e0a75db0db8597ab19d009292c2b93aa626b349d8e81119b",
     "trace-100.csv": "1874f935b75cf0ebe43b7c916d27be9d807769b297bc5345f622d1dd1f8b3a55",
@@ -123,8 +132,10 @@ STDOUT = {
     "c1.json": "wrote c1.json (n=4, k=1, tau_max=4, tau_min=-1)\n",
     "schedule-c1-long.csv": "OPT=15998\n",
     "regret.csv": "benchmark=oracle mean_R=283 mean_Reg=-120.86107666\n",
+    "regret-long.csv": "benchmark=oracle mean_R=64421.5 mean_Reg=-32815.3140284\n",
     "approximation.json": "wrote approximation.json and approximation.csv\n",
     "tightness.json": "wrote tightness.json and tightness.csv\n",
+    "tightness-long.json": "wrote tightness-long.json and tightness-long.csv\n",
     "regret-trend.json": "wrote regret-trend.json and regret-trend.csv\n",
     "robustness.json": "wrote robustness.json and robustness.csv\n",
     "ratio-vs-m.csv": "wrote ratio-vs-m.csv\n",

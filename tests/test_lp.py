@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -101,6 +102,19 @@ def test_check_feasible_zero_and_violation():
     rep = check_feasible(LpSolution(x=bad, objective=1.0, tau_L=-2), inst)
     assert not rep.feasible
     assert rep.max_violation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("x, tau_L", [
+    (np.zeros((2, 3, 2)), -4), (np.zeros((2, 3)), -2), (np.zeros((2, 3, 2, 1)), -2), ([0.0], -1),
+])
+def test_solution_refuses_x_that_disagrees_with_tau_L(x, tau_L):
+    # unchecked, a depth-2 x with tau_L = -4 named arm 0's I(2, -1) as
+    # I(1, -3) in solution_to_dict, and round_intervals raised a bare
+    # "not enough values to unpack" on a 2-d x
+    shape = getattr(x, "shape", ())
+    with pytest.raises(ModelError, match=rf"^solution x must be \(n, tau_max, {-tau_L}\) for "
+                                         rf"tau_L={tau_L}, got shape {re.escape(str(shape))}$"):
+        LpSolution(x=x, objective=0.0, tau_L=tau_L)
 
 
 def test_solver_output_feasible_on_random_instances():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -40,7 +41,6 @@ from mlsd.planner import (
     run_planner,
     simulate_planner,
     states_from_actions,
-    stretch,
 )
 from mlsd.rng import stream
 
@@ -646,7 +646,7 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
             _same_bits(got, whole, name)
             _same_bits(got_again, whole, name)
     # per-round counts of the window, stretched out to T as the fields are
-    stretched = stretch(runs.period, T, *(w.sum(axis=1) for w in runs.window[1:3]))
+    stretched = runs.stretch(*(w.sum(axis=1) for w in runs.window[1:3]))
     for name, got in zip(("candidates", "played"), stretched, strict=True):
         _same_bits(got, getattr(runs, name).sum(axis=1), name)
 
@@ -813,6 +813,45 @@ def test_run_planner_rejects_selection_of_other_size(monkeypatch, arms):
 def test_run_planner_rejects_plan_of_other_size():
     with pytest.raises(ModelError, match="plan has 2 arms"):
         run_planner(make_step_instance(), plan_of([None, None], [0, 0]), 5)
+
+
+@pytest.mark.parametrize("name, value, got", [
+    ("u", np.ones(3, dtype=np.int64), "int64 (3,)"),
+    ("l", np.full((1, 3), -1.0), "float64 (1, 3)"),
+    ("offsets", np.zeros((1, 2), dtype=np.int64), "int64 (1, 2)"),
+    ("offsets", [[0, 0, 0]], "list"),
+    ("l", np.full((1, 3), -1, dtype=np.int8), "int8 (1, 3)"),
+])
+def test_plan_refuses_a_shape_it_cannot_hold(name, value, got):
+    # unchecked, run_planner raised "not enough values to unpack" on a 1-d
+    # plan and a TypeError on a float one, and int8 bounds would wrap u - l
+    arrays = {"u": np.ones((1, 3), dtype=np.int64), "l": np.full((1, 3), -1, dtype=np.int64),
+              "offsets": np.zeros((1, 3), dtype=np.int64)}
+    with pytest.raises(ModelError,
+                       match=rf"^plan {name} must be 2-d int64 of u's shape, got {re.escape(got)}$"):
+        Plan(**{**arrays, name: value})
+
+
+def test_kernel_memory_is_set_by_the_window():
+    # 4 runs of 8 arms with joint period 6 keep W = 13 columns at any
+    # horizon, so the kernel's traced peak and the size of its result do
+    # not grow with T. Stretching both payoff series to (S, T) in the
+    # kernel peaked at 19 MiB and held 16 MiB at T = 2**18.
+    inst = random_instance(8, 2, 2, -2, np.random.default_rng(5))
+    plan = round_intervals(solve_lp(build_lp(inst, -2)), range(4))
+    sizes = []
+    for T in (2**10, 2**18):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            runs = run_planner(inst, plan, T)
+            sizes.append([m - base for m in tracemalloc.get_traced_memory()])  # held, peak
+        finally:
+            tracemalloc.stop()
+        assert runs.window[0].shape == (4, 8, 13)
+        del runs
+    for what, short, long in zip(("held", "peak"), *sizes):
+        assert abs(long - short) < 8 * 2**18, f"{what} {short} B at T = 2**10, {long} B at 2**18"
 
 
 def test_full_reads_hold_no_per_cell_index():

@@ -60,11 +60,11 @@ def random_runs(seed: int, n: int, T: int, k: int, ramp=None, span=None,
     if idle is not None:
         candidates[:, idle] = played[:, idle] = False
     return planner.PlannerRuns(
-        window=(virtual[None], candidates[None], played[None], np.zeros((1, n, T), dtype=np.int64)),
+        window=(virtual[None], candidates[None], played[None], np.zeros((1, n, T), dtype=np.int64),
+                np.where(played, pay[0], 0.0).sum(axis=0)[None],
+                np.where(played, pay[1], 0.0).sum(axis=0)[None]),
         period=T,
         T=T,
-        virtual_payoff=np.where(played, pay[0], 0.0).sum(axis=0)[None],
-        actual_payoff=np.where(played, pay[1], 0.0).sum(axis=0)[None],
     )
 
 
