@@ -88,8 +88,8 @@ def tightness_experiment(
     solution = solve_lp(build_lp(instance, tau_L=-1))
     rates = []
     for runs in planner_runs(instance, solution, T, seeds, init_states=[m] * instance.n):
-        counts = runs.window[1].sum(axis=1)  # from the window: no (S, n, T) array is built
-        rates.append(np.minimum(runs.stretch(counts)[0], k).mean(axis=1))
+        # integer totals from one period, so each rate is exact up to its division
+        rates.append(runs.totals(np.minimum(runs.window[1].sum(axis=1), k), 0) / T)
         del runs  # before the next chunk is computed
     rates = np.concatenate(rates)
     # the long-run optimal rate: a productive play needs m idle rounds after
@@ -142,13 +142,17 @@ def approximation_experiment(
     """Monte Carlo check of the per-round guarantee gamma_k * LP value.
 
     Per-seed means are taken over rounds tau_max..T, where the virtual state
-    is dominated by the actual one; the report compares the virtual-payoff
-    mean against the bound and confirms the actual stream collects at least
-    as much. Raises ModelError, before any seed runs, unless n_seeds is an
-    integer >= 30, its seeds stream seeds and T at least tau_max.
+    is dominated by the actual one: each is the ``PlannerRuns.totals`` of
+    its payoff series, in that stated float order, over the T - tau_max + 1
+    rounds. The report compares the virtual-payoff mean
+    against the bound and confirms the actual stream collects at least as
+    much. Raises ModelError, before any seed runs, unless n_seeds is an
+    integer >= 30, its seeds stream seeds and T is an integer of at least
+    tau_max.
     """
     require_int("n_seeds (need >= 30 seeds for the interval)", n_seeds, least=30)
     seeds = seed_range(seed, n_seeds)
+    require_int("T", T)
     if T < instance.tau_max:
         raise ModelError(f"T={T} leaves no round from tau_max={instance.tau_max} on to average")
     tau_L = tau_L_from_epsilon(epsilon)
@@ -156,8 +160,8 @@ def approximation_experiment(
     start = instance.tau_max - 1  # columns are rounds 1..T
     virt, act = [], []
     for runs in planner_runs(instance, solution, T, seeds):
-        virt.append(runs.virtual_payoff[:, start:].mean(axis=1))
-        act.append(runs.actual_payoff[:, start:].mean(axis=1))
+        virt.append(runs.totals(runs.window[4], start) / (T - start))
+        act.append(runs.totals(runs.window[5], start) / (T - start))
         del runs  # before the next chunk is computed
     virt, act = np.concatenate(virt), np.concatenate(act)
     return ExperimentReport(

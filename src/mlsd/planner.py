@@ -25,7 +25,9 @@ from .rng import bounded, outputs, streams, uniforms
 
 _MASS_TOL = 1e-9
 _CHUNK_CELLS = 2**14  # (seed, arm, window column) cells of one planner_runs chunk
-_CHUNK_ROUNDS = 2**17  # (seed, arm, round) cells over T rounds of one planner_runs chunk
+# (seed, arm, round) cells over T rounds of one planner_runs chunk: bounds the
+# (S, T) and (S, n, T) gathers a reader may build (analysis sums with totals)
+_CHUNK_ROUNDS = 2**17
 _ROUND_CELLS = 2**18  # comparisons and draw words of one round_intervals block
 _DRAW_WORDS = 16  # about the uint64 temporaries rng.outputs holds per (seed, arm) pair
 _MAX_ROUNDED = 2**23  # (seed, arm) pairs of one round_intervals call, ~40 B each
@@ -185,14 +187,15 @@ class PlannerRuns:
 
     Past column W, every run repeats its window with the one joint period
     ``period``, P: round t > W copies window column W - P + (t - W) mod P.
-    The record gathers by that rule, one column index a read:
-    ``stretch`` for per-round series of the window, ``columns`` for blocks
-    of the three arrays. ``virtual``, ``candidates`` and ``played`` (S, n,
-    T), gathered together, and ``virtual_payoff`` and ``actual_payoff`` (S,
-    T), each alone, are built on first read and kept. Run s's full actual
-    states are ``states_from_actions(played[s], init)``. Every array a
-    result hands out is read-only; arrays may share memory (with k >= n,
-    ``played`` is ``candidates``)."""
+    The record reads by that rule: ``totals`` sums a per-round series of
+    the window over rounds a+1..T from one period, with nothing T-sized;
+    ``stretch`` (per-round series) and ``columns`` (blocks of the three
+    arrays) gather by one column index a read. ``virtual``, ``candidates``
+    and ``played`` (S, n, T), gathered together, and ``virtual_payoff``
+    and ``actual_payoff`` (S, T), each alone, are built on first read and
+    kept. Run s's full actual states are ``states_from_actions(played[s],
+    init)``. Every array a result hands out is read-only; arrays may share
+    memory (with k >= n, ``played`` is ``candidates``)."""
 
     window: tuple[np.ndarray, ...]
     period: int  # P, the lcm of every cycle length of the runs, capped at T + 1
@@ -214,6 +217,23 @@ class PlannerRuns:
         """Per-round (..., W) series of the window out to T rounds: read-only
         C-ordered copies, or whole views of ``series`` when W == T."""
         return self._gather(0, self.T, series)
+
+    def totals(self, series: np.ndarray, a: int) -> np.ndarray:
+        """Per-run sums of a (..., W) window ``series`` over rounds a+1..T:
+        the window's columns from a on, plus q times the last period's sum,
+        plus its first r columns, q, r = divmod(T - W, P), added left to
+        right. Exact for integer series; a float total rounds in that
+        stated order, not in a sum over the T - a rounds. Raises
+        ModelError unless 0 <= a <= W."""
+        W = self.window[0].shape[2]
+        if not 0 <= a <= W:
+            raise ModelError(f"totals from round {a + 1} need 0 <= a <= W = {W}")
+        total = series[..., a:].sum(axis=-1)
+        if W < self.T:
+            q, r = divmod(self.T - W, self.period)
+            last = series[..., W - self.period:]
+            total = total + q * last.sum(axis=-1) + last[..., :r].sum(axis=-1)
+        return total
 
     def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
         """``virtual``, ``candidates`` and ``played`` at rounds a+1..b,
@@ -397,8 +417,9 @@ def planner_runs(
     runs with one joint period, the lcm of its seeds' cycle lengths, and
     grows by the next seed while S_c n W <= _CHUNK_CELLS, W the window
     ``run_planner`` computes for the lcm with that seed's cycles, and S_c n T
-    <= _CHUNK_ROUNDS, which caps its payoff rows and the full arrays a
-    caller reads. Run s of the chunks is ``seeds[s]``'s run."""
+    <= _CHUNK_ROUNDS, which caps the (S_c, T) payoff gathers and full
+    arrays a caller may read (``totals`` builds neither). Run s of the
+    chunks is ``seeds[s]``'s run."""
     require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)
     lengths = np.maximum(plan.u - plan.l, 1).tolist()

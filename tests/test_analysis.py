@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -216,6 +217,36 @@ def test_approximation_experiment_rejects_horizon_below_tau_max():
         approximation_experiment(inst, 0.5, 3, 30, 0)
 
 
+@pytest.mark.parametrize("T, got", [("500", "'500'"), (None, "None"), (2.5, "2.5")],
+                         ids=["text", "none", "fractional"])
+def test_approximation_experiment_checks_the_horizon_is_an_integer(monkeypatch, T, got):
+    # before, "500" and None were a bare TypeError from T < tau_max, and 2.5
+    # read "T=2.5 leaves no round from tau_max=4 on to average"
+    monkeypatch.setattr(analysis, "planner_runs", lambda *a, **k: pytest.fail("a seed was simulated"))
+    with pytest.raises(ModelError) as info:
+        approximation_experiment(make_tight_instance(1, 4), 0.5, T, 30, 0)
+    assert str(info.value) == f"T must be an integer, got {got}"
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda: approximation_experiment(random_instance(3, 1, 3, -2, np.random.default_rng(0)),
+                                     0.25, 10**6, 50, 0),
+    lambda: tightness_experiment(1, 5, 10**6, 30, 0),
+], ids=["approximation", "tightness"])
+def test_experiment_memory_is_set_by_the_window(experiment):
+    # T = 10^6 puts one seed in a chunk, whose window is a few dozen columns.
+    # Means over (S, T) payoff or count rows peaked at 26.8 and 19.1 MiB;
+    # sums from one period peak near 0.05 MiB.
+    tracemalloc.start()
+    try:
+        report = experiment()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.T == 10**6
+    assert peak < 2**20, f"peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_regret_trend_rejects_zero_seeds():
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         regret_trend(make_step_instance(), [512, 1024], 0, 0.25, 0)
@@ -287,25 +318,26 @@ def test_regret_trend_checks_the_oracle_budget_before_any_run(monkeypatch):
 
 # Every float of approximation_experiment's report as float.hex, in to_dict
 # order (epsilon, lp_value, gamma, bound, mean_virtual, se_virtual,
-# mean_actual, se_actual), pinned from the planner that copied each run's
-# window out with the run's own period. The instances are the first six
-# draw_instance seeds (n 2-4, tau_max 1-3), each also the experiment's seed,
-# at epsilon 0.25, T = 500 and 50 seeds, the shape of the approx workload.
-# Seed 4's chunks hold runs of joint periods 20 and 60: one arm is split
-# between two intervals.
+# mean_actual, se_actual), pinned from per-seed means that sum each run's
+# window and last period (PlannerRuns.totals). The instances are the first
+# six draw_instance seeds (n 2-4, tau_max 1-3), each also the experiment's
+# seed, at epsilon 0.25, T = 500 and 50 seeds, the shape of the approx
+# workload. Seed 4's chunks hold runs of joint periods 20 and 60: one arm is
+# split between two intervals. Re-pin by running this test under
+# MLSD_PRINT_GOLDEN=1 with -s and copying the printed rows.
 _APPROX_BITS = {
     0: ("0x1.0000000000000p-2", "0x1.ceadb327884c3p-1", "0x1.43a54e4e98864p-1", "0x1.2477f643294fbp-1",
-        "0x1.49795ddd19cb6p-1", "0x1.c42584169e0d7p-6", "0x1.49795ddd19cb6p-1", "0x1.c42584169e0d7p-6"),
+        "0x1.49795ddd19cb7p-1", "0x1.c42584169e0d7p-6", "0x1.49795ddd19cb7p-1", "0x1.c42584169e0d7p-6"),
     1: ("0x1.0000000000000p-2", "0x1.ddfc0329dfb40p-1", "0x1.756aaae203f1ap-1", "0x1.5c9bad02561cdp-1",
-        "0x1.c9b698e709326p-1", "0x1.4ef3664ce9091p-8", "0x1.cb4c9111efb6cp-1", "0x1.33a5084eb53ffp-8"),
+        "0x1.c9b698e709326p-1", "0x1.4ef3664ce908dp-8", "0x1.cb4c9111efb6cp-1", "0x1.33a5084eb53fcp-8"),
     2: ("0x1.0000000000000p-2", "0x1.c81afb105948ap-1", "0x1.43a54e4e98864p-1", "0x1.205047d6d9537p-1",
-        "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e1p-6", "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e1p-6"),
+        "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e3p-6", "0x1.578bfcdb8b992p-1", "0x1.dae94cac960e3p-6"),
     3: ("0x1.0000000000000p-2", "0x1.c1ee4110f027bp-1", "0x1.43a54e4e98864p-1", "0x1.1c69122484b4ap-1",
-        "0x1.5743d894e2409p-1", "0x1.d47c1b4fdb89fp-6", "0x1.5743d894e2409p-1", "0x1.d47c1b4fdb89fp-6"),
+        "0x1.5743d894e2408p-1", "0x1.d47c1b4fdb8a0p-6", "0x1.5743d894e2408p-1", "0x1.d47c1b4fdb8a0p-6"),
     4: ("0x1.0000000000000p-2", "0x1.55371cd843178p+0", "0x1.756aaae203f1ap-1", "0x1.f1b7799ce45ddp-1",
-        "0x1.2d1caa88105a6p+0", "0x1.95eceeeced9e7p-7", "0x1.3d089922ae233p+0", "0x1.dff1560459fdep-8"),
+        "0x1.2d1caa88105a6p+0", "0x1.95eceeeced9e3p-7", "0x1.3d089922ae233p+0", "0x1.dff1560459fd1p-8"),
     5: ("0x1.0000000000000p-2", "0x1.633ae5b041d7ep+0", "0x1.8d4a64665de50p-1", "0x1.13a4c844e444bp+0",
-        "0x1.503feb9465740p+0", "0x1.a14ea366d6f2ap-8", "0x1.5468fefe35763p+0", "0x1.46c20600eaa66p-8"),
+        "0x1.503feb9465740p+0", "0x1.a14ea366d6f31p-8", "0x1.5468fefe35764p+0", "0x1.46c20600eaa6ap-8"),
 }
 
 
@@ -321,11 +353,15 @@ def test_approximation_reports_keep_their_bits(monkeypatch, seed):
     monkeypatch.setattr(planner, "run_planner", spy)
     report = approximation_experiment(draw_instance(seed), 0.25, 500, 50, seed).to_dict()
     bits = tuple(v.hex() for v in report.values() if isinstance(v, float))
+    if os.environ.get("MLSD_PRINT_GOLDEN"):
+        quoted = [f'"{b}"' for b in bits]
+        print(f"    {seed}: ({', '.join(quoted[:4])},\n        {', '.join(quoted[4:])}),")
     assert bits == _APPROX_BITS[seed]
     periods = [{math.lcm(*row) for row in np.maximum(plan.u - plan.l, 1).tolist()}
                for plan, _ in chunks]
     assert (seed == 4) == any(len(p) == 2 for p in periods)
-    # the report's row means keep their bits only on C-ordered series
+    # the series other readers gather (robustness_gap's row means, the trace
+    # writer) keep their bits only when C-ordered
     for _, runs in chunks:
         W, T = runs.window[0].shape[2], runs.T
         assert W < T

@@ -901,6 +901,52 @@ def test_columns_refuse_rounds_outside_the_run(a, b):
         (1, 1, 0), (1, 1, 0), (1, 1, 40)]
 
 
+def test_totals_sum_the_stretched_rows():
+    # seeded 1-4 arm plans at half their selection mass, 1-4 runs each, at
+    # horizons where W == T (T <= P), where T - W < P (q == 0) and where
+    # the last period repeats many times; sums from a = 0, tau_max - 1, W - 1
+    # and W. Integer series must equal the stretched row's sum exactly. A
+    # float total (three sums of at most W terms, a product and two adds)
+    # lies within (W + 2) 2^-52 sum|row| of the row's exactly rounded sum
+    seen = set()
+    for seed in range(30):
+        inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
+        sol = solve_lp(build_lp(inst, -1 - seed % 3))
+        thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
+        rng = stream(seed, "misc")
+        plan = round_intervals(thin, range(seed, seed + int(rng.integers(1, 5))))
+        P = math.lcm(*np.maximum(plan.u - plan.l, 1).ravel().tolist())
+        wide = max(2 * P + 1, inst.tau_max + P)  # W whenever P < T
+        for T in sorted({P, wide + int(rng.integers(1, P + 1)), wide + int(rng.integers(P, 40 * P))}):
+            runs = run_planner(inst, plan, T)
+            S, n, W = runs.window[0].shape
+            q = (T - W) // runs.period if W < T else None
+            seen.add("W == T" if W == T else "q == 0" if q == 0 else "q > 0")
+            ints = [np.minimum(runs.window[1].sum(axis=1), inst.k), runs.window[2],
+                    runs.window[3], rng.integers(-1000, 1000, (S, n, W))]
+            floats = [*runs.window[4:], rng.uniform(-1.0, 1.0, (S, W))]
+            for a in sorted({0, inst.tau_max - 1, W - 1, W} & set(range(W + 1))):
+                seen.add(a)
+                for series in ints:
+                    want = runs.stretch(series)[0][..., a:].sum(axis=-1)
+                    assert np.array_equal(runs.totals(series, a), want), (seed, T, a)
+                for series in floats:
+                    got = runs.totals(series, a)
+                    for row, total in zip(runs.stretch(series)[0][..., a:], got):
+                        bound = (W + 2) * 2.0**-52 * math.fsum(np.abs(row).tolist())
+                        assert abs(total - math.fsum(row.tolist())) <= bound, (seed, T, a)
+    assert {"W == T", "q == 0", "q > 0", 0, 1, 2} <= seen
+
+
+@pytest.mark.parametrize("a", [-1, 8])
+def test_totals_refuse_a_start_outside_the_window(a):
+    # the one-arm run of period 3 keeps 7 of T = 40 columns
+    runs = run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]), 40)
+    with pytest.raises(ModelError, match=rf"^totals from round {a + 1} need 0 <= a <= W = 7$"):
+        runs.totals(runs.window[4], a)
+    assert runs.totals(runs.window[4], 7).tolist() == [22.0]  # rounds 8..40 play 2 of every 3
+
+
 def _spy_chunks(monkeypatch) -> list:
     """Every (plan, T, result) that planner_runs hands to run_planner."""
     calls = []
