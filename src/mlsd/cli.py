@@ -175,7 +175,7 @@ def _trace_rows(runs: planner.PlannerRuns, a: int, b: int) -> list[str]:
     """Run 0's CSV lines of rounds a+1..b, each led by its round; both
     payoff columns take one ``_labels`` pass."""
     virtual, candidates, played = runs.columns(a, b)
-    payoffs = np.concatenate((runs.virtual_payoff[0, a:b], runs.actual_payoff[0, a:b]))
+    payoffs = np.concatenate([p[0] for p in runs.columns(a, b, *runs.window[4:])])
     payoffs = _labels(payoffs, _fmt).tolist()
     return [
         f"{t},{nu},{c},{p},{v},{w}\n"
@@ -196,10 +196,8 @@ def cmd_simulate(args) -> int:
         solution = lp.solve_lp(lp.build_lp(instance, lp.tau_L_from_epsilon(args.epsilon)))
         trace = planner.simulate_planner(instance, solution, args.T, args.seed)
     _write_trace(args.out, trace)
-    print(
-        f"T={args.T} mean_virtual={_fmt(trace.virtual_payoff.mean())} "
-        f"mean_actual={_fmt(trace.actual_payoff.mean())}"
-    )
+    virtual, actual = (trace.totals(p[0], 0) / args.T for p in trace.window[4:])
+    print(f"T={args.T} mean_virtual={_fmt(virtual)} mean_actual={_fmt(actual)}")
     return 0
 
 

@@ -211,8 +211,9 @@ def etc_run(
 
     The reference, the larger planner run, goes first, so a horizon past the
     planner's cap is refused before the exploration is built. The commit
-    draws one uniform per (arm, round) cell and is scored on its run's
-    window, without the run's full fields.
+    draws one uniform per (arm, round) cell, so it gathers its hit
+    thresholds and both runs their payoff rows through ``columns(0, T)``
+    (summed pairwise, as one (1, T) row) rather than the runs' full fields.
 
     ``benchmark_total`` is the scaled optimum (1-eps) * gamma_k * OPT(T) when
     the caller has it; the recorded regret is benchmark - R(T). Raises
@@ -225,7 +226,8 @@ def etc_run(
     if rounds >= T:  # before the schedule's (n, rounds) matrix exists
         raise ExplorationTooLongError(T, rounds)
     full_info = solve_lp(build_lp(instance, cfg.tau_L))
-    planner_total = float(simulate_planner(instance, full_info, T, seed).actual_payoff.sum())
+    reference = simulate_planner(instance, full_info, T, seed)
+    planner_total = float(reference.columns(0, T, reference.window[5])[0].sum())
     schedule = exploration_schedule(*args)
 
     noise = stream(seed, "noise")
@@ -243,10 +245,10 @@ def etc_run(
     played, actual = commit.window[2][0], commit.window[3][0]
     col = state_column(actual, instance.tau_min, instance.tau_max)
     threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
-    (threshold,) = commit.stretch(threshold)
+    threshold, payoff = commit.columns(0, commit.T, threshold, commit.window[5])
     hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
     realized_total = expl.realized_total + float(hits)
-    mean_total = expl.mean_total + float(commit.actual_payoff.sum())
+    mean_total = expl.mean_total + float(payoff.sum())
     return EtcResult(config=cfg, exploration_length=rounds, realized_total=realized_total,
                      mean_total=mean_total, planner_total=planner_total,
                      benchmark_total=benchmark_total, min_sample_count=int(expl.counts.min()))
@@ -274,7 +276,9 @@ def robustness_gap(
     Each seed fixes a Rademacher sign pattern; the same pattern is scaled by
     every eta (common random numbers), the planner re-plans on the perturbed
     tables, and the deficit against the matched unperturbed run is averaged.
-    Perturbations may break monotonicity; feasibility is unaffected.
+    Each run's per-round payoff is ``totals`` of its actual payoff series
+    over T, summed from its window and one period. Perturbations may break
+    monotonicity; feasibility is unaffected.
     """
     seeds = seed_range(seed, n_seeds)
     require_int("T", T, least=1)
@@ -287,9 +291,8 @@ def robustness_gap(
     truth = instance.means
     true_solution = solve_lp(build_lp(instance, tau_L))
 
-    base_rates = np.concatenate([
-        runs.actual_payoff.mean(axis=1) for runs in planner_runs(instance, true_solution, T, seeds)
-    ])
+    base_runs = planner_runs(instance, true_solution, T, seeds)
+    base_rates = np.concatenate([runs.totals(runs.window[5], 0) / T for runs in base_runs])
     per_eta: list[np.ndarray] = [np.zeros(n_seeds) for _ in etas]
     for s, run_seed in enumerate(seeds):
         signs = np.where(stream(run_seed, "perturb").random(truth.shape) < 0.5, -1.0, 1.0)
@@ -298,7 +301,7 @@ def robustness_gap(
             tables = PayoffTable(instance.k, instance.tau_min, instance.tau_max, means)
             sol = solve_lp(build_lp(tables, tau_L))
             trace = simulate_planner(instance, sol, T, run_seed, selection=tables)
-            per_eta[j][s] = base_rates[s] - float(trace.actual_payoff.mean())
+            per_eta[j][s] = base_rates[s] - float(trace.totals(trace.window[5], 0)[0] / T)
 
     deficits = [float(v.mean()) for v in per_eta]
     ses = [float(v.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0 for v in per_eta]

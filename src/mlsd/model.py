@@ -184,10 +184,10 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def save_json(payload: dict, path) -> None:
-    """Write ``payload`` as indented JSON with a trailing newline."""
+    """Write ``payload`` as indented JSON with a trailing newline, in one
+    write (``json.dump`` writes each token on its own)."""
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -218,5 +218,5 @@ def random_instance(
             f"a random {n} x {tau_max - tau_min} payoff table has more than "
             f"{_MAX_RANDOM_CELLS} cells"
         )
-    rows = [np.sort(rng.uniform(0.0, 1.0, size=tau_max - tau_min)) for _ in range(n)]
-    return Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=rows)
+    means = np.sort(rng.uniform(0.0, 1.0, size=(n, tau_max - tau_min)), axis=1)
+    return Instance(k=k, tau_min=tau_min, tau_max=tau_max, means=means)

@@ -25,8 +25,9 @@ from .rng import bounded, outputs, streams, uniforms
 
 _MASS_TOL = 1e-9
 _CHUNK_CELLS = 2**14  # (seed, arm, window column) cells of one planner_runs chunk
-# (seed, arm, round) cells over T rounds of one planner_runs chunk: bounds the
-# (S, T) and (S, n, T) gathers a reader may build (analysis sums with totals)
+# (seed, arm, round) cells over T rounds of one planner_runs chunk: still
+# bounds the (S, n, T) fields and columns(0, T) gathers a caller may read
+# (etc_run gathers its commit's; the experiments sum with totals)
 _CHUNK_ROUNDS = 2**17
 _ROUND_CELLS = 2**18  # comparisons and draw words of one round_intervals block
 _DRAW_WORDS = 16  # about the uint64 temporaries rng.outputs holds per (seed, arm) pair
@@ -187,15 +188,14 @@ class PlannerRuns:
 
     Past column W, every run repeats its window with the one joint period
     ``period``, P: round t > W copies window column W - P + (t - W) mod P.
-    The record reads by that rule: ``totals`` sums a per-round series of
-    the window over rounds a+1..T from one period, with nothing T-sized;
-    ``stretch`` (per-round series) and ``columns`` (blocks of the three
-    arrays) gather by one column index a read. ``virtual``, ``candidates``
-    and ``played`` (S, n, T), gathered together, and ``virtual_payoff``
-    and ``actual_payoff`` (S, T), each alone, are built on first read and
-    kept. Run s's full actual states are ``states_from_actions(played[s],
-    init)``. Every array a result hands out is read-only; arrays may share
-    memory (with k >= n, ``played`` is ``candidates``)."""
+    The record has two reads by that rule: ``totals`` sums a series of the
+    window over rounds a+1..T from one period, with nothing T-sized, and
+    ``columns`` gathers rounds a+1..b of any window series. ``virtual``,
+    ``candidates`` and ``played``, (S, n, T) each, are ``columns(0, T)``,
+    built together on first read and kept. Run s's full actual states are
+    ``states_from_actions(played[s], init)``. Every array a result hands
+    out is read-only; arrays may share memory (with k >= n, ``played`` is
+    ``candidates``)."""
 
     window: tuple[np.ndarray, ...]
     period: int  # P, the lcm of every cycle length of the runs, capped at T + 1
@@ -205,18 +205,11 @@ class PlannerRuns:
 
     @cached_property
     def _fields(self) -> tuple[np.ndarray, ...]:
-        return self.stretch(*self.window[:3])
+        return self.columns(0, self.T)
 
     virtual = property(lambda self: self._fields[0])
     candidates = property(lambda self: self._fields[1])
     played = property(lambda self: self._fields[2])
-    virtual_payoff = cached_property(lambda self: self.stretch(self.window[4])[0])
-    actual_payoff = cached_property(lambda self: self.stretch(self.window[5])[0])
-
-    def stretch(self, *series: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-round (..., W) series of the window out to T rounds: read-only
-        C-ordered copies, or whole views of ``series`` when W == T."""
-        return self._gather(0, self.T, series)
 
     def totals(self, series: np.ndarray, a: int) -> np.ndarray:
         """Per-run sums of a (..., W) window ``series`` over rounds a+1..T:
@@ -235,19 +228,15 @@ class PlannerRuns:
             total = total + q * last.sum(axis=-1) + last[..., :r].sum(axis=-1)
         return total
 
-    def columns(self, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """``virtual``, ``candidates`` and ``played`` at rounds a+1..b,
-        (S, n, b - a) each, read from the window without the (S, n, T)
-        arrays: views of it when b <= W, C-ordered copies past it. Raises
-        ModelError unless 0 <= a <= b <= T."""
+    def columns(self, a: int, b: int, *series: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Rounds a+1..b of each (..., W) window ``series`` (by default
+        ``virtual``, ``candidates`` and ``played``), (..., b - a) each:
+        views of the series when b <= W, else read-only C-ordered copies,
+        one take each by the (b - a,) int32 window column index (T <= 2^23
+        and P < T). Raises ModelError unless 0 <= a <= b <= T."""
         if not 0 <= a <= b <= self.T:
             raise ModelError(f"columns({a}, {b}) needs 0 <= a <= b <= T = {self.T}")
-        return self._gather(a, b, self.window[:3])
-
-    def _gather(self, a: int, b: int, series) -> tuple[np.ndarray, ...]:
-        """Rounds a+1..b of window ``series``: views when b <= W, else
-        read-only C-ordered copies, one take each by the (b - a,) int32
-        window column index (T <= 2^23 and P < T)."""
+        series = series or self.window[:3]
         W = self.window[0].shape[2]
         if b <= W:
             return tuple(s[..., a:b] for s in series)
@@ -417,8 +406,8 @@ def planner_runs(
     runs with one joint period, the lcm of its seeds' cycle lengths, and
     grows by the next seed while S_c n W <= _CHUNK_CELLS, W the window
     ``run_planner`` computes for the lcm with that seed's cycles, and S_c n T
-    <= _CHUNK_ROUNDS, which caps the (S_c, T) payoff gathers and full
-    arrays a caller may read (``totals`` builds neither). Run s of the
+    <= _CHUNK_ROUNDS, which caps the full fields and ``columns(0, T)``
+    gathers a caller may read (``totals`` builds neither). Run s of the
     chunks is ``seeds[s]``'s run."""
     require_int("T", T, least=0)  # before it sizes the chunks
     plan = round_intervals(solution, seeds)

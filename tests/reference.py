@@ -375,7 +375,7 @@ def trace_rows(runs: PlannerRuns) -> tuple[list[str], Iterator[list[str]]]:
         "candidates", "played", "virtual_payoff", "actual_payoff",
     ]
     virtual, cand, played = runs.virtual[0], runs.candidates[0], runs.played[0]
-    vp, ap = runs.virtual_payoff[0].tolist(), runs.actual_payoff[0].tolist()
+    vp, ap = (p[0].tolist() for p in payoffs(runs))
     rows = (
         [str(t + 1)] + [str(nu) if nu else "" for nu in virtual[:, t].tolist()] + [
             set_str(cand[:, t]),
@@ -398,6 +398,12 @@ def write_trace(path, runs: PlannerRuns) -> None:
             f.write(",".join(row) + "\n")
 
 
+def payoffs(runs: PlannerRuns) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, T) virtual and actual payoff rows of ``runs``, its window's
+    two payoff series gathered out to all T rounds by ``columns``."""
+    return runs.columns(0, runs.T, *runs.window[4:])
+
+
 def actual_states(runs: PlannerRuns, init=None) -> np.ndarray:
     """The full (S, n, T) actual states of ``runs`` from ``init`` (all +1
     when omitted): ``states_from_actions`` on each run's ``played``."""
@@ -406,18 +412,19 @@ def actual_states(runs: PlannerRuns, init=None) -> np.ndarray:
     return np.array(states, dtype=np.int64).reshape(played.shape)
 
 
-def copied_fields(runs: PlannerRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``virtual``, ``candidates`` and ``played`` filled one (run, round)
-    column at a time from the window: round t copies window column t below
-    W and W - P + (t - W) mod P past it, P the runs' joint period."""
-    S, n, W = runs.window[0].shape
-    out = tuple(np.empty((S, n, runs.T), dtype=w.dtype) for w in runs.window[:3])
-    P = runs.period
-    for s in range(S):
+def copied_fields(runs: PlannerRuns, *series: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each (S, ..., W) window ``series`` (by default ``virtual``,
+    ``candidates`` and ``played``) out to T rounds, filled one (run, round)
+    column at a time: round t copies window column t below W and
+    W - P + (t - W) mod P past it, P the runs' joint period."""
+    series = series or runs.window[:3]
+    W, P = runs.window[0].shape[2], runs.period
+    out = tuple(np.empty((*w.shape[:-1], runs.T), dtype=w.dtype) for w in series)
+    for s in range(runs.window[0].shape[0]):
         for t in range(runs.T):
             c = t if t < W else W - P + (t - W) % P
-            for field, window in zip(out, runs.window):
-                field[s, :, t] = window[s, :, c]
+            for field, window in zip(out, series):
+                field[s, ..., t] = window[s, ..., c]
     return out
 
 
@@ -705,6 +712,6 @@ def etc_totals(instance: Instance, T: int, epsilon: float, seed: int) -> tuple[f
     means = instance.means[np.arange(instance.n)[:, None], col]
     hits = np.count_nonzero(commit.played & (draws < means))
     full_info = library_solve_lp(library_build_lp(instance, cfg.tau_L))
-    planner_total = float(simulate_planner(instance, full_info, T, seed).actual_payoff.sum())
+    planner_total = float(payoffs(simulate_planner(instance, full_info, T, seed))[1].sum())
     return (expl.realized_total + float(hits),
-            expl.mean_total + float(commit.actual_payoff.sum()), planner_total)
+            expl.mean_total + float(payoffs(commit)[1].sum()), planner_total)

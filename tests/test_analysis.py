@@ -360,12 +360,12 @@ def test_approximation_reports_keep_their_bits(monkeypatch, seed):
     periods = [{math.lcm(*row) for row in np.maximum(plan.u - plan.l, 1).tolist()}
                for plan, _ in chunks]
     assert (seed == 4) == any(len(p) == 2 for p in periods)
-    # the series other readers gather (robustness_gap's row means, the trace
+    # the series other readers gather (etc_run's payoff rows, the trace
     # writer) keep their bits only when C-ordered
     for _, runs in chunks:
         W, T = runs.window[0].shape[2], runs.T
         assert W < T
-        counts = runs.stretch(*(w.sum(axis=1) for w in runs.window[1:3]))
-        blocks = [runs.columns(a, b) for a, b in [(0, W), (0, T), (W - 1, T), (W + 3, T - 1)]]
-        for array in (runs.virtual_payoff, runs.actual_payoff, *counts, *sum(blocks, ())):
-            assert array.flags.c_contiguous
+        series = (*runs.window[4:], *(w.sum(axis=1) for w in runs.window[1:3]))
+        for a, b in [(0, W), (0, T), (W - 1, T), (W + 3, T - 1)]:
+            for array in runs.columns(a, b) + runs.columns(a, b, *series):
+                assert array.flags.c_contiguous

@@ -567,6 +567,29 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_simulate_memory_is_set_by_the_window(tmp_path):
+    # The trace's payoff columns come block by block from the window and its
+    # means from one period, so the command's traced peak does not grow with
+    # T on a 3-arm instance, against 16 B a round when both (1, T) payoff
+    # rows were gathered.
+    inst, out = tmp_path / "inst3.json", tmp_path / "trace.csv"
+    assert main(["gen", "random", "--n", "3", "--k", "1", "--tau-max", "3", "--tau-min", "-2",
+                 "--out", str(inst)]) == 0
+    peaks = []
+    for T in (5 * 10**4, 10**5):
+        tracemalloc.start()
+        try:
+            args = ["simulate", "--instance", str(inst), "--T", str(T), "--out", str(out)]
+            assert main(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[1] - peaks[0]) / (5 * 10**4)
+    assert growth < 4, f"simulate peak grew {growth:.1f} B a round"
+    with open(out) as f:
+        assert sum(1 for _ in f) == 10**5 + 1
+
+
 def test_oracle_schedule_memory_is_set_by_the_block(tmp_path):
     # The schedule CSV goes out in blocks of rounds, so the command's traced
     # peak grows with T by little more than the (n, T) schedule: on

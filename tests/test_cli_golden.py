@@ -97,7 +97,7 @@ GOLDEN = {
     "regret-vs-T.csv": "47415e3eb87e6b9c063f1dd19fb61a69d889cc5eb309771247fde050ce97d590",
     "regret.csv": "2ba451a8bb80f2d9f8d82b3272d1ee42577939850bff0ae419749a601e65eb94",
     "robustness.csv": "c6d56f8c5267926c4e1648780be833381c1ba082372ec19fe9788480c3a6b4dd",
-    "robustness.json": "2fb2fb5844bbf77c0ed27c14595f488eac6da70a858d5a8ef4ba9aee0af5b4da",
+    "robustness.json": "ad3949436186ca5f9e43037f142fc4a4744d37c9ccab1928265c7ff3bdfcd581",
     "schedule-c1-long.csv": "9b4dbe9284d103fc97d0825ae9bc817d06d26a1bb0df9112a04da98c47683cd4",
     "schedule-c2-long.csv": "4c6c960146b5845d50b8d9795834b47d5c769bb5d67c9bc932afb0d463009700",
     "schedule-c2.csv": "1142e1c2aa98870f051f4fedb21435ab9348bf8a502fc437c8e8d9956dbe9a86",

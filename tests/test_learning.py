@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_etc_matches_full_information_when_payoffs_deterministic():
     sol = solve_lp(build_lp(inst, cfg.tau_L))
     fi = run_planner(inst, round_intervals(sol, [seed]), T - res.exploration_length)
     commit_mean = res.mean_total - _exploration_mean(inst, cfg, seed)
-    assert commit_mean == pytest.approx(float(fi.actual_payoff.sum()), abs=2.0)
+    assert commit_mean == pytest.approx(float(reference.payoffs(fi)[1].sum()), abs=2.0)
 
 
 def _exploration_mean(inst, cfg, seed):
@@ -259,6 +260,21 @@ def test_robustness_trend_and_envelope():
     for eta, d, se in zip(etas, rep.deficits, rep.standard_errors):
         assert d <= 3 * eta * inst.k + 3 * se + 1e-9
     assert rep.fitted_slope >= 0.0
+
+
+def test_robustness_memory_is_set_by_the_window():
+    # every run's per-round payoff sums its window and one period, so no
+    # (S, T) payoff row is built at T = 10^6: the parent's row means of its
+    # base runs and per-eta runs peaked at 19.1 MiB
+    inst = random_instance(3, 1, 3, -2, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        rep = robustness_gap(inst, [0.0, 0.1], T=10**6, n_seeds=3, epsilon=0.5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert rep.deficits[0] == 0.0
 
 
 def test_robustness_feasibility_under_perturbation():

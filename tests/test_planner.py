@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -218,9 +217,8 @@ def test_actual_dominates_virtual_after_burn_in():
         assert domination_margin(trace, inst.tau_max) >= 0
         # payoff streams inherit the dominance via monotone tables
         start = inst.tau_max - 1
-        assert np.all(
-            trace.actual_payoff[:, start:] >= trace.virtual_payoff[:, start:] - 1e-12
-        )
+        virtual_payoff, actual_payoff = reference.payoffs(trace)
+        assert np.all(actual_payoff[:, start:] >= virtual_payoff[:, start:] - 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +310,8 @@ def test_fixed_round_payoff_meets_scaled_lp_value():
         inst = draw_instance(910 + seed0, n_range=(3, 4), tau_max_range=(1, 2))
         sol = solve_lp(build_lp(inst, -2))
         t = inst.tau_max
-        vals = run_planner(inst, round_intervals(sol, range(2000)), t).virtual_payoff[:, t - 1]
+        runs = run_planner(inst, round_intervals(sol, range(2000)), t)
+        vals = reference.payoffs(runs)[0][:, t - 1]
         bound = gamma_k(inst.k) * sol.objective
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() >= bound - 3 * se
@@ -366,22 +365,24 @@ def _hex(values) -> list[str]:
 
 
 _FIELDS = ("virtual", "candidates", "played")  # the (S, n, T) fields
-_FIVE_FIELDS = (*_FIELDS, "virtual_payoff", "actual_payoff")
-_SIX_FIELDS = (*_FIELDS, "actual_states", "virtual_payoff", "actual_payoff")
+_PAYOFFS = ("virtual_payoff", "actual_payoff")  # the (S, T) rows of reference.payoffs
+_SIX_FIELDS = (*_FIELDS, "actual_states", *_PAYOFFS)
 
 
-def _six(runs, init=None) -> dict:
-    """The six quantities of ``runs`` by name, the full actual states from
-    ``reference.actual_states``."""
-    return {name: reference.actual_states(runs, init) if name == "actual_states"
-            else getattr(runs, name) for name in _SIX_FIELDS}
+def _six(runs, init=None, states=None) -> dict:
+    """The six quantities of ``runs`` by name: the full actual states
+    ``states``, by default from ``reference.actual_states``, and the
+    payoff rows from ``reference.payoffs``."""
+    if states is None:
+        states = reference.actual_states(runs, init)
+    return {**{name: getattr(runs, name) for name in _FIELDS}, "actual_states": states,
+            **dict(zip(_PAYOFFS, reference.payoffs(runs)))}
 
 
 def _twin_six(twin) -> dict:
     """The six quantities of a scalar twin by name; its window is all T
     rounds and holds its stepped actual states."""
-    return {name: twin.window[3] if name == "actual_states" else getattr(twin, name)
-            for name in _SIX_FIELDS}
+    return _six(twin, states=twin.window[3])
 
 
 def _assert_same_trace(got, want, init=None):
@@ -392,8 +393,8 @@ def _assert_same_trace(got, want, init=None):
         assert np.array_equal(got_six[name], want_six[name]), name
     W = got.window[3].shape[2]
     assert np.array_equal(got.window[3], want.window[3][..., :W])
-    assert _hex(got.virtual_payoff) == _hex(want.virtual_payoff)
-    assert _hex(got.actual_payoff) == _hex(want.actual_payoff)
+    for name in _PAYOFFS:
+        assert _hex(got_six[name]) == _hex(want_six[name]), name
 
 
 @pytest.mark.parametrize("u", range(1, 7))
@@ -449,8 +450,8 @@ def test_planner_runs_match_per_seed_twin(seed, T, S, cells, lift, thin, perturb
         got, twin = _six(c, init), _twin_six(trace)
         for name in _FIELDS + ("actual_states",):
             assert np.array_equal(got[name][r], twin[name][0]), name
-        assert _hex(c.virtual_payoff[r]) == _hex(trace.virtual_payoff)
-        assert _hex(c.actual_payoff[r]) == _hex(trace.actual_payoff)
+        for name in _PAYOFFS:
+            assert _hex(got[name][r]) == _hex(twin[name]), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,8 +551,8 @@ def test_window_edges_match_scalar_twin(case, init, perturb):
         for s in range(plan.u.shape[0]):
             ivs, offs = plan_lists(plan, s)
             want = reference.run_planner(inst, ivs, offs, T, selection=selection, init_states=init)
-            run = SimpleNamespace(window=tuple(w[s:s + 1] for w in runs.window),
-                                  **{f: getattr(runs, f)[s:s + 1] for f in _FIVE_FIELDS})
+            run = PlannerRuns(window=tuple(w[s:s + 1] for w in runs.window),
+                              period=runs.period, T=T)
             _assert_same_trace(run, want, init)
         if case == "starved" and not perturb:
             assert not runs.played[0, 1].any() and runs.candidates[0, 1].any()
@@ -606,10 +607,11 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
     # the boundary cases (arms with no interval, a starved arm, windows set
     # by 2P + 1 or tau_max + P) or a random 1-4 arm instance at half its
     # selection mass; blocks split T at random cuts, plus one that straddles
-    # the kernel's width W; every block of the three (S, n, T) fields is
-    # read before and after the five fields and the full actual states,
-    # which must match the scalar twin bit for bit, and so must the
-    # stretched per-round counts
+    # the kernel's width W; every block of the three (S, n, T) fields, and
+    # of the payoff series and the window's per-round counts read through
+    # columns(a, b, *series), is read before and after the full fields,
+    # payoff rows and actual states, which must match the scalar twin bit
+    # for bit; a block outside the run is refused with series or without
     if isinstance(source, str):
         inst, plan = _BOUNDARY_CASES[source]
     else:
@@ -629,9 +631,10 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
                                 means=np.clip(inst.means + noise, 0.0, 1.0))
     runs = run_planner(inst, plan, T, selection=selection, init_states=init)
     W = runs.window[0].shape[2]
+    series = (*runs.window[4:], *(w.sum(axis=1) for w in runs.window[1:3]))
     bounds = sorted({0, T, *(c for c in cuts if c <= T)})
     blocks = [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))]
-    before = [runs.columns(a, b) for a, b in blocks]
+    before = [runs.columns(a, b) + runs.columns(a, b, *series) for a, b in blocks]
     full = _six(runs, init)
     for s in range(plan.u.shape[0]):
         ivs, offs = plan_lists(plan, s)
@@ -639,26 +642,32 @@ def test_block_reads_match_full_fields_and_twin(source, init, perturb, T, cuts):
                                                init_states=init))
         for name in _SIX_FIELDS:
             _same_bits(full[name][s:s + 1], want[name], name)
+    names = (*_FIELDS, *_PAYOFFS, "candidate count", "play count")
+    rows = [full[name] for name in _FIELDS + _PAYOFFS]
+    rows += [full[name].sum(axis=1) for name in ("candidates", "played")]
     for (a, b), first in zip(blocks, before):
-        again = runs.columns(a, b)
-        for name, got, got_again in zip(_FIELDS, first, again, strict=True):
-            whole = full[name][..., a:b]
-            _same_bits(got, whole, name)
-            _same_bits(got_again, whole, name)
-    # per-round counts of the window, stretched out to T as the fields are
-    stretched = runs.stretch(*(w.sum(axis=1) for w in runs.window[1:3]))
-    for name, got in zip(("candidates", "played"), stretched, strict=True):
-        _same_bits(got, getattr(runs, name).sum(axis=1), name)
+        again = runs.columns(a, b) + runs.columns(a, b, *series)
+        for name, got, got_again, row in zip(names, first, again, rows, strict=True):
+            _same_bits(got, row[..., a:b], name)
+            _same_bits(got_again, row[..., a:b], name)
+    for a, b in [(-1, 0), (0, T + 1), (1, 0)]:
+        for read in (lambda: runs.columns(a, b), lambda: runs.columns(a, b, *series)):
+            with pytest.raises(ModelError, match=rf"^columns\({a}, {b}\) needs"):
+                read()
 
 
-def _assert_copies_window(runs: PlannerRuns, blocks) -> None:
+def _assert_copies_window(runs: PlannerRuns, blocks, *series) -> None:
     """Every array ``runs`` hands out, each ``columns`` block of ``blocks``
-    and the three full fields, is its window columns under the copy rule."""
-    got = [runs.columns(a, b) for a, b in blocks]
-    want = reference.copied_fields(runs)
-    for (a, b), fields in zip(blocks, got):
-        for name, block, field in zip(_FIELDS, fields, want, strict=True):
+    and the three full fields, is its window columns under the copy rule;
+    so is each block of the two payoff series and of the window
+    ``series``, read by ``columns(a, b, *series)``."""
+    series = (*runs.window[4:], *series)
+    want, rows = reference.copied_fields(runs), reference.copied_fields(runs, *series)
+    for a, b in blocks:
+        for name, block, field in zip(_FIELDS, runs.columns(a, b), want, strict=True):
             _same_bits(block, field[..., a:b], name)
+        for i, (block, row) in enumerate(zip(runs.columns(a, b, *series), rows, strict=True)):
+            _same_bits(block, row[..., a:b], f"series {i}")
     for name, field in zip(_FIELDS, want):
         _same_bits(getattr(runs, name), field, name)
 
@@ -671,7 +680,8 @@ def test_every_handed_out_column_copies_its_window_column(seed, T, S, lift, pert
     # random 1-4 arm instances at half their selection mass, so some arms
     # never play; init states and a perturbed selection table make a run
     # like an ETC commit phase; blocks split T at random cuts, plus one that
-    # straddles the window's width W
+    # straddles the window's width W; besides the fields and payoff series,
+    # blocks of a random float (S, W) and int (S, n, W) window series
     inst = draw_instance(seed, n_range=(1, 4), allow_k_equal_n=True)
     sol = solve_lp(build_lp(inst, -1 - seed % 3))
     thin = LpSolution(x=0.5 * sol.x, objective=0.5 * sol.objective, tau_L=sol.tau_L)
@@ -688,7 +698,8 @@ def test_every_handed_out_column_copies_its_window_column(seed, T, S, lift, pert
     runs = run_planner(inst, plan, T, selection=selection, init_states=init)
     W = runs.window[0].shape[2]
     bounds = sorted({0, T, *(c for c in cuts if c <= T)})
-    _assert_copies_window(runs, [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))])
+    _assert_copies_window(runs, [*zip(bounds, bounds[1:]), (max(W - 2, 0), min(W + 2, T))],
+                          rng.uniform(-1.0, 1.0, (S, W)), rng.integers(-5, 5, (S, inst.n, W)))
 
 
 @pytest.mark.parametrize("source, T", [("step", 400), ("step", 5000), (7, 3000), (42, 3000)])
@@ -723,7 +734,7 @@ def test_payoff_reads_build_no_full_array():
     try:
         base = tracemalloc.get_traced_memory()[0]
         (runs,) = planner_runs(inst, sol, T, [3])
-        totals = runs.virtual_payoff.sum(), runs.actual_payoff.sum()
+        totals = [p.sum() for p in reference.payoffs(runs)]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -883,7 +894,8 @@ def test_fields_are_read_only(T):
     W = runs.window[0].shape[2]
     assert W == {3: 3, 40: 7}[T]
     blocks = [*runs.columns(0, 2), *runs.columns(W - 1, T)]
-    arrays = [getattr(runs, name) for name in _FIVE_FIELDS] + [*runs.window, *blocks]
+    arrays = [getattr(runs, name) for name in _FIELDS] + [*reference.payoffs(runs)]
+    arrays += [*runs.window, *blocks]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[..., :1] = 0
@@ -928,11 +940,11 @@ def test_totals_sum_the_stretched_rows():
             for a in sorted({0, inst.tau_max - 1, W - 1, W} & set(range(W + 1))):
                 seen.add(a)
                 for series in ints:
-                    want = runs.stretch(series)[0][..., a:].sum(axis=-1)
+                    want = runs.columns(a, T, series)[0].sum(axis=-1)
                     assert np.array_equal(runs.totals(series, a), want), (seed, T, a)
                 for series in floats:
                     got = runs.totals(series, a)
-                    for row, total in zip(runs.stretch(series)[0][..., a:], got):
+                    for row, total in zip(runs.columns(a, T, series)[0], got):
                         bound = (W + 2) * 2.0**-52 * math.fsum(np.abs(row).tolist())
                         assert abs(total - math.fsum(row.tolist())) <= bound, (seed, T, a)
     assert {"W == T", "q == 0", "q > 0", 0, 1, 2} <= seen
@@ -1023,7 +1035,7 @@ def test_short_periods_take_one_or_two_kernel_calls(monkeypatch):
     calls = _spy_chunks(monkeypatch)
     chunks = list(planner_runs(inst, solve_lp(build_lp(inst, -2)), 500, range(50)))
     assert 1 <= len(calls) <= 2
-    assert sum(c.virtual_payoff.shape[0] for c in chunks) == 50
+    assert sum(c.window[4].shape[0] for c in chunks) == 50
 
 
 def test_long_horizons_keep_one_seed_a_chunk(monkeypatch):
