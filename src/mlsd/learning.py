@@ -12,7 +12,6 @@ of restarts would wrap etc_run unchanged and is left as an extension.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +20,7 @@ import numpy as np
 
 from .lp import build_lp, solve_lp, tau_L_from_epsilon
 from .model import Instance, ModelError, PayoffTable, column_state, require_int, state_column
-from .planner import planner_runs, simulate_planner, states_from_actions
+from .planner import PlannerRuns, planner_runs, simulate_planner, states_from_actions
 from .rng import seed_range, stream
 
 
@@ -71,24 +70,33 @@ def exploration_schedule(n: int, k: int, tau_max: int, tau_L: int, m: int) -> np
     the block's lead play happens at state 1, which supplies the remaining
     state-1 samples. The length is ``exploration_length`` of the same
     arguments, at most ceil(n/k) * m * (tau_max**2 - tau_L + 2).
+
+    Every cohort's rounds are built in closed form, with no loop over m:
+    the walks are one cumulative sum of the gaps, each cohort's a round
+    after the one before it ends, and the waves one broadcast over
+    (cohort, wave, play).
     """
     length = exploration_length(n, k, tau_max, tau_L, m)
-    plays: list[list[int]] = [[] for _ in range(0, n, k)]  # per cohort, its 1-based rounds
-    t = 0
+    cohort = np.arange(-(-n // k))[:, None, None]
+    rounds = []  # per cohort, blocks of its 1-based rounds
+    t = 0  # the round before the first wave
     if tau_max >= 2:
         # the gaps after the first play: m - 1 more at tau_max, m exact gaps
         # per state from tau_max - 1 down to 2, and the gap-2 play at state 1
-        gaps = [tau_max + 1] * (m - 1) + [g for g in range(tau_max, 2, -1) for _ in range(m)]
-        for rounds in plays:
-            rounds.extend(itertools.accumulate([max(t + 1, tau_max)] + gaps + [2]))
-            t = rounds[-1]
-    for rounds in plays:
-        for _ in range(m):  # a rest round, then -tau_L + 1 plays
-            rounds.extend(range(t + 2, t + 3 - tau_L))
-            t += 2 - tau_L
-    schedule = np.zeros((len(plays), length), dtype=bool)
-    for c, rounds in enumerate(plays):
-        schedule[c, np.array(rounds) - 1] = True
+        gaps = np.repeat(np.r_[tau_max + 1, np.arange(tau_max, 1, -1)],
+                         [m - 1] + [m] * (tau_max - 2) + [1])
+        walk = np.r_[0, np.cumsum(gaps)]
+        # the first cohort starts at round tau_max, each later one a round
+        # after the one before it ends
+        rounds.append(tau_max + cohort * (walk[-1] + 1) + walk)
+        t = tau_max + cohort.size * (walk[-1] + 1) - 1
+    # wave j of cohort c: a rest round, then -tau_L + 1 plays
+    wave = (2 - tau_L) * (m * cohort + np.arange(m)[:, None])
+    rounds.append(t + 2 + wave + np.arange(1 - tau_L))
+    schedule = np.zeros((cohort.size, length), dtype=bool)
+    rows = cohort.reshape(-1, 1)
+    for block in rounds:
+        schedule[rows, block.reshape(cohort.size, -1) - 1] = True
     return schedule[np.arange(n) // k]  # a cohort's arms play in lockstep
 
 
@@ -210,10 +218,10 @@ def etc_run(
     on the same random streams as a paired reference.
 
     The reference, the larger planner run, goes first, so a horizon past the
-    planner's cap is refused before the exploration is built. The commit
-    draws one uniform per (arm, round) cell, so it gathers its hit
-    thresholds and both runs their payoff rows through ``columns(0, T)``
-    (summed pairwise, as one (1, T) row) rather than the runs' full fields.
+    planner's cap is refused before the exploration is built. The commit is
+    scored from its window alone (see ``_commit_hits``), and both runs' mean
+    totals are ``totals`` of their actual payoff series, so nothing here
+    grows with T but the exploration.
 
     ``benchmark_total`` is the scaled optimum (1-eps) * gamma_k * OPT(T) when
     the caller has it; the recorded regret is benchmark - R(T). Raises
@@ -227,7 +235,7 @@ def etc_run(
         raise ExplorationTooLongError(T, rounds)
     full_info = solve_lp(build_lp(instance, cfg.tau_L))
     reference = simulate_planner(instance, full_info, T, seed)
-    planner_total = float(reference.columns(0, T, reference.window[5])[0].sum())
+    planner_total = float(reference.totals(reference.window[5], 0)[0])
     schedule = exploration_schedule(*args)
 
     noise = stream(seed, "noise")
@@ -239,19 +247,37 @@ def etc_run(
     solution = solve_lp(build_lp(estimates, cfg.tau_L))
     commit = simulate_planner(instance, solution, T - rounds, seed,
                               selection=estimates, init_states=expl.end_states)
-    # a cell's hit threshold: the true mean at the arm's actual state where
-    # it played, -1 where it rested; past the window an arm that plays
-    # repeats its actual states, and one that never plays keeps -1
-    played, actual = commit.window[2][0], commit.window[3][0]
-    col = state_column(actual, instance.tau_min, instance.tau_max)
-    threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
-    threshold, payoff = commit.columns(0, commit.T, threshold, commit.window[5])
-    hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
-    realized_total = expl.realized_total + float(hits)
-    mean_total = expl.mean_total + float(payoff.sum())
+    realized_total = expl.realized_total + float(_commit_hits(instance, commit, noise))
+    mean_total = expl.mean_total + float(commit.totals(commit.window[5], 0)[0])
     return EtcResult(config=cfg, exploration_length=rounds, realized_total=realized_total,
                      mean_total=mean_total, planner_total=planner_total,
                      benchmark_total=benchmark_total, min_sample_count=int(expl.counts.min()))
+
+
+def _commit_hits(instance: Instance, commit: PlannerRuns, noise: np.random.Generator) -> int:
+    """The Bernoulli hits of a one-run ``commit`` against the true means,
+    drawn from ``noise`` by its window.
+
+    A window column's hit threshold is the true mean at the arm's actual
+    state where it played, -1 where it rested. Each (arm, window column)
+    draws one uniform against it, in (arm, column) order; with W == T that
+    is one draw per (arm, round) cell. Every round t > W copies window
+    column W - P + (t - W) mod P (see ``PlannerRuns``), so it hits with
+    that column's probability: the last period's columns then add one
+    Binomial(q or q + 1, p) each, q, r = divmod(T - W, P), the first r
+    columns q + 1, drawn after the uniforms in (arm, column) order.
+    """
+    played, actual = commit.window[2][0], commit.window[3][0]
+    col = state_column(actual, instance.tau_min, instance.tau_max)
+    threshold = np.where(played, instance.means[np.arange(instance.n)[:, None], col], -1.0)
+    hits = np.count_nonzero(noise.random(size=threshold.shape) < threshold)
+    W, P = threshold.shape[1], commit.period
+    if W < commit.T:
+        q, r = divmod(commit.T - W, P)
+        counts = np.full(P, q)
+        counts[:r] += 1
+        hits += int(noise.binomial(counts, np.maximum(threshold[:, W - P:], 0.0)).sum())
+    return hits
 
 
 @dataclass

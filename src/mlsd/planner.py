@@ -27,7 +27,8 @@ _MASS_TOL = 1e-9
 _CHUNK_CELLS = 2**14  # (seed, arm, window column) cells of one planner_runs chunk
 # (seed, arm, round) cells over T rounds of one planner_runs chunk: still
 # bounds the (S, n, T) fields and columns(0, T) gathers a caller may read
-# (etc_run gathers its commit's; the experiments sum with totals)
+# (no src/ caller does: the experiments and etc_run sum with totals, and
+# etc_run draws its commit's hits from the window)
 _CHUNK_ROUNDS = 2**17
 _ROUND_CELLS = 2**18  # comparisons and draw words of one round_intervals block
 _DRAW_WORDS = 16  # about the uint64 temporaries rng.outputs holds per (seed, arm) pair
@@ -211,14 +212,22 @@ class PlannerRuns:
     candidates = property(lambda self: self._fields[1])
     played = property(lambda self: self._fields[2])
 
+    def _width(self, *series: np.ndarray) -> int:
+        """W, or ModelError unless every series has W columns."""
+        W = self.window[0].shape[2]
+        for s in series:
+            if s.shape[-1] != W:
+                raise ModelError(f"a window series must have W = {W} columns, got {s.shape[-1]}")
+        return W
+
     def totals(self, series: np.ndarray, a: int) -> np.ndarray:
         """Per-run sums of a (..., W) window ``series`` over rounds a+1..T:
         the window's columns from a on, plus q times the last period's sum,
         plus its first r columns, q, r = divmod(T - W, P), added left to
         right. Exact for integer series; a float total rounds in that
         stated order, not in a sum over the T - a rounds. Raises
-        ModelError unless 0 <= a <= W."""
-        W = self.window[0].shape[2]
+        ModelError unless 0 <= a <= W and the series is W columns wide."""
+        W = self._width(series)
         if not 0 <= a <= W:
             raise ModelError(f"totals from round {a + 1} need 0 <= a <= W = {W}")
         total = series[..., a:].sum(axis=-1)
@@ -233,11 +242,12 @@ class PlannerRuns:
         ``virtual``, ``candidates`` and ``played``), (..., b - a) each:
         views of the series when b <= W, else read-only C-ordered copies,
         one take each by the (b - a,) int32 window column index (T <= 2^23
-        and P < T). Raises ModelError unless 0 <= a <= b <= T."""
+        and P < T). Raises ModelError unless 0 <= a <= b <= T and every
+        series is W columns wide."""
         if not 0 <= a <= b <= self.T:
             raise ModelError(f"columns({a}, {b}) needs 0 <= a <= b <= T = {self.T}")
         series = series or self.window[:3]
-        W = self.window[0].shape[2]
+        W = self._width(*series)
         if b <= W:
             return tuple(s[..., a:b] for s in series)
         cols = np.arange(a, b, dtype=np.int32)

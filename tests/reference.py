@@ -2,12 +2,13 @@
 solver of the relaxation, the Monte Carlo candidate-triple sampler of
 criterion 4, the brute-force oracle of criterion 2 and the schedule
 normalization and decomposition of criterion 10, the full-hull twin of
-the greedy relaxation solver, and the full actual states of planner runs
-with the twin of ETC that scores its commit from them; used only by
-tests."""
+the greedy relaxation solver, the list-built exploration schedule, and
+the full actual states of planner runs with the twin of ETC that scores
+its commit from them; used only by tests."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -16,9 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mlsd.intervals import RecurrentInterval, cycle_phase, interval_grid
-from mlsd.learning import (
-    ExplorationResult, estimate_payoffs, etc_config, exploration_length, exploration_schedule,
-)
+from mlsd.learning import ExplorationResult, estimate_payoffs, etc_config, exploration_length
 from mlsd.learning import simulate_exploration as library_exploration
 from mlsd.lp import LpProblem, LpSolution, build_lp as library_build_lp, solve_lp as library_solve_lp
 from mlsd.model import (
@@ -278,6 +277,28 @@ def step_states(played: np.ndarray, init) -> np.ndarray:
         out[:, t] = states
         states = [transition(s, bool(played[i, t])) for i, s in enumerate(states)]
     return out
+
+
+def exploration_schedule(n: int, k: int, tau_max: int, tau_L: int, m: int) -> np.ndarray:
+    """The (n, rounds) play matrix of ``learning.exploration_schedule``,
+    each cohort's rounds listed one play at a time: its positive walk by
+    accumulating the gaps, then its m dive waves one range each."""
+    length = exploration_length(n, k, tau_max, tau_L, m)
+    plays: list[list[int]] = [[] for _ in range(0, n, k)]  # per cohort, its 1-based rounds
+    t = 0
+    if tau_max >= 2:
+        gaps = [tau_max + 1] * (m - 1) + [g for g in range(tau_max, 2, -1) for _ in range(m)]
+        for rounds in plays:
+            rounds.extend(itertools.accumulate([max(t + 1, tau_max)] + gaps + [2]))
+            t = rounds[-1]
+    for rounds in plays:
+        for _ in range(m):  # a rest round, then -tau_L + 1 plays
+            rounds.extend(range(t + 2, t + 3 - tau_L))
+            t += 2 - tau_L
+    schedule = np.zeros((len(plays), length), dtype=bool)
+    for c, rounds in enumerate(plays):
+        schedule[c, np.array(rounds) - 1] = True
+    return schedule[np.arange(n) // k]
 
 
 def simulate_exploration(
@@ -694,24 +715,57 @@ def exhaustive_optimal(instance: Instance, T: int, budget: float = 1e7) -> float
     return float(best((1,) * n, 0))
 
 
+def totals_of_row(row: np.ndarray, W: int, P: int) -> np.ndarray:
+    """``PlannerRuns.totals(series, 0)`` of a series from its full (..., T)
+    row: the first W rounds, plus q times the P rounds after them, plus the
+    last r rounds, q, r = divmod(T - W, P), added in ``totals``' order."""
+    total = row[..., :W].sum(axis=-1)
+    T = row.shape[-1]
+    if W < T:
+        q, r = divmod(T - W, P)
+        total = total + q * row[..., W:W + P].sum(axis=-1) + row[..., T - r:].sum(axis=-1)
+    return total
+
+
+def commit_hits(instance: Instance, commit: PlannerRuns, init, noise: np.random.Generator) -> int:
+    """``learning._commit_hits`` from the commit's full fields, one cell at
+    a time: one uniform per (arm, round) of the first W, a hit where the arm
+    played below its true mean, then one binomial per (arm, column) of the
+    last period, over the rounds past W that repeat it."""
+    W, P, T = commit.window[0].shape[2], commit.period, commit.T
+    played = commit.played[0]
+    actual = actual_states(commit, init)[0]
+    draws = noise.random(size=(instance.n, W))
+    hits = 0
+    for arm in range(instance.n):
+        for t in range(W):
+            if played[arm, t]:
+                hits += bool(draws[arm, t] < instance.payoff(arm, int(actual[arm, t])))
+    if W < T:
+        for arm in range(instance.n):
+            for j in range(P):
+                t = W - P + j
+                p = instance.payoff(arm, int(actual[arm, t])) if played[arm, t] else 0.0
+                hits += int(noise.binomial(len(range(W + j, T, P)), p))
+    return hits
+
+
 def etc_totals(instance: Instance, T: int, epsilon: float, seed: int) -> tuple[float, float, float]:
     """``etc_run``'s realized, mean and planner totals, the commit scored
-    from its full (n, T - rounds) fields: exploration, estimates and commit
-    first, then the full-information reference."""
+    from its full (n, T - rounds) fields by ``commit_hits`` and both mean
+    totals summed from full payoff rows by ``totals_of_row``: exploration,
+    estimates and commit first, then the full-information reference."""
     cfg = etc_config(instance, T, epsilon)
     args = instance.n, instance.k, instance.tau_max, cfg.tau_L, cfg.m
-    rounds = exploration_length(*args)
     noise = stream(seed, "noise")
     expl = library_exploration(instance, exploration_schedule(*args), cfg.tau_L, noise)
     estimates = estimate_payoffs(instance.k, instance.tau_max, cfg.tau_L, expl.counts, expl.sums)
     solution = library_solve_lp(library_build_lp(estimates, cfg.tau_L))
-    commit = simulate_planner(instance, solution, T - rounds, seed,
+    commit = simulate_planner(instance, solution, T - exploration_length(*args), seed,
                               selection=estimates, init_states=expl.end_states)
-    draws = noise.random(size=commit.played.shape)
-    col = state_column(actual_states(commit, expl.end_states), instance.tau_min, instance.tau_max)
-    means = instance.means[np.arange(instance.n)[:, None], col]
-    hits = np.count_nonzero(commit.played & (draws < means))
+    hits = commit_hits(instance, commit, expl.end_states, noise)
     full_info = library_solve_lp(library_build_lp(instance, cfg.tau_L))
-    planner_total = float(payoffs(simulate_planner(instance, full_info, T, seed))[1].sum())
-    return (expl.realized_total + float(hits),
-            expl.mean_total + float(payoffs(commit)[1].sum()), planner_total)
+    runs = simulate_planner(instance, full_info, T, seed)
+    planner_total = float(totals_of_row(payoffs(runs)[1], runs.window[0].shape[2], runs.period)[0])
+    mean = totals_of_row(payoffs(commit)[1], commit.window[0].shape[2], commit.period)[0]
+    return expl.realized_total + float(hits), expl.mean_total + float(mean), planner_total

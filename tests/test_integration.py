@@ -92,16 +92,23 @@ def test_etc_commit_continues_from_exploration_states():
             selection=est, init_states=expl.end_states,
         )
         assert tuple(trace.window[3][0, :, 0].tolist()) == expl.end_states
-        actual = reference.actual_states(trace, expl.end_states)
+        actual = reference.actual_states(trace, expl.end_states)[0]
         # the commit's payoffs continue the same noise stream: one draw per
-        # (arm, round) cell, a hit where the arm played below its true mean
-        draws = noise.random(size=trace.played.shape)[0]
+        # (arm, round) cell of the window, a hit where the arm played below
+        # its true mean, then one binomial per (arm, column) of the last
+        # period over the rounds past the window that repeat it
+        W, P = trace.window[0].shape[2], trace.period
+        draws = noise.random(size=(inst.n, W))
         hits = 0
         for arm in range(inst.n):
-            for t in range(trace.T):
+            for t in range(W):
                 if trace.played[0, arm, t]:
-                    tau = int(actual[0, arm, t])
-                    hits += bool(draws[arm, t] < inst.payoff(arm, tau))
+                    hits += bool(draws[arm, t] < inst.payoff(arm, int(actual[arm, t])))
+        for arm in range(inst.n if W < trace.T else 0):
+            for t in range(W - P, W):
+                count = sum(1 for u in range(W, trace.T) if (u - W) % P == t - (W - P))
+                p = inst.payoff(arm, int(actual[arm, t])) if trace.played[0, arm, t] else 0.0
+                hits += int(noise.binomial(count, p))
         want = expl.realized_total + hits
         assert etc_run(inst, T, eps, seed).realized_total.hex() == want.hex()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from mlsd.learning import (
     simulate_exploration,
 )
 from mlsd.lp import build_lp, solve_lp
-from mlsd.model import Instance, ModelError, PayoffTable, random_instance
+from mlsd.model import Instance, ModelError, PayoffTable, random_instance, state_column
 from mlsd.planner import PlannerRuns, round_intervals, run_planner
 from mlsd.rng import stream
 
@@ -70,6 +71,21 @@ def test_schedule_feasibility_coverage_and_length():
         inst = random_instance(n, k, tau_max, min(tau_L, -1), stream(n * 31 + m, "instance"))
         res = simulate_exploration(inst, sched, tau_L, stream(1, "noise"))
         assert res.counts.min() >= m
+
+
+def test_schedule_matches_list_built_twin():
+    # bit for bit against the twin that lists every cohort's rounds one
+    # play at a time, on every shape of a grid: n 1-5, k 1..n, tau_max
+    # 1-5, tau_L -1..-5 and m in {1, 2, 3, 7}
+    cases = 0
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for args in itertools.product(range(1, 6), range(-1, -6, -1), (1, 2, 3, 7)):
+                got = exploration_schedule(n, k, *args)
+                want = reference.exploration_schedule(n, k, *args)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, *args)
+                cases += 1
+    assert cases == 1500
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,16 +182,17 @@ def _exploration_mean(inst, cfg, seed):
 
 
 def test_etc_run_reads_no_full_planner_field(monkeypatch):
-    # the commit is scored on its window, and the reference reads only its
-    # payoff series, so no (1, n, T) field is gathered
+    # the commit is scored on its window, and both runs sum their payoff
+    # series with totals, so no (1, n, T) field or column block is gathered
     cases = [(make_step_instance(), 400, 3), (make_step_instance(), 5000, 8),
              (draw_instance(42, n_range=(3, 4)), 3000, 2)]
     want = [reference.etc_totals(inst, T, 0.5, seed) for inst, T, seed in cases]
 
-    def gather(runs):
+    def gather(runs, *args):
         raise AssertionError("a full planner field was read")
 
     monkeypatch.setattr(PlannerRuns, "_fields", property(gather))
+    monkeypatch.setattr(PlannerRuns, "columns", gather)
     for (inst, T, seed), totals in zip(cases, want):
         res = etc_run(inst, T, 0.5, seed)
         assert (res.realized_total, res.mean_total, res.planner_total) == totals
@@ -186,13 +203,95 @@ def test_etc_run_reads_no_full_planner_field(monkeypatch):
        step=st.booleans())
 def test_etc_run_matches_full_field_twin(seed, T, epsilon, step):
     # bit for bit against the twin that scores the commit from its full
-    # fields and runs the full-information reference last
+    # fields, cell by cell in the stated draw order, sums both runs' full
+    # payoff rows in totals' order and runs the full-information reference
+    # last
     inst = make_step_instance() if step else draw_instance(seed, n_range=(2, 4),
                                                            allow_k_equal_n=True)
     res = etc_run(inst, T, epsilon, seed)
     want = reference.etc_totals(inst, T, epsilon, seed)
     got = res.realized_total, res.mean_total, res.planner_total
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _commit_of(inst, T, epsilon, seed):
+    """etc_run's exploration, its commit run and the noise stream after the
+    exploration's draws."""
+    cfg = etc_config(inst, T, epsilon)
+    sched = exploration_schedule(inst.n, inst.k, inst.tau_max, cfg.tau_L, cfg.m)
+    noise = stream(seed, "noise")
+    expl = simulate_exploration(inst, sched, cfg.tau_L, noise)
+    est = estimate_payoffs(inst.k, inst.tau_max, cfg.tau_L, expl.counts, expl.sums)
+    commit = run_planner(inst, round_intervals(solve_lp(build_lp(est, cfg.tau_L)), [seed]),
+                         T - sched.shape[1], selection=est, init_states=expl.end_states)
+    return expl, commit, noise
+
+
+def _per_cell_hits(inst, commit, init, noise) -> int:
+    """The commit's hits by one uniform per (arm, round) cell of its full
+    fields, in (arm, round) order."""
+    actual = reference.actual_states(commit, init)[0]
+    col = state_column(actual, inst.tau_min, inst.tau_max)
+    means = inst.means[np.arange(inst.n)[:, None], col]
+    draws = noise.random(size=actual.shape)
+    return int(np.count_nonzero(commit.played[0] & (draws < means)))
+
+
+@pytest.mark.parametrize("epsilon, T", [(0.25, 200), (0.5, 149)])
+def test_etc_commit_inside_its_window_keeps_per_cell_draws(epsilon, T):
+    # a 4-arm random-payoff commit of 21 and 22 rounds whose window is all
+    # of them (W == T - rounds): its hits are one uniform per (arm, round)
+    # cell, and both commit totals keep the bits of the full-row sums
+    inst = random_instance(4, 2, 4, -3, stream(7, "instance"))
+    expl, commit, noise = _commit_of(inst, T, epsilon, 0)
+    assert commit.window[0].shape[2] == commit.T
+    hits = _per_cell_hits(inst, commit, expl.end_states, noise)
+    res = etc_run(inst, T, epsilon, 0)
+    assert res.realized_total.hex() == (expl.realized_total + float(hits)).hex()
+    mean = expl.mean_total + float(reference.payoffs(commit)[1].sum())
+    assert res.mean_total.hex() == mean.hex()
+
+
+def test_etc_commit_hits_keep_their_distribution():
+    # a 4-arm random-payoff commit of 1,201 rounds with a window of W = 121
+    # and period P = 60. Its hits drawn one uniform per (arm, round) cell
+    # (noise seeds 0-399) and drawn from the window plus one binomial per
+    # (arm, column) of the last period (seeds 400-799) agree in mean and in
+    # variance within z <= 4, the bound fixed before the seeds were run;
+    # the variance's standard error comes from each sample's fourth moment
+    inst = random_instance(4, 2, 4, -3, stream(7, "instance"))
+    expl, commit, _ = _commit_of(inst, 2000, 0.5, 0)
+    assert (commit.T, commit.window[0].shape[2], commit.period) == (1201, 121, 60)
+    N = 400
+    samples = [
+        np.array([_per_cell_hits(inst, commit, expl.end_states, stream(s, "noise"))
+                  for s in range(N)], dtype=float),
+        np.array([learning._commit_hits(inst, commit, stream(N + s, "noise"))
+                  for s in range(N)], dtype=float),
+    ]
+    means = [x.mean() for x in samples]
+    variances = [x.var(ddof=1) for x in samples]
+    var_se2 = [(((x - x.mean()) ** 4).mean() - v * v * (N - 3) / (N - 1)) / N
+               for x, v in zip(samples, variances)]
+    z_mean = (means[0] - means[1]) / math.sqrt(sum(variances) / N)
+    z_var = (variances[0] - variances[1]) / math.sqrt(sum(var_se2))
+    assert abs(z_mean) <= 4 and abs(z_var) <= 4, (means, variances, z_mean, z_var)
+
+
+def test_etc_memory_is_set_by_the_window():
+    # the commit draws from its window and one period, and both mean totals
+    # sum one period, so at T = 2^20 on 3 arms only the exploration's
+    # ~59,000 rounds grow with T: the parent's per-cell draws and column
+    # gathers peaked at 55.8 MiB
+    inst = random_instance(3, 1, 2, -1, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        res = etc_run(inst, 2**20, 0.25, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+    assert 0.0 <= res.realized_total <= 2**20
 
 
 def test_etc_refuses_small_horizon():

@@ -959,6 +959,21 @@ def test_totals_refuse_a_start_outside_the_window(a):
     assert runs.totals(runs.window[4], 7).tolist() == [22.0]  # rounds 8..40 play 2 of every 3
 
 
+@pytest.mark.parametrize("width", [10, 6, 0])
+def test_reads_refuse_a_series_of_another_width(width):
+    # the one-arm run of period 3 keeps 7 of T = 40 columns; unchecked, a
+    # (1, 10) series summed to 474, its "last period" read from columns 4-9,
+    # and columns(0, 40) copied rounds past W from the wrong columns
+    runs = run_planner(make_step_instance(), plan_of([RecurrentInterval(u=1, l=-2)], [0]), 40)
+    bad = np.arange(float(width))[None]
+    message = rf"^a window series must have W = 7 columns, got {width}$"
+    for read in (lambda: runs.totals(bad, 0), lambda: runs.columns(0, 40, bad),
+                 lambda: runs.columns(0, 3, runs.window[4], bad)):
+        with pytest.raises(ModelError, match=message):
+            read()
+    assert runs.totals(np.arange(7.0)[None], 0).tolist() == [21.0 + 11 * 15.0]
+
+
 def _spy_chunks(monkeypatch) -> list:
     """Every (plan, T, result) that planner_runs hands to run_planner."""
     calls = []
